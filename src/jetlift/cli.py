@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import lift_space
 from .lift_space import (
     DEFAULT_SEED,
     CoefficientAssignment,
@@ -110,9 +111,9 @@ def cmd_construct(args) -> int:
         if args.r is None or args.k is None or args.s is None:
             raise CliError("--random needs -r, -k and -s")
         assignment = CoefficientAssignment.random(_params(args), seed=args.seed)
-    from .lift_space import construct as build
-
-    table = build(assignment)
+    # Looked up on the module so a wrapper installed on lift_space.construct
+    # (perfbench's tracer) also sees the CLI's calls.
+    table = lift_space.construct(assignment)
     _emit(table.to_json_dict(), args.out)
     rep = run_all_checks(table)
     _print_report(rep, args.witnesses, sys.stdout if args.out else sys.stderr)

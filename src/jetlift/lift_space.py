@@ -18,7 +18,7 @@ from itertools import combinations, product
 from typing import Mapping, NamedTuple, Sequence
 
 from .multiindex import MultiIndex, add, binomial, degree, sub_unit, support, unit
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_int_list, parse_rational
 from .weil_algebra import AlgebraElement, AlgebraParams, _as_fraction
 
 DEFAULT_SEED = 1729
@@ -192,14 +192,16 @@ class CoefficientAssignment:
             raise ValueError(
                 f"assignment object needs keys r, k, s, values; got {sorted(data)}"
             )
-        params = LiftParams(AlgebraParams(int(data["r"]), int(data["k"])), int(data["s"]))
+        params = LiftParams(
+            AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k")),
+            parse_int(data["s"], "s"),
+        )
         vals: dict[FreeCell, Fraction] = {}
         for entry in data["values"]:
             if set(entry) != {"i", "alpha", "c"}:
                 raise ValueError(f"value object needs keys i, alpha, c; got {sorted(entry)}")
             cell = FreeCell(
-                tuple(int(x) for x in entry["i"]),
-                tuple(int(x) for x in entry["alpha"]),
+                parse_int_list(entry["i"], "i"), parse_int_list(entry["alpha"], "alpha")
             )
             if cell in vals:
                 raise ValueError(f"duplicate cell {cell}")
@@ -285,15 +287,15 @@ class LiftTable:
     def from_json_dict(cls, data: dict) -> "LiftTable":
         if set(data) != {"r", "k", "s", "cells"}:
             raise ValueError(f"table object needs keys r, k, s, cells; got {sorted(data)}")
-        params = LiftParams(AlgebraParams(int(data["r"]), int(data["k"])), int(data["s"]))
+        params = LiftParams(
+            AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k")),
+            parse_int(data["s"], "s"),
+        )
         seen: dict[tuple[tuple[int, ...], MultiIndex], Fraction] = {}
         for entry in data["cells"]:
             if set(entry) != {"i", "alpha", "v"}:
                 raise ValueError(f"cell object needs keys i, alpha, v; got {sorted(entry)}")
-            key = (
-                tuple(int(x) for x in entry["i"]),
-                tuple(int(x) for x in entry["alpha"]),
-            )
+            key = (parse_int_list(entry["i"], "i"), parse_int_list(entry["alpha"], "alpha"))
             if key in seen:
                 raise ValueError(f"duplicate cell {key}")
             seen[key] = parse_rational(entry["v"])

@@ -24,3 +24,18 @@ def parse_rational(value: int | str) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r} (exact strings or integers only)")
+
+
+def parse_int(value, what: str) -> int:
+    """An exact integer field; bools, floats and strings are refused rather
+    than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_int_list(value, what: str) -> tuple[int, ...]:
+    """A list of exact integers, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(parse_int(x, what) for x in value)

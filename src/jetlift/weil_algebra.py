@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .multiindex import MultiIndex, add, degree, enumerate_degree_at_most
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_int, parse_int_list, parse_rational
 
 
 @dataclass(frozen=True)
@@ -207,12 +207,12 @@ class AlgebraElement:
         keys = set(data)
         if keys != {"r", "k", "terms"}:
             raise ValueError(f"element object needs keys r, k, terms; got {sorted(keys)}")
-        params = AlgebraParams(int(data["r"]), int(data["k"]))
+        params = AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k"))
         terms: dict[MultiIndex, Fraction] = {}
         for entry in data["terms"]:
             if set(entry) != {"exp", "coeff"}:
                 raise ValueError(f"term object needs keys exp, coeff; got {sorted(entry)}")
-            exp = tuple(int(x) for x in entry["exp"])
+            exp = parse_int_list(entry["exp"], "exp")
             terms[exp] = terms.get(exp, Fraction(0)) + parse_rational(entry["coeff"])
         return cls.from_terms(params, terms)
 

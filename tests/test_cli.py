@@ -1,8 +1,11 @@
 """Command-line surface: output shapes, exit codes, file round-trips."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from jetlift import (
 )
 from jetlift.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 P121 = LiftParams(AlgebraParams(1, 2), 1)
 
 UNIT_ASSIGNMENT = {
@@ -116,6 +120,31 @@ def test_construct_rejects_bad_assignment_file(tmp_path, capsys):
     src.write_text(json.dumps(bad))
     assert main(["construct", "--in", str(src)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("r", 1.9), ("r", True), ("s", "1"), ("i", [1.7]), ("alpha", [0.2, 1])],
+)
+def test_inputs_with_non_integer_fields_exit_two(tmp_path, capsys, field, value):
+    doc = json.loads(json.dumps(UNIT_ASSIGNMENT))
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["values"][1][field] = value
+    src = tmp_path / "assignment.json"
+    src.write_text(json.dumps(doc))
+    assert main(["construct", "--in", str(src)]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+    table = construct(CoefficientAssignment.from_json_dict(UNIT_ASSIGNMENT)).to_json_dict()
+    if field in table:
+        table[field] = value
+    else:
+        table["cells"][1][field] = value
+    src.write_text(json.dumps(table))
+    assert main(["verify", "--in", str(src)]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
 
 
 def test_construct_requires_exactly_one_source(tmp_path):
@@ -225,14 +254,50 @@ def test_module_invocation_works():
     assert proc.stdout.strip() == "3"
 
 
+def script_line_target(text: str) -> str:
+    """The ``jetlift = "module:function"`` value under ``[project.scripts]``,
+    read line by line (``tomllib`` needs Python 3.11)."""
+    section = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]":
+            name, _, value = line.partition("=")
+            if name.strip() == "jetlift":
+                return value.strip().strip('"')
+    raise AssertionError("no jetlift entry under [project.scripts]")
+
+
+def console_script_target() -> str:
+    """The ``module:function`` that ``pyproject.toml`` declares for the
+    ``jetlift`` console script."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        return script_line_target(text)
+    target = tomllib.loads(text)["project"]["scripts"]["jetlift"]
+    assert script_line_target(text) == target
+    return target
+
+
 def test_console_script_works():
-    proc = subprocess.run(
-        ["jetlift", "oracle", "-r", "1", "-k", "1", "-s", "1"],
-        capture_output=True,
-        text=True,
+    argv = ["oracle", "-r", "1", "-k", "1", "-s", "1"]
+    module, func = console_script_target().split(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "nullspace=1 formula=1 iso=ok"
+    launch = f"import sys; from {module} import {func}; sys.exit({func}())"
+    runs = [[sys.executable, "-c", launch, *argv]]
+    script = shutil.which("jetlift")
+    if script is not None:
+        runs.append([script, *argv])
+    for cmd in runs:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (cmd, proc.stderr)
+        assert proc.stdout.strip() == "nullspace=1 formula=1 iso=ok", cmd
 
 
 def test_unknown_subcommand_exits_two():

@@ -184,6 +184,19 @@ def test_assignment_json_roundtrip_and_errors():
         CoefficientAssignment.from_json_dict({"r": 1, "k": 2, "s": 1})
 
 
+@pytest.mark.parametrize(
+    "field,value", [("r", 1.9), ("k", True), ("s", "1"), ("i", [1.7]), ("alpha", [0.2, 1])]
+)
+def test_assignment_json_refuses_non_integer_fields(field, value):
+    doc = CoefficientAssignment.random(P121, seed=3).to_json_dict()
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["values"][0][field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        CoefficientAssignment.from_json_dict(doc)
+
+
 # -- construction -----------------------------------------------------------------
 
 
@@ -280,6 +293,19 @@ def test_table_json_roundtrip_and_errors():
     doc = t.to_json_dict()
     doc["cells"] = doc["cells"] + [{"i": [2], "alpha": [9, 9], "v": "1"}]
     with pytest.raises(ValueError, match="unexpected|missing"):
+        LiftTable.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("r", 1.9), ("k", False), ("s", "1"), ("i", [2.0]), ("alpha", ["1", 0])]
+)
+def test_table_json_refuses_non_integer_fields(field, value):
+    doc = construct(CoefficientAssignment.random(P121, seed=4)).to_json_dict()
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["cells"][0][field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
         LiftTable.from_json_dict(doc)
 
 

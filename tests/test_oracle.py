@@ -1,6 +1,7 @@
 """The brute-force linear system: frozen small cases, size guard, and
 agreement with the closed-form side."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -98,7 +99,7 @@ def test_arity_above_generator_count_is_empty():
 
 def test_last_slot_mode_handles_zero_arity():
     system = build_constraints(lift_params(1, 2, 0), slots="last")
-    assert system.rows == ()
+    assert system.rows == () and system.slots == ()
 
 
 def test_slots_argument_is_validated():
@@ -136,7 +137,8 @@ def test_last_slot_system_has_the_same_nullspace(r, k, s):
     params = lift_params(r, k, s)
     full = build_constraints(params, slots="all")
     last = build_constraints(params, slots="last")
-    assert set(last.rows) <= set(full.rows)
+    assert last.rows == full.rows
+    assert last.slots == (s - 1,) and full.slots == tuple(range(s))
     n_full, _ = nullspace(full)
     n_last, basis_last = nullspace(last)
     assert n_full == n_last
@@ -183,6 +185,30 @@ def test_compare_with_construction_passes(r, k, s):
     rep = compare_with_construction(lift_params(r, k, s))
     assert rep.passed, rep.to_json_dict()
     assert rep.cases["span"] == 1
+
+
+def test_compare_reports_violated_rows_in_row_order():
+    # Extra rows that the unit tables violate: each vector is checked only on
+    # the rows touching its nonzero columns, so the report must still match a
+    # dense check of every row, in row order, case count included.
+    params = lift_params(2, 2, 2)
+    system = build_constraints(params)
+    cells = free_cells(params)
+    vecs = [expand_table(system, construct(CoefficientAssignment.unit(params, c))) for c in cells]
+    support = [col for col, v in enumerate(vecs[0]) if v]
+    extra = {((support[0], 1),), ((0, 1), (support[-1], 2))}
+    doctored = replace(system, rows=tuple(sorted(set(system.rows) | extra)))
+    _, basis = nullspace(system)
+    rep = compare_with_construction(params, system=doctored, nullbasis=basis)
+    expected = [
+        (cell, row)
+        for cell, vec in zip(cells, vecs)
+        for row in doctored.rows
+        if sum((coeff * vec[col] for col, coeff in row), Fraction(0)) != 0
+    ]
+    assert expected
+    assert [f.witness for f in rep.failures if f.check == "constraint-rows"] == expected
+    assert rep.cases["constraint-rows"] == len(cells) * len(doctored.rows)
 
 
 def test_compare_detects_a_doctored_basis():

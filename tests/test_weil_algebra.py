@@ -208,6 +208,19 @@ def test_json_validation_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "field,value", [("r", 1.9), ("k", True), ("r", "2"), ("exp", [1.0, 0]), ("exp", 1)]
+)
+def test_json_refuses_non_integer_fields(field, value):
+    doc = AlgebraElement.from_terms(P22, {(1, 0): 1}).to_json_dict()
+    if field in doc:
+        doc[field] = value
+    else:
+        doc["terms"][0][field] = value
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        AlgebraElement.from_json_dict(doc)
+
+
 def test_str_rendering():
     assert str(AlgebraElement.zero(P22)) == "0"
     e = AlgebraElement.from_terms(
