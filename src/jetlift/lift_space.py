@@ -412,8 +412,14 @@ class TableEvaluator:
     monomial is peeled one supported axis at a time, the leftover exponents
     migrate into the target, and the resulting degree-one tuple is read off
     the table with the sign of its sorting permutation.  Everything is keyed
-    by basis position; the verifier and the brute-force cross-check lean on
-    this for their exhaustive sweeps.
+    by basis position; the verifier's sweeps and the oracle's table
+    expansion lean on this.
+
+    Two kinds of tuple give zero before any cell is read: one with a
+    constant argument monomial, and one whose argument and target degrees
+    sum past r + s.  The verifier's sweeps decide the tuples that hit these
+    zeros without calling the evaluator, so they must stay exactly as they
+    are in ``_compute``.
     """
 
     def __init__(self, table: LiftTable):

@@ -1,18 +1,37 @@
-"""Exhaustive exact checks on lift tables.
+"""Exact checks on lift tables.
 
 Three properties pin down membership in the lift space: the multilinear
 extension changes sign under slot exchange, it satisfies the slotwise
 product rule on basis monomials, and expansions of just-overflowing powers
-vanish.  All checks are exhaustive over basis tuples -- by multilinearity
-that is complete coverage, no sampling involved.
+vanish.  Every check decides every basis tuple -- by multilinearity that is
+complete coverage, no sampling involved -- and its ``cases`` count is the
+number of basis tuples decided.
+
+The skew and product-rule sweeps evaluate only the tuples that can read a
+table cell.  ``TableEvaluator`` returns zero, before reading any cell, when
+an argument monomial is constant or when the argument and target degrees
+sum past r + s; the identities below then hold for every table, so those
+tuples are decided without evaluation:
+
+- a product-rule instance ``(others, b, c, d)`` with a constant entry in
+  ``others``: all three terms have that constant argument, so 0 = 0;
+- one with deg(others) + deg b + deg c + deg d > r + s: each term has that
+  total degree (or a truncated product, which contributes zero), so 0 = 0;
+- one with ``b`` constant: the left side and the term with ``c`` in the
+  slot are the same evaluation, and the term with ``b`` in the slot has a
+  constant argument (likewise with ``b`` and ``c`` exchanged);
+- a skew pair ``(g, d)`` with a constant entry in ``g`` or over the degree
+  cap: its value, every slot exchange of it and the repeated case are 0.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from math import perm
 
 from .lift_space import (
     DEFAULT_SEED,
@@ -76,39 +95,57 @@ class VerificationReport:
         }
 
 
+def _nonconstant_tuples(n: int, budget: int, degrees: tuple[int, ...]):
+    """Tuples of ``n`` nonconstant basis positions whose degrees sum to at
+    most ``budget``, in lexicographic order, each with its degree sum.
+
+    Basis positions are ordered by ascending degree, so every entry runs
+    over a prefix of the positions after the constant monomial at 0."""
+    if n == 0:
+        yield (), 0
+        return
+    for x in range(1, bisect_right(degrees, budget - n + 1)):
+        dx = degrees[x]
+        for rest, d_rest in _nonconstant_tuples(n - 1, budget - dx, degrees):
+            yield (x,) + rest, dx + d_rest
+
+
 def check_skew(table: LiftTable, *, evaluator: TableEvaluator | None = None) -> VerificationReport:
     """Exchanging two argument slots must negate the value, and a repeated
-    argument monomial must kill it.  Vacuous for arity below two."""
+    argument monomial must kill it.  Vacuous for arity below two.
+
+    ``cases`` counts one case per slot pair and one per repeated tuple, for
+    every tuple of s + 1 basis positions; only the tuples that can read a
+    cell are evaluated (see the module docstring)."""
     p = table.params
     s = p.s
     rep = VerificationReport(cases={"skew": 0})
     if s < 2:
         return rep
     ev = evaluator or TableEvaluator(table)
-    basis = p.algebra.basis
+    alg = p.algebra
+    basis = alg.basis
+    degrees = alg.degrees
+    cap = alg.r + s
     B = len(basis)
     pairs = list(combinations(range(s), 2))
-    n = 0
-    for g in product(range(B), repeat=s):
+    for g, deg_g in _nonconstant_tuples(s, cap, degrees):
         distinct = len(set(g)) == s
-        for d in range(B):
+        for d in range(bisect_right(degrees, cap - deg_g)):
             v = ev.monomials_by_index(g, d)
-            if not distinct:
-                n += 1
-                if v != 0:
-                    rep.failures.append(
-                        Failure(
-                            "skew",
-                            (tuple(basis[x] for x in g), "repeated", basis[d]),
-                            Fraction(0),
-                            v,
-                        )
+            if not distinct and v != 0:
+                rep.failures.append(
+                    Failure(
+                        "skew",
+                        (tuple(basis[x] for x in g), "repeated", basis[d]),
+                        Fraction(0),
+                        v,
                     )
+                )
             for a, b in pairs:
                 swapped = list(g)
                 swapped[a], swapped[b] = swapped[b], swapped[a]
                 w = ev.monomials_by_index(tuple(swapped), d)
-                n += 1
                 if w != -v:
                     rep.failures.append(
                         Failure(
@@ -118,7 +155,8 @@ def check_skew(table: LiftTable, *, evaluator: TableEvaluator | None = None) -> 
                             w,
                         )
                     )
-    rep.cases["skew"] = n
+    repeated = B**s - perm(B, s)
+    rep.cases["skew"] = B ** (s + 1) * len(pairs) + repeated * B
     return rep
 
 
@@ -134,7 +172,9 @@ def check_leibniz_basis(
     equal the sum of the two single-factor values with the complementary
     factor multiplied into the target; truncated products contribute zero.
     Checking the last slot covers every slot once skew-symmetry holds;
-    ``all_slots=True`` sweeps the rest as redundancy.
+    ``all_slots=True`` sweeps the rest as redundancy.  ``cases`` counts all
+    B^(s+2) basis tuples per slot; only the instances that can read a cell
+    are evaluated (see the module docstring).
     """
     p = table.params
     s = p.s
@@ -144,24 +184,27 @@ def check_leibniz_basis(
     ev = evaluator or TableEvaluator(table)
     alg = p.algebra
     basis = alg.basis
-    B = len(basis)
+    degrees = alg.degrees
+    cap = alg.r + s
     prod_idx = alg.product_index
     mono = ev.monomials_by_index
     slots = range(s) if all_slots else [s - 1]
-    n = 0
     zero = Fraction(0)
     for t in slots:
-        for others in product(range(B), repeat=s - 1):
+        # b and c take at least one degree each, d may be constant.
+        for others, deg_others in _nonconstant_tuples(s - 1, cap - 2, degrees):
             pre, post = others[:t], others[t:]
-            for b in range(B):
+            room = cap - deg_others
+            for b in range(1, bisect_right(degrees, room - 1)):
                 row_b = prod_idx[b]
                 args_b = pre + (b,) + post
-                for c in range(B):
+                room_b = room - degrees[b]
+                for c in range(1, bisect_right(degrees, room_b)):
                     bc = row_b[c]
                     args_bc = pre + (bc,) + post if bc is not None else None
                     args_c = pre + (c,) + post
                     row_c = prod_idx[c]
-                    for d in range(B):
+                    for d in range(bisect_right(degrees, room_b - degrees[c])):
                         lhs = mono(args_bc, d) if args_bc is not None else zero
                         cd = row_c[d]
                         bd = row_b[d]
@@ -170,7 +213,6 @@ def check_leibniz_basis(
                             rhs = mono(args_b, cd)
                         if bd is not None:
                             rhs = rhs + mono(args_c, bd)
-                        n += 1
                         if lhs != rhs:
                             rep.failures.append(
                                 Failure(
@@ -186,7 +228,7 @@ def check_leibniz_basis(
                                     lhs,
                                 )
                             )
-    rep.cases["leibniz"] = n
+    rep.cases["leibniz"] = len(slots) * len(basis) ** (s + 2)
     return rep
 
 

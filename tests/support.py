@@ -3,6 +3,9 @@
 Everything here recomputes results straight from first principles (box
 enumeration, definition filters, indicator tables, product-rule recursion)
 so the package code is checked against a second route, not against itself.
+The ``reference_*`` checks are the skew and product-rule sweeps without the
+verifier's pruning: they evaluate every basis tuple, so the pruned sweeps
+must report the same cases and the same failures in the same order.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from itertools import combinations, product
 
 from jetlift import (
     CoefficientAssignment,
+    Failure,
     FreeCell,
     LiftParams,
     LiftTable,
+    TableEvaluator,
+    VerificationReport,
+    check_truncation,
     construct,
     degree,
     free_cells,
@@ -111,3 +118,131 @@ def leibniz_eval(table: LiftTable, gammas, delta) -> Fraction:
         return acc
     axes = tuple(support(g)[0] for g in gammas)
     return lookup_skew(table, axes, delta)
+
+
+def reference_check_skew(
+    table: LiftTable, *, evaluator: TableEvaluator | None = None
+) -> VerificationReport:
+    """``check_skew`` as an unpruned sweep: every basis tuple is evaluated.
+    Exchanging two argument slots must negate the value, and a repeated
+    argument monomial must kill it.  Vacuous for arity below two."""
+    p = table.params
+    s = p.s
+    rep = VerificationReport(cases={"skew": 0})
+    if s < 2:
+        return rep
+    ev = evaluator or TableEvaluator(table)
+    basis = p.algebra.basis
+    B = len(basis)
+    pairs = list(combinations(range(s), 2))
+    n = 0
+    for g in product(range(B), repeat=s):
+        distinct = len(set(g)) == s
+        for d in range(B):
+            v = ev.monomials_by_index(g, d)
+            if not distinct:
+                n += 1
+                if v != 0:
+                    rep.failures.append(
+                        Failure(
+                            "skew",
+                            (tuple(basis[x] for x in g), "repeated", basis[d]),
+                            Fraction(0),
+                            v,
+                        )
+                    )
+            for a, b in pairs:
+                swapped = list(g)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                w = ev.monomials_by_index(tuple(swapped), d)
+                n += 1
+                if w != -v:
+                    rep.failures.append(
+                        Failure(
+                            "skew",
+                            (tuple(basis[x] for x in g), (a + 1, b + 1), basis[d]),
+                            -v,
+                            w,
+                        )
+                    )
+    rep.cases["skew"] = n
+    return rep
+
+
+def reference_check_leibniz_basis(
+    table: LiftTable,
+    *,
+    all_slots: bool = False,
+    evaluator: TableEvaluator | None = None,
+) -> VerificationReport:
+    """``check_leibniz_basis`` as an unpruned sweep: every basis tuple is
+    evaluated.
+
+    Replacing the slot argument by a product of two basis monomials must
+    equal the sum of the two single-factor values with the complementary
+    factor multiplied into the target; truncated products contribute zero.
+    Checking the last slot covers every slot once skew-symmetry holds;
+    ``all_slots=True`` sweeps the rest as redundancy.
+    """
+    p = table.params
+    s = p.s
+    rep = VerificationReport(cases={"leibniz": 0})
+    if s == 0:
+        return rep
+    ev = evaluator or TableEvaluator(table)
+    alg = p.algebra
+    basis = alg.basis
+    B = len(basis)
+    prod_idx = alg.product_index
+    mono = ev.monomials_by_index
+    slots = range(s) if all_slots else [s - 1]
+    n = 0
+    zero = Fraction(0)
+    for t in slots:
+        for others in product(range(B), repeat=s - 1):
+            pre, post = others[:t], others[t:]
+            for b in range(B):
+                row_b = prod_idx[b]
+                args_b = pre + (b,) + post
+                for c in range(B):
+                    bc = row_b[c]
+                    args_bc = pre + (bc,) + post if bc is not None else None
+                    args_c = pre + (c,) + post
+                    row_c = prod_idx[c]
+                    for d in range(B):
+                        lhs = mono(args_bc, d) if args_bc is not None else zero
+                        cd = row_c[d]
+                        bd = row_b[d]
+                        rhs = zero
+                        if cd is not None:
+                            rhs = mono(args_b, cd)
+                        if bd is not None:
+                            rhs = rhs + mono(args_c, bd)
+                        n += 1
+                        if lhs != rhs:
+                            rep.failures.append(
+                                Failure(
+                                    "leibniz",
+                                    (
+                                        tuple(basis[x] for x in others),
+                                        basis[b],
+                                        basis[c],
+                                        basis[d],
+                                        t + 1,
+                                    ),
+                                    rhs,
+                                    lhs,
+                                )
+                            )
+    rep.cases["leibniz"] = n
+    return rep
+
+
+def reference_run_all_checks(
+    table: LiftTable, *, all_slots: bool = False
+) -> VerificationReport:
+    """``run_all_checks`` with the unpruned skew and product-rule sweeps."""
+    ev = TableEvaluator(table)
+    rep = reference_check_skew(table, evaluator=ev)
+    rep = rep.merged(reference_check_leibniz_basis(table, all_slots=all_slots, evaluator=ev))
+    return rep.merged(check_truncation(table))

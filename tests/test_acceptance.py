@@ -2,9 +2,10 @@
 each.  Run ``pytest -s tests/test_acceptance.py`` to watch the lines appear;
 every comparison below is exact (integers and rationals, no tolerances).
 
-The parameter grid is r, k in {1,2,3} and s in {0,1,2,3}; brute-force
-criteria drop the points whose linear system would exceed the unknown-count
-guard (exactly one point, (3,3,3)).
+The parameter grid is r, k in {1,2,3} and s in {0,1,2,3}.  The oracle
+criteria (1, 4 and 6) drop the points whose linear system would exceed the
+unknown-count guard (exactly one point, (3,3,3)); the others run on the
+full grid.
 """
 
 import random
@@ -115,7 +116,7 @@ def test_criterion_2_edge_case_formula():
 
 def test_criterion_3_every_unit_construction_verifies():
     failures = []
-    for point in CAPPED_GRID:
+    for point in FULL_GRID:
         params = lift(point)
         for cell in free_cells(params):
             rep = run_all_checks(construct(CoefficientAssignment.unit(params, cell)))
@@ -124,7 +125,7 @@ def test_criterion_3_every_unit_construction_verifies():
     finish(
         3,
         "constructed tables pass the skew, product-rule, and truncation "
-        "checks for every standard-basis assignment on the capped grid",
+        "checks for every standard-basis assignment on the full grid",
         failures,
     )
 
@@ -150,7 +151,7 @@ def test_criterion_4_isomorphism(oracle_cache):
 
 def test_criterion_5_roundtrip_and_linearity():
     failures = []
-    for point in CAPPED_GRID:
+    for point in FULL_GRID:
         params = lift(point)
         base = 10000 * point[0] + 100 * point[1] + point[2]
         for i in range(100):

@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, file round-trips."""
 
+import io
 import json
 import os
 import shutil
@@ -15,7 +16,9 @@ from jetlift import (
     LiftParams,
     construct,
 )
-from jetlift.cli import main
+from jetlift.cli import _print_report, main
+from jetlift.rationals import MAX_DECIMAL_EXPONENT
+from support import reference_run_all_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 P121 = LiftParams(AlgebraParams(1, 2), 1)
@@ -194,6 +197,50 @@ def test_verify_all_slots_flag(tmp_path, capsys):
     path = table_file(tmp_path)
     assert main(["verify", "--in", str(path), "--all-slots"]) == 0
     assert "leibniz: ok" in capsys.readouterr().out
+
+
+def test_verify_reports_every_basis_tuple_at_333(tmp_path, capsys):
+    """The sweeps evaluate only the tuples that can read a cell, but the
+    case counts stay the full basis-tuple counts: B^(s+2) product-rule
+    tuples and B^(s+1)·C(s,2) + (B^s - B!/(B-s)!)·B skew cases, B = 20."""
+    path = tmp_path / "t.json"
+    args = ["construct", "--random", "-r", "3", "-k", "3", "-s", "3", "--out", str(path)]
+    expected = (
+        "leibniz: ok (3200000 cases, 0 failed)\n"
+        "skew: ok (503200 cases, 0 failed)\n"
+        "truncation: ok (45 cases, 0 failed)\n"
+    )
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["verify", "--in", str(path)]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("extra", [[], ["--all-slots"], ["--witnesses", "1000"]])
+def test_verify_output_on_a_corrupted_table_matches_the_reference(tmp_path, capsys, extra):
+    params = LiftParams(AlgebraParams(2, 3), 2)
+    table = construct(CoefficientAssignment.random(params, seed=5))
+    bad = table.with_cell((1, 3), (1, 1, 0), table.cell((1, 3), (1, 1, 0)) + 2)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json_dict()))
+    assert main(["verify", "--in", str(path), *extra]) == 1
+    out = capsys.readouterr()
+    rep = reference_run_all_checks(bad, all_slots="--all-slots" in extra)
+    assert len(rep.failures) > 10
+    expected = io.StringIO()
+    _print_report(rep, int(extra[1]) if "--witnesses" in extra else 10, expected)
+    assert out == (expected.getvalue(), "")
+
+
+def test_verify_rejects_an_oversized_exponent(tmp_path, capsys):
+    doc = construct(CoefficientAssignment.random(P121, seed=3)).to_json_dict()
+    doc["cells"][0]["v"] = f"1e{MAX_DECIMAL_EXPONENT + 1}"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: decimal exponent")
 
 
 def test_verify_rejects_malformed_input(tmp_path, capsys):

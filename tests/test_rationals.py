@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetlift import format_rational, parse_rational
+from jetlift.rationals import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_DIGITS
 
 
 def test_format_examples():
@@ -32,6 +33,39 @@ def test_parse_rejects_non_rationals():
         parse_rational(True)
     with pytest.raises(ValueError):
         parse_rational(0.5)
+
+
+def test_parse_accepts_exponents_and_digits_up_to_the_caps():
+    cap = MAX_DECIMAL_EXPONENT
+    assert parse_rational(f"1e{cap}") == 10**cap
+    assert parse_rational(f"3E-{cap}") == Fraction(3, 10**cap)
+    assert parse_rational(f"1e+{cap}") == 10**cap
+    nines = 10**MAX_RATIONAL_DIGITS - 1
+    assert parse_rational("9" * MAX_RATIONAL_DIGITS) == nines
+    both = "9" * MAX_RATIONAL_DIGITS + "/" + "9" * (MAX_RATIONAL_DIGITS - 1)
+    assert parse_rational(both) == Fraction(nines, nines // 10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"1e{MAX_DECIMAL_EXPONENT + 1}",
+        f"1e-{MAX_DECIMAL_EXPONENT + 1}",
+        f"2.5E+{MAX_DECIMAL_EXPONENT + 1}",
+        f"1e{MAX_DECIMAL_EXPONENT // 10}_{MAX_DECIMAL_EXPONENT % 10 + 1}",
+        "1e400",
+        # An exponent string long enough that building 10**N would never
+        # finish; it is refused by the digit cap before any arithmetic.
+        "1e" + "9" * (MAX_RATIONAL_DIGITS + 1),
+        "1e" + "9" * MAX_RATIONAL_DIGITS,
+        "9" * (MAX_RATIONAL_DIGITS + 1),
+        "1/" + "7" * (MAX_RATIONAL_DIGITS + 1),
+        "0." + "5" * (MAX_RATIONAL_DIGITS + 1),
+    ],
+)
+def test_parse_refuses_strings_over_the_caps(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 @given(st.fractions(max_denominator=10**6))
