@@ -22,6 +22,7 @@ from .lift_space import (
     dimension,
     free_cells,
 )
+from .multiindex import capped_binomial
 from .oracle import (
     DEFAULT_MAX_UNKNOWNS,
     OracleSizeError,
@@ -34,6 +35,10 @@ from .oracle import (
 from .verifier import run_all_checks
 from .weil_algebra import AlgebraParams
 
+# ``zset`` and ``dim --check-z`` enumerate every table cell, C(k, s) rows of
+# C(r + k, r) monomials; larger tables are refused before enumerating.
+MAX_TABLE_CELLS = 1_000_000
+
 
 class CliError(Exception):
     """Input problem worth exit code 2."""
@@ -44,6 +49,13 @@ def _params(args) -> LiftParams:
         return LiftParams(AlgebraParams(args.r, args.k), args.s)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _check_enumerable(params: LiftParams) -> None:
+    r, k, s = params.algebra.r, params.algebra.k, params.s
+    cap = MAX_TABLE_CELLS
+    if capped_binomial(k, s, cap) * capped_binomial(r + k, r, cap) > cap:
+        raise CliError(f"listing the free cells would visit more than {cap} table cells")
 
 
 def _load_json(path: str) -> dict:
@@ -75,6 +87,8 @@ def _print_report(rep, witnesses: int, stream) -> None:
 
 def cmd_dim(args) -> int:
     params = _params(args)
+    if args.check_z:
+        _check_enumerable(params)
     d = dimension(params)
     z = len(free_cells(params)) if args.check_z else None
     if args.json:
@@ -94,6 +108,7 @@ def cmd_dim(args) -> int:
 
 def cmd_zset(args) -> int:
     params = _params(args)
+    _check_enumerable(params)
     _emit(
         [{"i": list(c.axes), "alpha": list(c.alpha)} for c in free_cells(params)],
         args.out,
@@ -114,7 +129,15 @@ def cmd_construct(args) -> int:
     # Looked up on the module so a wrapper installed on lift_space.construct
     # (perfbench's tracer) also sees the CLI's calls.
     table = lift_space.construct(assignment)
-    _emit(table.to_json_dict(), args.out)
+    try:
+        doc = table.to_json_dict()
+    except ValueError as exc:
+        # Python 3.11+ refuses str() of an integer past its digit limit.
+        raise CliError(
+            "a table value has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit for writing an integer"
+        ) from exc
+    _emit(doc, args.out)
     rep = run_all_checks(table)
     _print_report(rep, args.witnesses, sys.stdout if args.out else sys.stderr)
     return 0 if rep.passed else 1

@@ -81,7 +81,9 @@ def dimension(params: LiftParams) -> int:
     """Closed-form count of the free cells, valid in every degenerate
     parameter range under the fixed binomial conventions."""
     r, k, s = params.algebra.r, params.algebra.k, params.s
-    return binomial(r + s - 1, s) * binomial(r + k, r + s)
+    # The second factor first: it is 0 for s > k, where the first can be huge.
+    tail = binomial(r + k, r + s)
+    return binomial(r + s - 1, s) * tail if tail else 0
 
 
 def sort_with_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -418,8 +420,9 @@ class TableEvaluator:
     Two kinds of tuple give zero before any cell is read: one with a
     constant argument monomial, and one whose argument and target degrees
     sum past r + s.  The verifier's sweeps decide the tuples that hit these
-    zeros without calling the evaluator, so they must stay exactly as they
-    are in ``_compute``.
+    zeros without calling the evaluator, and the oracle's ``expand_table``
+    evaluates only the unknowns that miss both (``live_columns``), so they
+    must stay exactly as they are in ``_compute``.
     """
 
     def __init__(self, table: LiftTable):

@@ -102,3 +102,19 @@ def binomial(n: int, m: int) -> int:
     if m < 0 or n < m:
         return 0
     return math.comb(n, m)
+
+
+def capped_binomial(n: int, m: int, cap: int) -> int:
+    """``binomial(n, m)`` for ``n >= 0``, or ``cap + 1`` if it is larger.
+    The running value ``binomial(n, i)`` is at least ``2**i`` for
+    ``i <= n/2``, so the loop passes the cap within about ``log2(cap)``
+    steps and never holds a number above ``cap * n``."""
+    m = min(m, n - m)
+    if m < 0:
+        return 0
+    value = 1
+    for i in range(m):
+        value = value * (n - i) // (i + 1)
+        if value > cap:
+            return cap + 1
+    return value

@@ -16,10 +16,33 @@ terms vanish.  Moving the rule from slot ``t`` to the last slot is one
 fixed permutation of the argument tuple, shared by the three terms, so it
 too yields the same normalised row.  The reduced instantiation therefore
 produces exactly the row set of every slot on every ordered tuple.
+
+At the last slot the instance on the leading tuple ``pre`` and basis
+positions ``b, c, d`` is the row
+``R(pre; b, c, d) = F(pre, bc)(d) - F(pre, b)(cd) - F(pre, c)(bd)``, and
+three facts about it let the default builder skip instances without
+changing the row set:
+
+(a) ``R(pre; b, c, d)`` and ``R(pre; c, b, d)`` are the same coefficient
+    dict (``bc = cb``, the other two terms trade places), so only
+    ``b <= c`` is instantiated.
+(b) Basis position 0 is the monomial 1.  With ``b = 0`` the first and
+    last terms are the same unknown and cancel, leaving the single-entry
+    row ``F(pre, 1)(cd)``; ``c = 0`` is the same by (a), and ``cd`` runs
+    over every position as ``c`` and ``d`` do.  So these instances give
+    exactly the rows ``F(pre, 1)(x)`` for every ``x``, and none when
+    ``0`` is in ``pre`` (then ``F(pre, 1)`` has a repeated entry).  They
+    are emitted directly and ``b, c`` then run over ``1 .. B-1``.
+(c) Without the ``F(pre, bc)`` term (``bc`` truncates or repeats an entry
+    of ``pre``) the other two terms exist only for
+    ``deg d <= r - deg c`` and ``deg d <= r - deg b`` respectively, so for
+    larger ``d`` the row is zero.  The basis is sorted by degree, so ``d``
+    runs over a prefix of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,6 +98,20 @@ class ConstraintSystem:
     def column(self, combo: tuple[int, ...], target: int) -> int:
         return self.combo_rank[combo] * self.params.algebra.dim + target
 
+    @cached_property
+    def live_columns(self) -> tuple[int, ...]:
+        """The columns a table can make nonzero: ``TableEvaluator`` gives 0
+        before reading a cell on a tuple with a constant entry (basis
+        position 0) or whose degrees sum past ``r + s``."""
+        alg = self.params.algebra
+        B, deg, cap = alg.dim, alg.degrees, alg.r + self.params.s
+        return tuple(
+            i * B + d
+            for i, (combo, _) in enumerate(self.unknowns[::B])
+            if 0 not in combo
+            for d in range(bisect_right(deg, cap - sum(deg[g] for g in combo)))
+        )
+
 
 def build_constraints(
     params: LiftParams,
@@ -85,14 +122,19 @@ def build_constraints(
     """Instantiate the product rule on basis tuples.
 
     ``slots="last"`` imposes the rule at the final slot only, with the
-    leading ``s - 1`` arguments running over strictly increasing tuples;
-    ``slots="all"`` imposes it at every slot on every ordered tuple of the
-    other arguments.  Both give the same row set: at the last slot a
-    permutation of the leading tuple scales the three terms of an instance
-    by one common sign, which ``_canonical_row`` strips, a repeated leading
-    entry zeroes all three terms, and moving the rule from slot ``t`` to
-    the last slot is one permutation common to the three terms.  The
-    test-suite checks the equality.
+    leading ``s - 1`` arguments running over strictly increasing tuples,
+    and skips the instances that facts (a)-(c) of the module docstring
+    show to repeat a row or give none: ``c < b``, a constant ``b`` or
+    ``c`` (whose rows ``F(pre, 1)(x)`` are added directly), and ``d`` past
+    the degree bound when ``F(pre, bc)`` is absent.  ``slots="all"``
+    imposes the rule at every slot on every ordered tuple of the other
+    arguments and every ``b, c, d``, with no skipping.  Both give the same
+    row set: at the last slot a permutation of the leading tuple scales
+    the three terms of an instance by one common sign, which row
+    normalisation strips, a repeated leading entry zeroes all three terms,
+    and moving the rule from slot ``t`` to the last slot is one
+    permutation common to the three terms.  The test-suite checks the
+    equality.
     """
     if slots not in ("all", "last"):
         raise ValueError(f"slots must be 'all' or 'last', got {slots!r}")
@@ -124,80 +166,82 @@ def build_constraints(
             for t in slot_list
             for others in product(range(B), repeat=s - 1)
         )
+        add_rows = _add_rule_rows
     else:
         slot_list = range(max(s - 1, 0), s)
         pairs = ((pre, ()) for t in slot_list for pre in combinations(range(B), t))
+        add_rows = _add_last_slot_rows
     rowset: set[tuple[tuple[int, int], ...]] = set()
-    prod_idx = params.algebra.product_index
     for pre, post in pairs:
-        _add_rule_rows(rowset, block(pre, post), prod_idx)
+        add_rows(rowset, block(pre, post), params.algebra)
     return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), tuple(slot_list))
 
 
-def _add_rule_rows(
-    rowset: set[tuple[tuple[int, int], ...]],
-    block: Sequence[tuple[int, int] | None],
-    prod_idx: Sequence[Sequence[int | None]],
-) -> None:
-    """Add the rows ``F(.., b*c)(d) - F(.., b)(c*d) - F(.., c)(b*d)`` for
-    all basis positions ``b, c, d``, the slot's signed columns read from
-    ``block``."""
+def _add_rule_rows(rowset: set, block: list, alg) -> None:
+    """Add ``R(.., b, c, d)`` for all basis positions ``b, c, d``: the
+    unpruned reference."""
     B = len(block)
-    for b, at_b in enumerate(block):
-        row_b = prod_idx[b]
-        for c, at_c in enumerate(block):
-            bc = row_b[c]
-            at_bc = None if bc is None else block[bc]
-            if at_bc is None and at_b is None and at_c is None:
-                continue
-            row_c = prod_idx[c]
-            for d in range(B):
-                coeffs: dict[int, int] = {}
-                if at_bc is not None:
-                    col = at_bc[0] + d
-                    coeffs[col] = coeffs.get(col, 0) + at_bc[1]
-                cd = row_c[d]
-                if cd is not None and at_b is not None:
-                    col = at_b[0] + cd
-                    coeffs[col] = coeffs.get(col, 0) - at_b[1]
-                bd = row_b[d]
-                if bd is not None and at_c is not None:
-                    col = at_c[0] + bd
-                    coeffs[col] = coeffs.get(col, 0) - at_c[1]
-                row = _canonical_row(coeffs)
-                if row is not None:
-                    rowset.add(row)
+    for b, c in product(range(B), repeat=2):
+        _add_rows_at(rowset, block, alg.product_index, b, c, B)
 
 
-def _canonical_row(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...] | None:
-    items = sorted((c, v) for c, v in coeffs.items() if v)
-    if not items:
-        return None
-    g = 0
-    for _, v in items:
-        g = gcd(g, v)
-    if items[0][1] < 0:
-        g = -g
-    return tuple((c, v // g) for c, v in items)
+def _add_last_slot_rows(rowset: set, block: list, alg) -> None:
+    """Add the rows of ``_add_rule_rows`` from only the instances that can
+    give a new one: facts (a)-(c) of the module docstring."""
+    B, prod_idx, deg, r = len(block), alg.product_index, alg.degrees, alg.r
+    if block[0] is not None:
+        rowset.update(((block[0][0] + x, 1),) for x in range(B))
+    for b in range(1, B):
+        for c in range(b, B):
+            bc = prod_idx[b][c]
+            if bc is not None and block[bc] is not None:
+                lim = r
+            else:
+                lim = max(r - deg[c] if block[b] else -1, r - deg[b] if block[c] else -1)
+            _add_rows_at(rowset, block, prod_idx, b, c, bisect_right(deg, lim))
 
 
-def _gcd_reduce(row: dict[int, int]) -> dict[int, int]:
-    if not row:
-        return row
+def _add_rows_at(rowset: set, block: list, prod_idx, b: int, c: int, n: int) -> None:
+    """Add the nonzero rows ``F(.., b*c)(d) - F(.., b)(c*d) - F(.., c)(b*d)``
+    for ``d < n``, the slot's signed columns read from ``block``."""
+    at_b, at_c = block[b], block[c]
+    row_b, row_c = prod_idx[b], prod_idx[c]
+    bc = row_b[c]
+    at_bc = None if bc is None else block[bc]
+    for d in range(n):
+        coeffs = {} if at_bc is None else {at_bc[0] + d: at_bc[1]}
+        cd, bd = row_c[d], row_b[d]
+        if cd is not None and at_b is not None:
+            col = at_b[0] + cd
+            coeffs[col] = coeffs.get(col, 0) - at_b[1]
+        if bd is not None and at_c is not None:
+            col = at_c[0] + bd
+            coeffs[col] = coeffs.get(col, 0) - at_c[1]
+        row = {col: v for col, v in coeffs.items() if v}
+        if len(row) > 1:
+            rowset.add(tuple(sorted(_primitive(row, signed=True).items())))
+        elif row:
+            (col,) = row
+            rowset.add(((col, 1),))
+
+
+def _primitive(row: dict[int, int], signed: bool = False) -> dict[int, int]:
+    """``row`` (no zero entries) divided by its content; ``signed`` also
+    makes its entry at the lowest column positive, as rows are stored."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    if signed and row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class _Echelon:
     """Incremental exact row reduction over sparse integer rows.
 
-    Pivot rows are kept content-free with a positive leading coefficient;
-    incoming rows are reduced by cross-multiplication so everything stays in
-    integers.
+    Pivot rows are kept content-free with a positive leading coefficient
+    (``_primitive``); incoming rows are reduced by cross-multiplication so
+    everything stays in integers.
     """
 
     def __init__(self) -> None:
@@ -209,7 +253,7 @@ class _Echelon:
             lead = min(row)
             p = pivots.get(lead)
             if p is None:
-                return _gcd_reduce(row)
+                return _primitive(row, signed=True)
             a, b = p[lead], row[lead]
             new = {c: a * v for c, v in row.items()}
             for c, v in p.items():
@@ -218,25 +262,23 @@ class _Echelon:
                     new[c] = w
                 elif c in new:
                     del new[c]
-            row = _gcd_reduce(new)
+            row = _primitive(new)
         return row
 
     def add(self, row: Iterable[tuple[int, int]] | Mapping[int, int]) -> bool:
         """Reduce and insert; returns True when the row was independent."""
         row = self.reduce(dict(row))
-        if not row:
-            return False
-        if row[min(row)] < 0:
-            row = {c: -v for c, v in row.items()}
-        self.pivots[min(row)] = row
-        return True
+        if row:
+            self.pivots[min(row)] = row
+        return bool(row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace_basis(self, ncols: int) -> list[tuple[Fraction, ...]]:
-        """One dense basis vector per free column, via full back-substitution."""
+    def nullspace_basis(self, ncols: int) -> list[dict[int, Fraction]]:
+        """One basis vector per free column, as a dict of its nonzero
+        entries, via full back-substitution."""
         solved: dict[int, dict[int, Fraction]] = {}
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
@@ -248,54 +290,55 @@ class _Echelon:
                 f = v * inv
                 sub = solved.get(c)
                 if sub is None:
-                    out[c] = out.get(c, Fraction(0)) + f
+                    out[c] = out.get(c, 0) + f
                 else:
                     for cc, vv in sub.items():
-                        w = out.get(cc, Fraction(0)) - f * vv
-                        if w:
-                            out[cc] = w
-                        elif cc in out:
-                            del out[cc]
+                        out[cc] = out.get(cc, 0) - f * vv
             solved[lead] = {c: v for c, v in out.items() if v}
-        zero = Fraction(0)
-        basis = []
-        for f in range(ncols):
-            if f in self.pivots:
-                continue
-            vec = [zero] * ncols
-            vec[f] = Fraction(1)
-            for lead, row in solved.items():
-                cf = row.get(f)
-                if cf:
-                    vec[lead] = -cf
-            basis.append(tuple(vec))
-        return basis
+        basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in self.pivots}
+        for lead, row in solved.items():
+            for f, cf in row.items():
+                basis[f][lead] = -cf
+        return list(basis.values())
+
+
+class _NullBasis(list):
+    """Dense basis vectors (tuples of Fractions) that keep their nonzero
+    entries alongside as ``sparse`` dicts, which ``rank_of`` reads instead
+    of scanning the zeros.  A slice or copy is a plain list."""
+
+    def __init__(self, sparse: list[dict[int, Fraction]], ncols: int):
+        for vec in sparse:
+            row = [Fraction(0)] * ncols
+            for c, v in vec.items():
+                row[c] = v
+            self.append(tuple(row))
+        self.sparse = sparse
 
 
 def nullspace(system: ConstraintSystem) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Exact nullspace dimension and an explicit rational basis."""
+    """Exact nullspace dimension and an explicit rational basis, one dense
+    tuple per free column."""
     ech = _Echelon()
     for row in sorted(system.rows, key=len):
         ech.add(row)
-    basis = ech.nullspace_basis(len(system.unknowns))
+    n = len(system.unknowns)
+    basis = _NullBasis(ech.nullspace_basis(n), n)
     return len(basis), basis
 
 
 def _integer_row(vec) -> dict[int, int]:
-    if isinstance(vec, Mapping):
-        items = {c: Fraction(v) for c, v in vec.items() if v}
-    else:
-        items = {c: Fraction(v) for c, v in enumerate(vec) if v}
-    if not items:
-        return {}
+    pairs = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    items = {c: Fraction(v) for c, v in pairs if v}
     scale = lcm(*(v.denominator for v in items.values()))
     return {c: int(v * scale) for c, v in items.items()}
 
 
 def rank_of(vectors: Iterable) -> int:
-    """Exact rank of a family of rational vectors (dense or sparse)."""
+    """Exact rank of a family of rational vectors (dense or sparse); a basis
+    from ``nullspace`` is read through its nonzero entries."""
     ech = _Echelon()
-    for v in vectors:
+    for v in getattr(vectors, "sparse", vectors):
         ech.add(_integer_row(v))
     return ech.rank
 
@@ -310,8 +353,6 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Sequence[Fraction]])
     cells = free_cells(params)
     if len(cells) != len(nullbasis):
         return False
-    if not cells:
-        return True
     alg = params.algebra
     bi = alg.basis_index
     rows = []
@@ -323,9 +364,14 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Sequence[Fraction]])
 
 
 def expand_table(system: ConstraintSystem, table) -> list[Fraction]:
-    """Evaluate a lift table at every unknown of the system."""
+    """Evaluate a lift table at every unknown of the system; only the
+    ``live_columns`` are evaluated, the others are zero for every table."""
     ev = TableEvaluator(table)
-    return [ev.monomials_by_index(combo, d) for combo, d in system.unknowns]
+    unknowns = system.unknowns
+    vec = [Fraction(0)] * len(unknowns)
+    for col in system.live_columns:
+        vec[col] = ev.monomials_by_index(*unknowns[col])
+    return vec
 
 
 def compare_with_construction(
@@ -357,7 +403,8 @@ def compare_with_construction(
     expanded = []
     for cell in free_cells(params):
         table = construct(CoefficientAssignment.unit(params, cell))
-        vec = {col: v for col, v in enumerate(expand_table(system, table)) if v}
+        dense = expand_table(system, table)
+        vec = {col: dense[col] for col in system.live_columns if dense[col]}
         expanded.append(vec)
         rep.cases["constraint-rows"] += len(rows)
         touched = {i for col in vec for i in rows_at[col]}
@@ -370,7 +417,7 @@ def compare_with_construction(
                 )
     r_null = rank_of(nullbasis)
     r_exp = rank_of(expanded)
-    r_union = rank_of(list(nullbasis) + expanded)
+    r_union = rank_of([*getattr(nullbasis, "sparse", nullbasis), *expanded])
     rep.cases["span"] = 1
     if not (r_null == r_exp == r_union == len(nullbasis) == len(expanded)):
         rep.failures.append(

@@ -6,12 +6,15 @@ so the package code is checked against a second route, not against itself.
 The ``reference_*`` checks are the skew and product-rule sweeps without the
 verifier's pruning: they evaluate every basis tuple, so the pruned sweeps
 must report the same cases and the same failures in the same order.
+``reference_build_rows`` is the oracle's last-slot row builder without its
+pruning: every ``b, c, d`` on every increasing leading tuple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 from jetlift import (
     CoefficientAssignment,
@@ -27,6 +30,7 @@ from jetlift import (
     free_cells,
     lookup_skew,
     multiply_monomials,
+    sort_with_sign,
     sub_unit,
     support,
 )
@@ -246,3 +250,63 @@ def reference_run_all_checks(
     rep = reference_check_skew(table, evaluator=ev)
     rep = rep.merged(reference_check_leibniz_basis(table, all_slots=all_slots, evaluator=ev))
     return rep.merged(check_truncation(table))
+
+
+def _canonical_row(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...] | None:
+    items = sorted((c, v) for c, v in coeffs.items() if v)
+    if not items:
+        return None
+    g = 0
+    for _, v in items:
+        g = gcd(g, v)
+    if items[0][1] < 0:
+        g = -g
+    return tuple((c, v // g) for c, v in items)
+
+
+def reference_build_rows(params: LiftParams) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The oracle's default rows, instantiated without pruning: the product
+    rule at the last slot, on every strictly increasing leading tuple and
+    every basis ``b, c, d``, normalised by content and leading sign."""
+    B = params.algebra.dim
+    s = params.s
+    combos = list(combinations(range(B), s))
+    combo_rank = {c: i for i, c in enumerate(combos)}
+
+    def block(pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
+        out = []
+        for x in range(B):
+            res = sort_with_sign(pre + (x,))
+            out.append(None if res is None else (combo_rank[res[0]] * B, res[1]))
+        return out
+
+    rowset: set[tuple[tuple[int, int], ...]] = set()
+    prod_idx = params.algebra.product_index
+    for t in range(max(s - 1, 0), s):
+        for pre in combinations(range(B), t):
+            blk = block(pre)
+            for b, at_b in enumerate(blk):
+                row_b = prod_idx[b]
+                for c, at_c in enumerate(blk):
+                    bc = row_b[c]
+                    at_bc = None if bc is None else blk[bc]
+                    if at_bc is None and at_b is None and at_c is None:
+                        continue
+                    row_c = prod_idx[c]
+                    for d in range(B):
+                        coeffs: dict[int, int] = {}
+                        if at_bc is not None:
+                            col = at_bc[0] + d
+                            coeffs[col] = coeffs.get(col, 0) + at_bc[1]
+                        cd = row_c[d]
+                        if cd is not None and at_b is not None:
+                            col = at_b[0] + cd
+                            coeffs[col] = coeffs.get(col, 0) - at_b[1]
+                        bd = row_b[d]
+                        if bd is not None and at_c is not None:
+                            col = at_c[0] + bd
+                            coeffs[col] = coeffs.get(col, 0) - at_c[1]
+                        row = _canonical_row(coeffs)
+                        if row is not None:
+                            rowset.add(row)
+    return tuple(sorted(rowset))

@@ -15,8 +15,9 @@ from jetlift import (
     CoefficientAssignment,
     LiftParams,
     construct,
+    free_cells,
 )
-from jetlift.cli import _print_report, main
+from jetlift.cli import MAX_TABLE_CELLS, _print_report, main
 from jetlift.rationals import MAX_DECIMAL_EXPONENT
 from support import reference_run_all_checks
 
@@ -57,6 +58,35 @@ def test_dim_json(capsys):
 def test_dim_rejects_bad_parameters(capsys):
     assert main(["dim", "-r", "-1", "-k", "2", "-s", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# Far past the enumeration cap: C(10^9, 3)·C(10^9 + 30, 30) table cells, and
+# C(10^5, 2) rows of the single monomial at r = 0 (dimension 0 there).
+HUGE_TABLES = [["-r", "30", "-k", "1000000000", "-s", "3"], ["-r", "0", "-k", "100000", "-s", "2"]]
+
+
+@pytest.mark.parametrize("params", HUGE_TABLES)
+@pytest.mark.parametrize("command", [["dim", "--check-z"], ["zset"]])
+def test_free_cell_enumeration_is_refused_past_the_cap(capsys, command, params):
+    assert main([*command, *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: listing the free cells would visit more than {MAX_TABLE_CELLS} table cells\n"
+    )
+
+
+def test_dim_without_check_z_does_not_enumerate(capsys):
+    assert main(["dim", "-r", "0", "-k", "100000", "-s", "2"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_dim_with_arity_above_k_skips_the_huge_binomial(capsys):
+    # C(r + s - 1, s) has tens of millions of digits here, but the other
+    # factor is 0 (s > k), so the closed form never builds it.
+    big = "100000000"
+    assert main(["dim", "-r", big, "-k", "1", "-s", big, "--check-z"]) == 0
+    assert capsys.readouterr().out == "0 (free cells: 0)\n"
 
 
 # -- zset --------------------------------------------------------------------
@@ -123,6 +153,35 @@ def test_construct_rejects_bad_assignment_file(tmp_path, capsys):
     src.write_text(json.dumps(bad))
     assert main(["construct", "--in", str(src)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_construct_refuses_values_past_the_digit_limit(tmp_path, capsys):
+    # Free values with ~3,000-digit denominators pass the input cap, but
+    # bound cells sum several of them and their denominators pass Python's
+    # limit for writing an integer.  No huge number is printed on failure.
+    params = LiftParams(AlgebraParams(2, 3), 1)
+    big = 10**2990
+    values = [
+        {"i": list(c.axes), "alpha": list(c.alpha), "c": f"1/{big + n}"}
+        for n, c in enumerate(free_cells(params))
+    ]
+    src = tmp_path / "assignment.json"
+    src.write_text(json.dumps({"r": 2, "k": 3, "s": 1, "values": values}))
+    out = tmp_path / "table.json"
+    code = main(["construct", "--in", str(src), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == (
+        "error: a table value has a numerator or denominator of more than "
+        f"{limit} digits, the limit for writing an integer\n"
+    )
 
 
 @pytest.mark.parametrize(

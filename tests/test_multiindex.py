@@ -17,6 +17,7 @@ from jetlift import (
     support,
     unit,
 )
+from jetlift.multiindex import capped_binomial
 from support import brute_monomials
 
 
@@ -153,6 +154,18 @@ def test_binomial_edge_conventions():
     assert binomial(2, 5) == 0
     assert binomial(5, -1) == 0
     assert binomial(-2, 3) == 0
+
+
+@given(st.integers(0, 60), st.integers(0, 70), st.integers(0, 10**6))
+def test_capped_binomial_is_binomial_up_to_the_cap(n, m, cap):
+    exact = binomial(n, m)
+    assert capped_binomial(n, m, cap) == (exact if exact <= cap else cap + 1)
+
+
+def test_capped_binomial_stops_early_on_huge_arguments():
+    assert capped_binomial(10**12, 5 * 10**11, 10**6) == 10**6 + 1
+    assert capped_binomial(10**12, 10**12, 10**6) == 1
+    assert capped_binomial(3, 10**12, 10**6) == 0
 
 
 @given(st.integers(1, 60), st.integers(1, 60))

@@ -3,14 +3,17 @@ agreement with the closed-form side."""
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from jetlift import (
+    DEFAULT_MAX_UNKNOWNS,
     AlgebraParams,
     CoefficientAssignment,
     LiftParams,
     OracleSizeError,
+    TableEvaluator,
     build_constraints,
     check_iso,
     compare_with_construction,
@@ -23,6 +26,7 @@ from jetlift import (
     rank_of,
     unknown_count,
 )
+from support import reference_build_rows
 
 
 def lift_params(r: int, k: int, s: int) -> LiftParams:
@@ -144,6 +148,70 @@ def test_last_slot_system_has_the_same_nullspace(r, k, s):
     assert n_full == n_last
     for vec in basis_last:
         assert satisfies(full.rows, vec)
+
+
+# -- pruned last-slot builder ---------------------------------------------------------
+
+PRUNING_POINTS = [
+    (r, k, s)
+    for r in range(4)
+    for k in range(5)
+    for s in range(5)
+    if unknown_count(lift_params(r, k, s)) <= DEFAULT_MAX_UNKNOWNS
+]
+
+
+@lru_cache(maxsize=None)
+def default_system(r: int, k: int, s: int):
+    return build_constraints(lift_params(r, k, s))
+
+
+def test_pruning_points_cover_the_degenerate_shapes():
+    assert len(PRUNING_POINTS) == 94
+    assert {p[0] for p in PRUNING_POINTS} == {0, 1, 2, 3}
+    assert {p[1] for p in PRUNING_POINTS} == {0, 1, 2, 3, 4}
+    assert (2, 4, 3) in PRUNING_POINTS and (3, 3, 2) in PRUNING_POINTS
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_pruned_builder_gives_the_unpruned_rows(r, k, s):
+    assert default_system(r, k, s).rows == reference_build_rows(lift_params(r, k, s))
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_rows_are_homogeneous_in_the_torus_grading(r, k, s):
+    # Scaling each variable preserves the product rule, so every column of a
+    # row has the same multidegree: the exponent sum of its combination
+    # plus its target.
+    system = default_system(r, k, s)
+    basis = system.params.algebra.basis
+
+    def multidegree(col):
+        combo, target = system.unknowns[col]
+        return tuple(map(sum, zip(basis[target], *(basis[g] for g in combo))))
+
+    mixed = [row for row in system.rows if len({multidegree(c) for c, _ in row}) != 1]
+    assert mixed == []
+
+
+@pytest.mark.parametrize("r,k,s", [(1, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 2, 0)])
+def test_expansion_skips_only_columns_that_are_zero(r, k, s):
+    params = lift_params(r, k, s)
+    system = build_constraints(params)
+    live = set(system.live_columns)
+    for cell in free_cells(params):
+        table = construct(CoefficientAssignment.unit(params, cell))
+        ev = TableEvaluator(table)
+        full = [ev.monomials_by_index(combo, d) for combo, d in system.unknowns]
+        assert expand_table(system, table) == full
+        assert {col for col, v in enumerate(full) if v} <= live
+
+
+def test_rank_of_reads_a_nullspace_basis_like_its_dense_copy():
+    system = build_constraints(lift_params(2, 2, 2))
+    nullity, basis = nullspace(system)
+    assert all(isinstance(vec, tuple) for vec in basis)
+    assert rank_of(basis) == rank_of(list(basis)) == nullity == 3
 
 
 # -- isomorphism check ----------------------------------------------------------------
