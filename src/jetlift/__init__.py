@@ -1,109 +1,35 @@
 """Exact skew-symmetric multilinear Leibniz maps on truncated polynomial
 algebras: closed-form construction, dimension count, and a brute-force
-linear-algebra cross-check."""
+linear-algebra cross-check.
 
-from .multiindex import (
-    MultiIndex,
-    add,
-    binomial,
-    degree,
-    enumerate_degree_at_most,
-    enumerate_degree_exactly,
-    grlex_key,
-    sub_unit,
-    support,
-    unit,
-)
-from .rationals import format_rational, parse_rational
-from .weil_algebra import AlgebraElement, AlgebraParams, multiply_monomials
+The package root holds the library API shown in the README; everything else
+is imported from its own module (``jetlift.oracle`` for the linear-system
+side, ``jetlift.verifier`` for the individual checks, and so on)."""
+
+from .weil_algebra import AlgebraElement, AlgebraParams
 from .lift_space import (
-    DEFAULT_SEED,
     CoefficientAssignment,
-    FreeCell,
     LiftParams,
     LiftTable,
-    TableEvaluator,
     construct,
     dimension,
     evaluate,
-    evaluate_monomials,
-    extract_coefficients,
     free_cells,
-    lookup_skew,
-    sort_with_sign,
 )
-from .verifier import (
-    Failure,
-    VerificationReport,
-    check_leibniz_basis,
-    check_skew,
-    check_truncation,
-    run_all_checks,
-    spot_check_leibniz,
-)
-from .oracle import (
-    DEFAULT_MAX_UNKNOWNS,
-    ConstraintSystem,
-    OracleSizeError,
-    build_constraints,
-    check_iso,
-    compare_with_construction,
-    dump_matrix,
-    expand_table,
-    nullspace,
-    rank_of,
-    unknown_count,
-)
+from .verifier import run_all_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiIndex",
-    "add",
-    "binomial",
-    "degree",
-    "enumerate_degree_at_most",
-    "enumerate_degree_exactly",
-    "grlex_key",
-    "sub_unit",
-    "support",
-    "unit",
-    "format_rational",
-    "parse_rational",
     "AlgebraElement",
     "AlgebraParams",
-    "multiply_monomials",
-    "DEFAULT_SEED",
     "CoefficientAssignment",
-    "FreeCell",
     "LiftParams",
     "LiftTable",
-    "TableEvaluator",
     "construct",
     "dimension",
     "evaluate",
-    "evaluate_monomials",
-    "extract_coefficients",
     "free_cells",
-    "lookup_skew",
-    "sort_with_sign",
-    "Failure",
-    "VerificationReport",
-    "check_leibniz_basis",
-    "check_skew",
-    "check_truncation",
     "run_all_checks",
-    "spot_check_leibniz",
-    "DEFAULT_MAX_UNKNOWNS",
-    "ConstraintSystem",
-    "OracleSizeError",
-    "build_constraints",
-    "check_iso",
-    "compare_with_construction",
-    "dump_matrix",
-    "expand_table",
-    "nullspace",
-    "rank_of",
-    "unknown_count",
     "__version__",
 ]

@@ -21,8 +21,9 @@ from .lift_space import (
     LiftTable,
     dimension,
     free_cells,
+    read_params,
 )
-from .multiindex import capped_binomial
+from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, capped_binomial
 from .oracle import (
     DEFAULT_MAX_UNKNOWNS,
     OracleSizeError,
@@ -35,8 +36,9 @@ from .oracle import (
 from .verifier import run_all_checks
 from .weil_algebra import AlgebraParams
 
-# ``zset`` and ``dim --check-z`` enumerate every table cell, C(k, s) rows of
-# C(r + k, r) monomials; larger tables are refused before enumerating.
+# ``zset``, ``dim --check-z``, ``construct`` and ``verify`` enumerate every
+# table cell, C(k, s) rows of C(r + k, r) monomials; larger tables are
+# refused before enumerating.
 MAX_TABLE_CELLS = 1_000_000
 
 
@@ -51,11 +53,39 @@ def _params(args) -> LiftParams:
         raise CliError(str(exc)) from exc
 
 
-def _check_enumerable(params: LiftParams) -> None:
+def _check_enumerable(params: LiftParams, doing: str = "listing the free cells") -> None:
     r, k, s = params.algebra.r, params.algebra.k, params.s
     cap = MAX_TABLE_CELLS
     if capped_binomial(k, s, cap) * capped_binomial(r + k, r, cap) > cap:
-        raise CliError(f"listing the free cells would visit more than {cap} table cells")
+        raise CliError(f"{doing} would visit more than {cap} table cells")
+
+
+def _check_dimension(params: LiftParams) -> None:
+    # Bounds C(r + s - 1, s) * C(r + k, r + s) without building a factor
+    # past the cap; the second factor is 0 for s > k.
+    r, k, s = params.algebra.r, params.algebra.k, params.s
+    tail = capped_binomial(r + k, r + s, COUNT_CAP)
+    if tail and capped_binomial(r + s - 1, s, COUNT_CAP) * tail > COUNT_CAP:
+        raise CliError(f"the dimension has more than {MAX_COUNT_DIGITS} digits")
+
+
+def _read_input(path: str, cls, what: str, field: str):
+    """``cls.from_json_dict`` of the file at ``path``, refused before any
+    enumeration when the table is too large."""
+    try:
+        data = _load_json(path)
+        _check_enumerable(read_params(data, what, field), f"reading the {what}")
+        return cls.from_json_dict(data)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _too_long() -> CliError:
+    # Python 3.11+ refuses str() of an integer past its digit limit.
+    return CliError(
+        "a table value has a numerator or denominator of more than "
+        f"{sys.get_int_max_str_digits()} digits, the limit for writing an integer"
+    )
 
 
 def _load_json(path: str) -> dict:
@@ -77,7 +107,10 @@ def _emit(data: dict | list, out: str | None) -> None:
 
 
 def _print_report(rep, witnesses: int, stream) -> None:
-    doc = rep.to_json_dict(witness_limit=witnesses)
+    try:
+        doc = rep.to_json_dict(witness_limit=witnesses)
+    except ValueError as exc:
+        raise _too_long() from exc
     for name, counts in doc["checks"].items():
         status = "ok" if counts["failed"] == 0 else "FAIL"
         print(f"{name}: {status} ({counts['cases']} cases, {counts['failed']} failed)", file=stream)
@@ -89,6 +122,7 @@ def cmd_dim(args) -> int:
     params = _params(args)
     if args.check_z:
         _check_enumerable(params)
+    _check_dimension(params)
     d = dimension(params)
     z = len(free_cells(params)) if args.check_z else None
     if args.json:
@@ -118,25 +152,20 @@ def cmd_zset(args) -> int:
 
 def cmd_construct(args) -> int:
     if args.infile:
-        try:
-            assignment = CoefficientAssignment.from_json_dict(_load_json(args.infile))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        assignment = _read_input(args.infile, CoefficientAssignment, "assignment", "values")
     else:
         if args.r is None or args.k is None or args.s is None:
             raise CliError("--random needs -r, -k and -s")
-        assignment = CoefficientAssignment.random(_params(args), seed=args.seed)
+        params = _params(args)
+        _check_enumerable(params, "completing the table")
+        assignment = CoefficientAssignment.random(params, seed=args.seed)
     # Looked up on the module so a wrapper installed on lift_space.construct
     # (perfbench's tracer) also sees the CLI's calls.
     table = lift_space.construct(assignment)
     try:
         doc = table.to_json_dict()
     except ValueError as exc:
-        # Python 3.11+ refuses str() of an integer past its digit limit.
-        raise CliError(
-            "a table value has a numerator or denominator of more than "
-            f"{sys.get_int_max_str_digits()} digits, the limit for writing an integer"
-        ) from exc
+        raise _too_long() from exc
     _emit(doc, args.out)
     rep = run_all_checks(table)
     _print_report(rep, args.witnesses, sys.stdout if args.out else sys.stderr)
@@ -144,10 +173,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        table = LiftTable.from_json_dict(_load_json(args.infile))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    table = _read_input(args.infile, LiftTable, "table", "cells")
     rep = run_all_checks(table, all_slots=args.all_slots)
     _print_report(rep, args.witnesses, sys.stdout)
     return 0 if rep.passed else 1

@@ -18,7 +18,14 @@ from itertools import combinations, product
 from typing import Mapping, NamedTuple, Sequence
 
 from .multiindex import MultiIndex, add, binomial, degree, sub_unit, support, unit
-from .rationals import format_rational, parse_int, parse_int_list, parse_rational
+from .rationals import (
+    format_rational,
+    parse_int,
+    parse_int_list,
+    parse_object,
+    parse_objects,
+    parse_rational,
+)
 from .weil_algebra import AlgebraElement, AlgebraParams, _as_fraction
 
 DEFAULT_SEED = 1729
@@ -44,6 +51,16 @@ class LiftParams:
     @cached_property
     def row_index(self) -> Mapping[tuple[int, ...], int]:
         return {t: i for i, t in enumerate(self.rows)}
+
+
+def read_params(data, what: str, field: str) -> LiftParams:
+    """The parameters of a JSON ``what`` object with keys ``r``, ``k``,
+    ``s`` and ``field``, read without enumerating anything."""
+    data = parse_object(data, what, "r", "k", "s", field)
+    return LiftParams(
+        AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k")),
+        parse_int(data["s"], "s"),
+    )
 
 
 class FreeCell(NamedTuple):
@@ -190,18 +207,9 @@ class CoefficientAssignment:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoefficientAssignment":
-        if set(data) != {"r", "k", "s", "values"}:
-            raise ValueError(
-                f"assignment object needs keys r, k, s, values; got {sorted(data)}"
-            )
-        params = LiftParams(
-            AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k")),
-            parse_int(data["s"], "s"),
-        )
+        params = read_params(data, "assignment", "values")
         vals: dict[FreeCell, Fraction] = {}
-        for entry in data["values"]:
-            if set(entry) != {"i", "alpha", "c"}:
-                raise ValueError(f"value object needs keys i, alpha, c; got {sorted(entry)}")
+        for entry in parse_objects(data["values"], "value", "i", "alpha", "c"):
             cell = FreeCell(
                 parse_int_list(entry["i"], "i"), parse_int_list(entry["alpha"], "alpha")
             )
@@ -287,16 +295,9 @@ class LiftTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftTable":
-        if set(data) != {"r", "k", "s", "cells"}:
-            raise ValueError(f"table object needs keys r, k, s, cells; got {sorted(data)}")
-        params = LiftParams(
-            AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k")),
-            parse_int(data["s"], "s"),
-        )
+        params = read_params(data, "table", "cells")
         seen: dict[tuple[tuple[int, ...], MultiIndex], Fraction] = {}
-        for entry in data["cells"]:
-            if set(entry) != {"i", "alpha", "v"}:
-                raise ValueError(f"cell object needs keys i, alpha, v; got {sorted(entry)}")
+        for entry in parse_objects(data["cells"], "cell", "i", "alpha", "v"):
             key = (parse_int_list(entry["i"], "i"), parse_int_list(entry["alpha"], "alpha"))
             if key in seen:
                 raise ValueError(f"duplicate cell {key}")
@@ -494,26 +495,6 @@ class TableEvaluator:
             if cell:
                 acc += coeff * cell
         return acc
-
-
-def evaluate_monomials(
-    table: LiftTable, gammas: Sequence[MultiIndex], delta: MultiIndex
-) -> Fraction:
-    """Value of the table's multilinear extension on basis monomials."""
-    p = table.params
-    alg = p.algebra
-    if len(gammas) != p.s:
-        raise ValueError(f"expected {p.s} argument monomials, got {len(gammas)}")
-    idx = []
-    for g in gammas:
-        pos = alg.basis_index.get(tuple(g))
-        if pos is None:
-            raise ValueError(f"monomial {tuple(g)} is not in the degree-{alg.r} basis")
-        idx.append(pos)
-    dpos = alg.basis_index.get(tuple(delta))
-    if dpos is None:
-        raise ValueError(f"monomial {tuple(delta)} is not in the degree-{alg.r} basis")
-    return TableEvaluator(table).monomials_by_index(tuple(idx), dpos)
 
 
 def evaluate(

@@ -12,6 +12,13 @@ from typing import Iterator
 
 MultiIndex = tuple[int, ...]
 
+# Counts (dimensions, unknowns) are computed exactly up to ``COUNT_CAP``, the
+# largest number of ``MAX_COUNT_DIGITS`` decimal digits, the most Python
+# 3.11+ writes as text by default; larger ones are bounded with
+# ``capped_binomial`` and refused.
+MAX_COUNT_DIGITS = 4300
+COUNT_CAP = 10**MAX_COUNT_DIGITS - 1
+
 
 def degree(a: MultiIndex) -> int:
     """Total degree of ``a``: the sum of its exponents."""
@@ -44,12 +51,6 @@ def sub_unit(a: MultiIndex, j: int) -> MultiIndex:
 def support(a: MultiIndex) -> tuple[int, ...]:
     """Ascending 1-based axes with a positive exponent."""
     return tuple(j for j, x in enumerate(a, start=1) if x > 0)
-
-
-def grlex_key(a: MultiIndex) -> tuple:
-    """Sort key realising the canonical monomial order: ascending total
-    degree, ties broken so that weight on earlier axes comes first."""
-    return (sum(a), tuple(-x for x in a))
 
 
 def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
@@ -105,10 +106,12 @@ def binomial(n: int, m: int) -> int:
 
 
 def capped_binomial(n: int, m: int, cap: int) -> int:
-    """``binomial(n, m)`` for ``n >= 0``, or ``cap + 1`` if it is larger.
+    """``binomial(n, m)``, or ``cap + 1`` if it is larger.
     The running value ``binomial(n, i)`` is at least ``2**i`` for
     ``i <= n/2``, so the loop passes the cap within about ``log2(cap)``
     steps and never holds a number above ``cap * n``."""
+    if m == 0:
+        return 1
     m = min(m, n - m)
     if m < 0:
         return 0

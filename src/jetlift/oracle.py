@@ -7,21 +7,21 @@ basis elements.  Skew-symmetry is structural -- tuples with a repeated
 monomial are identically zero and arbitrary tuples resolve to a signed
 unknown by sorting -- so it adds no rows.
 
-Skew-symmetry also makes most instances of the rule redundant, so by
-default it is instantiated only at the last slot, on strictly increasing
-leading tuples.  At the last slot, permuting the leading tuple multiplies
-all three terms of an instance by the sign of the permutation, which the
-row normalisation strips, and a repeated leading entry makes all three
-terms vanish.  Moving the rule from slot ``t`` to the last slot is one
-fixed permutation of the argument tuple, shared by the three terms, so it
-too yields the same normalised row.  The reduced instantiation therefore
+Skew-symmetry also makes most instances of the rule redundant, so it is
+instantiated only at the last slot, on strictly increasing leading tuples.
+At the last slot, permuting the leading tuple multiplies all three terms
+of an instance by the sign of the permutation, which the row normalisation
+strips, and a repeated leading entry makes all three terms vanish.  Moving
+the rule from slot ``t`` to the last slot is one fixed permutation of the
+argument tuple, shared by the three terms, so it too yields the same
+normalised row.  The reduced instantiation therefore
 produces exactly the row set of every slot on every ordered tuple.
 
 At the last slot the instance on the leading tuple ``pre`` and basis
 positions ``b, c, d`` is the row
 ``R(pre; b, c, d) = F(pre, bc)(d) - F(pre, b)(cd) - F(pre, c)(bd)``, and
-three facts about it let the default builder skip instances without
-changing the row set:
+three facts about it let the builder skip instances without changing the
+row set:
 
 (a) ``R(pre; b, c, d)`` and ``R(pre; c, b, d)`` are the same coefficient
     dict (``bc = cb``, the other two terms trade places), so only
@@ -46,7 +46,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -60,7 +60,7 @@ from .lift_space import (
     free_cells,
     sort_with_sign,
 )
-from .multiindex import binomial, unit
+from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, capped_binomial, unit
 from .verifier import Failure, VerificationReport
 
 DEFAULT_MAX_UNKNOWNS = 20_000
@@ -71,9 +71,12 @@ class OracleSizeError(ValueError):
 
 
 def unknown_count(params: LiftParams) -> int:
-    """Number of unknowns the brute-force system would use."""
-    B = params.algebra.dim
-    return binomial(B, params.s) * B
+    """Number of unknowns the brute-force system would use, ``C(B, s) * B``
+    for the basis size ``B = C(r + k, r)``, without listing the basis; a
+    count above ``COUNT_CAP`` is returned as ``COUNT_CAP + 1`` without
+    being built."""
+    B = capped_binomial(params.algebra.r + params.algebra.k, params.algebra.r, COUNT_CAP)
+    return min(capped_binomial(B, params.s, COUNT_CAP) * B, COUNT_CAP + 1)
 
 
 @dataclass(frozen=True)
@@ -114,80 +117,57 @@ class ConstraintSystem:
 
 
 def build_constraints(
-    params: LiftParams,
-    *,
-    slots: str = "last",
-    max_unknowns: int = DEFAULT_MAX_UNKNOWNS,
+    params: LiftParams, *, max_unknowns: int = DEFAULT_MAX_UNKNOWNS
 ) -> ConstraintSystem:
     """Instantiate the product rule on basis tuples.
 
-    ``slots="last"`` imposes the rule at the final slot only, with the
-    leading ``s - 1`` arguments running over strictly increasing tuples,
-    and skips the instances that facts (a)-(c) of the module docstring
-    show to repeat a row or give none: ``c < b``, a constant ``b`` or
-    ``c`` (whose rows ``F(pre, 1)(x)`` are added directly), and ``d`` past
-    the degree bound when ``F(pre, bc)`` is absent.  ``slots="all"``
-    imposes the rule at every slot on every ordered tuple of the other
-    arguments and every ``b, c, d``, with no skipping.  Both give the same
-    row set: at the last slot a permutation of the leading tuple scales
-    the three terms of an instance by one common sign, which row
-    normalisation strips, a repeated leading entry zeroes all three terms,
-    and moving the rule from slot ``t`` to the last slot is one
-    permutation common to the three terms.  The test-suite checks the
-    equality.
+    The rule is imposed at the final slot only, with the leading ``s - 1``
+    arguments running over strictly increasing tuples, and the instances
+    that facts (a)-(c) of the module docstring show to repeat a row or give
+    none are skipped: ``c < b``, a constant ``b`` or ``c`` (whose rows
+    ``F(pre, 1)(x)`` are added directly), and ``d`` past the degree bound
+    when ``F(pre, bc)`` is absent.  This gives the row set of the rule at
+    every slot on every ordered tuple of the other arguments: at the last
+    slot a permutation of the leading tuple scales the three terms of an
+    instance by one common sign, which row normalisation strips, a repeated
+    leading entry zeroes all three terms, and moving the rule from slot
+    ``t`` to the last slot is one permutation common to the three terms.
+    The test-suite checks the equality.
     """
-    if slots not in ("all", "last"):
-        raise ValueError(f"slots must be 'all' or 'last', got {slots!r}")
-    B = params.algebra.dim
-    s = params.s
     n = unknown_count(params)
     if n > max_unknowns:
+        count = n if n <= COUNT_CAP else f"at least 10**{MAX_COUNT_DIGITS}"
         raise OracleSizeError(
-            f"system would have {n} unknowns, above the limit of {max_unknowns}"
+            f"system would have {count} unknowns, above the limit of {max_unknowns}"
         )
+    B = params.algebra.dim
+    s = params.s
     combos = list(combinations(range(B), s))
     combo_rank = {c: i for i, c in enumerate(combos)}
     unknowns = tuple((c, d) for c in combos for d in range(B))
 
-    def block(pre: tuple[int, ...], post: tuple[int, ...]) -> list[tuple[int, int] | None]:
-        # (column block, sign) of pre + (x,) + post for every basis position
-        # x, None where an entry repeats
+    def block(pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
+        # (column block, sign) of pre + (x,) for every basis position x,
+        # None where an entry repeats
         out = []
         for x in range(B):
-            res = sort_with_sign(pre + (x,) + post)
+            res = sort_with_sign(pre + (x,))
             out.append(None if res is None else (combo_rank[res[0]] * B, res[1]))
         return out
 
-    # For arity zero both modes are the same empty slot range.
-    if slots == "all":
-        slot_list = range(s)
-        pairs = (
-            (others[:t], others[t:])
-            for t in slot_list
-            for others in product(range(B), repeat=s - 1)
-        )
-        add_rows = _add_rule_rows
-    else:
-        slot_list = range(max(s - 1, 0), s)
-        pairs = ((pre, ()) for t in slot_list for pre in combinations(range(B), t))
-        add_rows = _add_last_slot_rows
+    # For arity zero the slot range is empty.
+    slots = tuple(range(max(s - 1, 0), s))
     rowset: set[tuple[tuple[int, int], ...]] = set()
-    for pre, post in pairs:
-        add_rows(rowset, block(pre, post), params.algebra)
-    return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), tuple(slot_list))
-
-
-def _add_rule_rows(rowset: set, block: list, alg) -> None:
-    """Add ``R(.., b, c, d)`` for all basis positions ``b, c, d``: the
-    unpruned reference."""
-    B = len(block)
-    for b, c in product(range(B), repeat=2):
-        _add_rows_at(rowset, block, alg.product_index, b, c, B)
+    for t in slots:
+        for pre in combinations(range(B), t):
+            _add_last_slot_rows(rowset, block(pre), params.algebra)
+    return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), slots)
 
 
 def _add_last_slot_rows(rowset: set, block: list, alg) -> None:
-    """Add the rows of ``_add_rule_rows`` from only the instances that can
-    give a new one: facts (a)-(c) of the module docstring."""
+    """Add the rows ``R(pre; b, c, d)`` for all basis positions ``b, c, d``
+    from only the instances that can give a new one: facts (a)-(c) of the
+    module docstring."""
     B, prod_idx, deg, r = len(block), alg.product_index, alg.degrees, alg.r
     if block[0] is not None:
         rowset.update(((block[0][0] + x, 1),) for x in range(B))

@@ -65,3 +65,18 @@ def parse_int_list(value, what: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
     return tuple(parse_int(x, what) for x in value)
+
+
+def parse_object(value, what: str, *keys: str) -> dict:
+    """A JSON object with exactly the keys ``keys``."""
+    if not isinstance(value, dict) or set(value) != set(keys):
+        got = sorted(value) if isinstance(value, dict) else repr(value)
+        raise ValueError(f"{what} object needs keys {', '.join(keys)}; got {got}")
+    return value
+
+
+def parse_objects(value, what: str, *keys: str) -> list[dict]:
+    """A JSON list of objects, each with exactly the keys ``keys``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} objects must come in a list, got {value!r}")
+    return [parse_object(entry, what, *keys) for entry in value]

@@ -26,22 +26,14 @@ tuples are decided without evaluation:
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import perm
 
-from .lift_space import (
-    DEFAULT_SEED,
-    LiftTable,
-    TableEvaluator,
-    evaluate,
-    lookup_skew,
-)
+from .lift_space import LiftTable, TableEvaluator, lookup_skew
 from .multiindex import enumerate_degree_exactly, sub_unit, support
-from .weil_algebra import AlgebraElement
 
 
 @dataclass
@@ -263,40 +255,3 @@ def run_all_checks(table: LiftTable, *, all_slots: bool = False) -> Verification
     rep = rep.merged(check_leibniz_basis(table, all_slots=all_slots, evaluator=ev))
     return rep.merged(check_truncation(table))
 
-
-def spot_check_leibniz(
-    table: LiftTable, trials: int = 25, seed: int = DEFAULT_SEED
-) -> VerificationReport:
-    """Randomised element-level product-rule checks: a fast mode, not a
-    replacement for the exhaustive basis sweep."""
-    p = table.params
-    s = p.s
-    rep = VerificationReport(cases={"leibniz-spot": 0})
-    if s == 0:
-        return rep
-    rng = random.Random(seed)
-    alg = p.algebra
-
-    def rand_elem() -> AlgebraElement:
-        terms: dict[int, Fraction] = {}
-        for _ in range(rng.randint(1, 3)):
-            pos = rng.randrange(alg.dim)
-            terms[pos] = terms.get(pos, Fraction(0)) + Fraction(
-                rng.randint(-4, 4), rng.randint(1, 4)
-            )
-        return AlgebraElement(alg, terms)
-
-    for _ in range(trials):
-        t = rng.randrange(s)
-        others = [rand_elem() for _ in range(s - 1)]
-        b, c, d = rand_elem(), rand_elem(), rand_elem()
-        lhs = evaluate(table, others[:t] + [b * c] + others[t:], d)
-        rhs = evaluate(table, others[:t] + [b] + others[t:], c * d) + evaluate(
-            table, others[:t] + [c] + others[t:], b * d
-        )
-        rep.cases["leibniz-spot"] += 1
-        if lhs != rhs:
-            rep.failures.append(
-                Failure("leibniz-spot", (tuple(map(str, others)), str(b), str(c), str(d), t + 1), rhs, lhs)
-            )
-    return rep

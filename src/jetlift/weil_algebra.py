@@ -13,8 +13,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .multiindex import MultiIndex, add, degree, enumerate_degree_at_most
-from .rationals import format_rational, parse_int, parse_int_list, parse_rational
+from .multiindex import MultiIndex, add, degree, enumerate_degree_at_most, support
+from .rationals import (
+    format_rational,
+    parse_int,
+    parse_int_list,
+    parse_object,
+    parse_objects,
+    parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -49,9 +56,7 @@ class AlgebraParams:
 
     @cached_property
     def supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(j for j, x in enumerate(a, start=1) if x > 0) for a in self.basis
-        )
+        return tuple(support(a) for a in self.basis)
 
     @cached_property
     def product_index(self) -> tuple[tuple[int | None, ...], ...]:
@@ -60,19 +65,6 @@ class AlgebraParams:
         return tuple(
             tuple(idx.get(add(z, e)) for e in self.basis) for z in self.basis
         )
-
-
-def multiply_monomials(params: AlgebraParams, z: MultiIndex, e: MultiIndex) -> MultiIndex | None:
-    """Product of two basis monomials: their exponent sum, or ``None`` when
-    the result truncates to zero."""
-    z, e = tuple(z), tuple(e)
-    for a in (z, e):
-        if len(a) != params.k:
-            raise ValueError(f"multi-index {a} has length {len(a)}, expected {params.k}")
-        if degree(a) > params.r:
-            raise ValueError(f"monomial {a} exceeds truncation order {params.r}")
-    p = add(z, e)
-    return p if degree(p) <= params.r else None
 
 
 def _as_fraction(c) -> Fraction:
@@ -204,14 +196,10 @@ class AlgebraElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AlgebraElement":
-        keys = set(data)
-        if keys != {"r", "k", "terms"}:
-            raise ValueError(f"element object needs keys r, k, terms; got {sorted(keys)}")
+        data = parse_object(data, "element", "r", "k", "terms")
         params = AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k"))
         terms: dict[MultiIndex, Fraction] = {}
-        for entry in data["terms"]:
-            if set(entry) != {"exp", "coeff"}:
-                raise ValueError(f"term object needs keys exp, coeff; got {sorted(entry)}")
+        for entry in parse_objects(data["terms"], "term", "exp", "coeff"):
             exp = parse_int_list(entry["exp"], "exp")
             terms[exp] = terms.get(exp, Fraction(0)) + parse_rational(entry["coeff"])
         return cls.from_terms(params, terms)

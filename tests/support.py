@@ -7,7 +7,9 @@ The ``reference_*`` checks are the skew and product-rule sweeps without the
 verifier's pruning: they evaluate every basis tuple, so the pruned sweeps
 must report the same cases and the same failures in the same order.
 ``reference_build_rows`` is the oracle's last-slot row builder without its
-pruning: every ``b, c, d`` on every increasing leading tuple.
+pruning: every ``b, c, d`` on every increasing leading tuple, and
+``reference_build_all_slots`` imposes the rule at every slot on every
+ordered tuple of the other arguments.
 """
 
 from __future__ import annotations
@@ -16,24 +18,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from jetlift import (
-    CoefficientAssignment,
-    Failure,
-    FreeCell,
-    LiftParams,
-    LiftTable,
-    TableEvaluator,
-    VerificationReport,
-    check_truncation,
-    construct,
-    degree,
-    free_cells,
-    lookup_skew,
-    multiply_monomials,
-    sort_with_sign,
-    sub_unit,
-    support,
-)
+from jetlift import CoefficientAssignment, LiftParams, LiftTable, construct, free_cells
+from jetlift.lift_space import FreeCell, TableEvaluator, lookup_skew, sort_with_sign
+from jetlift.multiindex import MultiIndex, add, degree, sub_unit, support
+from jetlift.oracle import ConstraintSystem, _add_rows_at
+from jetlift.verifier import Failure, VerificationReport, check_truncation
+from jetlift.weil_algebra import AlgebraParams
 
 
 def brute_monomials(k: int, d: int) -> list[tuple[int, ...]]:
@@ -90,6 +80,13 @@ def detectable_cells(params: LiftParams) -> list[tuple[tuple[int, ...], tuple[in
             else:
                 out.append((axes, alpha))
     return out
+
+
+def multiply_monomials(params: AlgebraParams, z: MultiIndex, e: MultiIndex) -> MultiIndex | None:
+    """Product of two basis monomials: their exponent sum, or ``None`` when
+    the result truncates to zero."""
+    p = add(tuple(z), tuple(e))
+    return p if degree(p) <= params.r else None
 
 
 def leibniz_eval(table: LiftTable, gammas, delta) -> Fraction:
@@ -310,3 +307,31 @@ def reference_build_rows(params: LiftParams) -> tuple[tuple[tuple[int, int], ...
                         if row is not None:
                             rowset.add(row)
     return tuple(sorted(rowset))
+
+
+def reference_build_all_slots(params: LiftParams) -> ConstraintSystem:
+    """The product rule at every slot on every ordered tuple of the other
+    arguments and every ``b, c, d``, with no skipping: the row set the
+    oracle's last-slot builder must reproduce."""
+    B = params.algebra.dim
+    s = params.s
+    combos = list(combinations(range(B), s))
+    combo_rank = {c: i for i, c in enumerate(combos)}
+    unknowns = tuple((c, d) for c in combos for d in range(B))
+
+    def block(pre: tuple[int, ...], post: tuple[int, ...]) -> list[tuple[int, int] | None]:
+        # (column block, sign) of pre + (x,) + post for every basis position
+        # x, None where an entry repeats
+        out = []
+        for x in range(B):
+            res = sort_with_sign(pre + (x,) + post)
+            out.append(None if res is None else (combo_rank[res[0]] * B, res[1]))
+        return out
+
+    rowset: set[tuple[tuple[int, int], ...]] = set()
+    for t in range(s):
+        for others in product(range(B), repeat=s - 1):
+            blk = block(others[:t], others[t:])
+            for b, c in product(range(B), repeat=2):
+                _add_rows_at(rowset, blk, params.algebra.product_index, b, c, B)
+    return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), tuple(range(s)))

@@ -1,24 +1,37 @@
 """Command-line surface: output shapes, exit codes, file round-trips."""
 
+import contextlib
+import copy
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jetlift import (
+    AlgebraElement,
     AlgebraParams,
     CoefficientAssignment,
     LiftParams,
+    LiftTable,
     construct,
+    dimension,
     free_cells,
 )
-from jetlift.cli import MAX_TABLE_CELLS, _print_report, main
+from jetlift.cli import MAX_TABLE_CELLS, CliError, _print_report, main
+from jetlift.multiindex import MAX_COUNT_DIGITS
+from jetlift.oracle import DEFAULT_MAX_UNKNOWNS
 from jetlift.rationals import MAX_DECIMAL_EXPONENT
+from jetlift.verifier import Failure, VerificationReport
 from support import reference_run_all_checks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +100,33 @@ def test_dim_with_arity_above_k_skips_the_huge_binomial(capsys):
     big = "100000000"
     assert main(["dim", "-r", big, "-k", "1", "-s", big, "--check-z"]) == 0
     assert capsys.readouterr().out == "0 (free cells: 0)\n"
+
+
+def test_dim_refuses_a_dimension_past_the_digit_cap(capsys):
+    # C(2·10^8, 10^8 + 1) has about sixty million digits; neither factor
+    # is built past the cap.
+    big = "100000000"
+    assert main(["dim", "-r", big, "-k", big, "-s", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the dimension has more than {MAX_COUNT_DIGITS} digits\n"
+    )
+
+
+def test_dim_digit_cap_is_exact(capsys):
+    # At s = 1 and k = r the dimension r·C(2r, r + 1) grows with r; find
+    # the last r whose dimension has at most MAX_COUNT_DIGITS digits.
+    def dim(r):
+        return dimension(LiftParams(AlgebraParams(r, r), 1))
+
+    lo, hi = 1, 20_000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if dim(mid) < 10**MAX_COUNT_DIGITS else (lo, mid)
+    assert main(["dim", "-r", str(lo), "-k", str(lo), "-s", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"{dim(lo)}\n" and len(out) == MAX_COUNT_DIGITS + 1
+    assert main(["dim", "-r", str(hi), "-k", str(hi), "-s", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: the dimension has more than")
 
 
 # -- zset --------------------------------------------------------------------
@@ -312,6 +352,212 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
 def test_verify_rejects_missing_file(capsys):
     assert main(["verify", "--in", "/nonexistent/table.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_verify_refuses_witness_values_past_the_digit_limit(tmp_path, capsys):
+    # Every cell 1/(10^2500 + odd) passes the input cap, but the table fails
+    # and its witness values combine cells with different denominators,
+    # past Python's limit for writing an integer.  Nothing is printed
+    # before the refusal.
+    params = LiftParams(AlgebraParams(2, 3), 1)
+    big = 10**2500
+    cells = [
+        {"i": list(axes), "alpha": list(alpha), "v": f"1/{big + 2 * n + 1}"}
+        for n, (axes, alpha) in enumerate(
+            (axes, alpha) for axes in params.rows for alpha in params.algebra.basis
+        )
+    ]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"r": 2, "k": 3, "s": 1, "cells": cells}))
+    for extra in ([], ["--all-slots"]):
+        assert main(["verify", "--in", str(path), *extra]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: a table value has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit for writing an integer\n",
+        )
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_report_printing_refuses_before_writing_anything():
+    # The path ``oracle --compare`` takes: a failing report is formatted
+    # whole before its first line is written.
+    rep = VerificationReport(
+        cases={"span": 1},
+        failures=[Failure("span", (), Fraction(0), Fraction(1, 10**5000 + 1))],
+    )
+    stream = io.StringIO()
+    with pytest.raises(CliError, match="the limit for writing an integer"):
+        _print_report(rep, 10, stream)
+    assert stream.getvalue() == ""
+
+
+# -- bounded work ------------------------------------------------------------
+
+# C(60, 30) monomials at (30, 30): listing the basis would not finish.
+BIG = ["-r", "30", "-k", "30", "-s", "1"]
+
+
+@pytest.fixture
+def no_basis_listing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the monomial basis was listed")
+
+    monkeypatch.setattr(AlgebraParams, "basis", property(refuse))
+
+
+@pytest.mark.parametrize(
+    "command,field,doing",
+    [("construct", "values", "reading the assignment"), ("verify", "cells", "reading the table")],
+)
+def test_large_input_files_are_refused_before_enumerating(
+    tmp_path, capsys, no_basis_listing, command, field, doing
+):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"r": 30, "k": 30, "s": 1, field: []}))
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {doing} would visit more than {MAX_TABLE_CELLS} table cells\n"
+    )
+
+
+def test_large_random_construction_is_refused_before_enumerating(capsys, no_basis_listing):
+    assert main(["construct", "--random", *BIG]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: completing the table would visit more than {MAX_TABLE_CELLS} table cells\n",
+    )
+
+
+def test_oracle_guard_answers_without_listing_the_basis(capsys, no_basis_listing):
+    assert main(["oracle", *BIG]) == 2
+    n = math.comb(60, 30) ** 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: system would have {n} unknowns, above the limit of {DEFAULT_MAX_UNKNOWNS}\n",
+    )
+    big = "100000000"
+    assert main(["oracle", "-r", big, "-k", big, "-s", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: system would have at least 10**{MAX_COUNT_DIGITS} unknowns, "
+        f"above the limit of {DEFAULT_MAX_UNKNOWNS}\n"
+    )
+
+
+# -- malformed JSON shapes ---------------------------------------------------
+
+
+def valid_table_doc() -> dict:
+    return construct(CoefficientAssignment.from_json_dict(UNIT_ASSIGNMENT)).to_json_dict()
+
+
+def valid_element_doc() -> dict:
+    alg = P121.algebra
+    return AlgebraElement.from_terms(alg, {(0, 0): 2, (0, 1): Fraction(-1, 3)}).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "command,field,value",
+    [
+        ("construct", "values", 5),
+        ("construct", "values", [5]),
+        ("construct", "values", None),
+        ("construct", "values", [[1, 2]]),
+        ("verify", "cells", 7),
+        ("verify", "cells", [7]),
+        ("verify", "cells", {"i": [1]}),
+    ],
+)
+def test_wrongly_shaped_entry_lists_exit_two(tmp_path, capsys, command, field, value):
+    doc = copy.deepcopy(UNIT_ASSIGNMENT) if command == "construct" else valid_table_doc()
+    doc[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def json_type(value) -> str:
+    for name, kind in (("bool", bool), ("int", int), ("float", float), ("str", str),
+                       ("list", list), ("object", dict)):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def json_nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the document itself first."""
+    yield path, doc
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield from json_nodes(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(alphabet="ab1/", max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+RATIONAL_FIELDS = {"c", "v", "coeff"}
+PARSERS = {
+    "assignment": (lambda: UNIT_ASSIGNMENT, CoefficientAssignment.from_json_dict, "construct"),
+    "table": (valid_table_doc, LiftTable.from_json_dict, "verify"),
+    "element": (valid_element_doc, AlgebraElement.from_json_dict, None),
+}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(PARSERS)), st.data())
+def test_fuzz_wrong_json_types_are_refused_with_exit_two(kind, data):
+    """Replace one field or entry of a valid document by a value of a JSON
+    type it does not accept; every parser and the CLI must refuse it."""
+    make, parse, command = PARSERS[kind]
+    doc = make()
+    path, original = data.draw(st.sampled_from(list(json_nodes(doc))))
+    accepted = {json_type(original)}
+    if path and path[-1] in RATIONAL_FIELDS:
+        accepted |= {"str", "int"}
+    value = data.draw(JSON_VALUES.filter(lambda v: json_type(v) not in accepted))
+    bad = replaced(doc, path, value)
+    with pytest.raises(ValueError):
+        parse(bad)
+    if command is None:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "doc.json"
+        src.write_text(json.dumps(bad))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--in", str(src)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # -- oracle ------------------------------------------------------------------

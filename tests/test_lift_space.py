@@ -12,16 +12,19 @@ from jetlift import (
     AlgebraElement,
     AlgebraParams,
     CoefficientAssignment,
-    FreeCell,
     LiftParams,
     LiftTable,
     construct,
     dimension,
     evaluate,
-    evaluate_monomials,
-    extract_coefficients,
     free_cells,
+)
+from jetlift.lift_space import (
+    FreeCell,
+    TableEvaluator,
+    extract_coefficients,
     lookup_skew,
+    read_params,
     sort_with_sign,
 )
 from support import brute_free_cells, leibniz_eval
@@ -197,6 +200,31 @@ def test_assignment_json_refuses_non_integer_fields(field, value):
         CoefficientAssignment.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("values", [5, [5], None, "abc", [[1, 2]], [None], {"i": [1]}])
+def test_assignment_json_refuses_wrongly_shaped_values(values):
+    doc = dict(CoefficientAssignment.random(P121, seed=3).to_json_dict(), values=values)
+    with pytest.raises(ValueError, match="value object"):
+        CoefficientAssignment.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [None, 5, "rks", [["r"]], ["r", "k", "s", "values"]])
+def test_json_documents_must_be_objects(doc):
+    with pytest.raises(ValueError, match="assignment object needs keys r, k, s, values"):
+        CoefficientAssignment.from_json_dict(doc)
+    with pytest.raises(ValueError, match="table object needs keys r, k, s, cells"):
+        LiftTable.from_json_dict(doc)
+
+
+def test_both_documents_read_their_parameters_alike():
+    for what, field in (("assignment", "values"), ("table", "cells")):
+        doc = {"r": 30, "k": 30, "s": 1, field: "not read"}
+        assert read_params(doc, what, field) == LiftParams(AlgebraParams(30, 30), 1)
+        with pytest.raises(ValueError, match="arity must be non-negative"):
+            read_params(dict(doc, s=-1), what, field)
+        with pytest.raises(ValueError, match=f"{what} object needs keys r, k, s, {field}"):
+            read_params({"r": 1, "k": 1, "s": 1}, what, field)
+
+
 # -- construction -----------------------------------------------------------------
 
 
@@ -309,6 +337,13 @@ def test_table_json_refuses_non_integer_fields(field, value):
         LiftTable.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("cells", [7, [7], None, "abc", [[1, 2]], [{"i": [1]}]])
+def test_table_json_refuses_wrongly_shaped_cells(cells):
+    doc = construct(CoefficientAssignment.random(P121, seed=4)).to_json_dict()
+    with pytest.raises(ValueError, match="cell object"):
+        LiftTable.from_json_dict(dict(doc, cells=cells))
+
+
 def test_table_json_is_row_major():
     t = construct(CoefficientAssignment.random(P121, seed=4))
     doc = t.to_json_dict()
@@ -320,6 +355,14 @@ def test_table_json_is_row_major():
 
 
 # -- evaluation ---------------------------------------------------------------------
+
+
+def monomial_value(table: LiftTable, gammas, delta) -> Fraction:
+    """``TableEvaluator`` on basis monomials given as exponent tuples."""
+    index = table.params.algebra.basis_index
+    return TableEvaluator(table).monomials_by_index(
+        tuple(index[tuple(g)] for g in gammas), index[tuple(delta)]
+    )
 
 
 def test_lookup_skew_signs_and_repeats():
@@ -346,7 +389,7 @@ def test_evaluation_matches_product_rule_recursion(r, k, s):
     basis = params.algebra.basis
     for gammas in product(basis, repeat=s):
         for delta in basis:
-            assert evaluate_monomials(table, list(gammas), delta) == leibniz_eval(
+            assert monomial_value(table, list(gammas), delta) == leibniz_eval(
                 table, list(gammas), delta
             )
 
@@ -356,28 +399,18 @@ def test_single_generator_arguments_collapse_to_cells():
     for j in (1, 2):
         gamma = tuple(int(i == j - 1) for i in range(2))
         for delta in P121.algebra.basis:
-            assert evaluate_monomials(t, [gamma], delta) == t.cell((j,), delta)
+            assert monomial_value(t, [gamma], delta) == t.cell((j,), delta)
 
 
 def test_constant_argument_evaluates_to_zero():
     t = construct(CoefficientAssignment.random(P121, seed=8))
     for delta in P121.algebra.basis:
-        assert evaluate_monomials(t, [(0, 0)], delta) == 0
+        assert monomial_value(t, [(0, 0)], delta) == 0
 
 
 def test_degree_overflow_evaluates_to_zero():
     t = construct(CoefficientAssignment.random(P222, seed=8))
-    assert evaluate_monomials(t, [(2, 0), (0, 2)], (1, 1)) == 0
-
-
-def test_evaluate_monomials_validation():
-    t = construct(CoefficientAssignment.random(P121, seed=8))
-    with pytest.raises(ValueError, match="argument"):
-        evaluate_monomials(t, [(1, 0), (0, 1)], (0, 0))
-    with pytest.raises(ValueError, match="basis"):
-        evaluate_monomials(t, [(9, 0)], (0, 0))
-    with pytest.raises(ValueError, match="basis"):
-        evaluate_monomials(t, [(1, 0)], (9, 0))
+    assert monomial_value(t, [(2, 0), (0, 2)], (1, 1)) == 0
 
 
 def test_element_evaluation_is_multilinear_and_skew():
@@ -415,7 +448,7 @@ def test_element_evaluation_agrees_with_monomial_evaluation():
                     [AlgebraElement.monomial(alg, g1), AlgebraElement.monomial(alg, g2)],
                     AlgebraElement.monomial(alg, d),
                 )
-                assert got == evaluate_monomials(table, [g1, g2], d)
+                assert got == monomial_value(table, [g1, g2], d)
 
 
 def test_element_evaluation_validation():

@@ -1,6 +1,7 @@
 """The brute-force linear system: frozen small cases, size guard, and
 agreement with the closed-form side."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -8,25 +9,28 @@ from functools import lru_cache
 import pytest
 
 from jetlift import (
-    DEFAULT_MAX_UNKNOWNS,
     AlgebraParams,
     CoefficientAssignment,
     LiftParams,
+    construct,
+    dimension,
+    free_cells,
+)
+from jetlift.lift_space import TableEvaluator
+from jetlift.multiindex import COUNT_CAP, MAX_COUNT_DIGITS, binomial
+from jetlift.oracle import (
+    DEFAULT_MAX_UNKNOWNS,
     OracleSizeError,
-    TableEvaluator,
     build_constraints,
     check_iso,
     compare_with_construction,
-    construct,
-    dimension,
     dump_matrix,
     expand_table,
-    free_cells,
     nullspace,
     rank_of,
     unknown_count,
 )
-from support import reference_build_rows
+from support import reference_build_all_slots, reference_build_rows
 
 
 def lift_params(r: int, k: int, s: int) -> LiftParams:
@@ -47,6 +51,26 @@ def test_unknown_count_examples():
     assert unknown_count(lift_params(1, 2, 1)) == 9
     assert unknown_count(lift_params(2, 2, 2)) == 90
     assert unknown_count(lift_params(3, 4, 2)) == 20825
+
+
+def test_unknown_count_is_the_closed_form():
+    for r in range(4):
+        for k in range(5):
+            for s in range(6):
+                params = lift_params(r, k, s)
+                B = len(params.algebra.basis)
+                assert unknown_count(params) == binomial(B, s) * B
+
+
+def test_unknown_count_stops_past_the_digit_cap():
+    # Neither the basis nor a count past the cap is built.
+    cap = COUNT_CAP + 1
+    assert unknown_count(lift_params(30, 30, 1)) == math.comb(60, 30) ** 2
+    assert unknown_count(lift_params(10**8, 10**8, 1)) == cap
+    assert unknown_count(lift_params(1, 10**5, 50_000)) == cap
+    assert unknown_count(lift_params(0, 10**8, 2)) == 0
+    with pytest.raises(OracleSizeError, match=f"at least 10\\*\\*{MAX_COUNT_DIGITS} unknowns"):
+        build_constraints(lift_params(10**8, 10**8, 1))
 
 
 def test_size_guard_refuses_large_systems():
@@ -102,13 +126,8 @@ def test_arity_above_generator_count_is_empty():
 
 
 def test_last_slot_mode_handles_zero_arity():
-    system = build_constraints(lift_params(1, 2, 0), slots="last")
+    system = build_constraints(lift_params(1, 2, 0))
     assert system.rows == () and system.slots == ()
-
-
-def test_slots_argument_is_validated():
-    with pytest.raises(ValueError, match="slots"):
-        build_constraints(lift_params(1, 1, 1), slots="first")
 
 
 # -- nullspace vs formula -----------------------------------------------------------
@@ -139,8 +158,8 @@ def test_rebuilding_gives_identical_rows():
 @pytest.mark.parametrize("r,k,s", [(1, 2, 2), (2, 2, 2), (2, 2, 3), (1, 3, 2)])
 def test_last_slot_system_has_the_same_nullspace(r, k, s):
     params = lift_params(r, k, s)
-    full = build_constraints(params, slots="all")
-    last = build_constraints(params, slots="last")
+    full = reference_build_all_slots(params)
+    last = build_constraints(params)
     assert last.rows == full.rows
     assert last.slots == (s - 1,) and full.slots == tuple(range(s))
     n_full, _ = nullspace(full)

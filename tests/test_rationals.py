@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jetlift import format_rational, parse_rational
-from jetlift.rationals import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_DIGITS
+from jetlift.rationals import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_RATIONAL_DIGITS,
+    format_rational,
+    parse_rational,
+)
 
 
 def test_format_examples():

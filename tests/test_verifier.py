@@ -8,18 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlift import (
-    AlgebraParams,
-    CoefficientAssignment,
-    LiftParams,
-    TableEvaluator,
-    check_leibniz_basis,
-    check_skew,
-    check_truncation,
-    construct,
-    run_all_checks,
-    spot_check_leibniz,
-)
+from jetlift import AlgebraParams, CoefficientAssignment, LiftParams, construct, run_all_checks
+from jetlift.lift_space import TableEvaluator
+from jetlift.verifier import check_leibniz_basis, check_skew, check_truncation
 from support import (
     detectable_cells,
     reference_check_leibniz_basis,
@@ -131,19 +122,6 @@ def test_all_slots_counts_scale_with_arity():
     both = check_leibniz_basis(table, all_slots=True)
     assert both.cases["leibniz"] == 2 * last_only.cases["leibniz"]
     assert both.passed
-
-
-def test_spot_check_passes_valid_tables():
-    rep = spot_check_leibniz(random_table(P121, seed=7), trials=10)
-    assert rep.passed
-    assert rep.cases == {"leibniz-spot": 10}
-
-
-def test_spot_check_flags_a_corrupted_table():
-    table = random_table(P121, seed=7)
-    bad = table.with_cell((2,), (1, 0), table.cell((2,), (1, 0)) + 1)
-    rep = spot_check_leibniz(bad, trials=25)
-    assert not rep.passed
 
 
 def test_report_json_shape_and_witness_limit():
