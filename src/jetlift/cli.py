@@ -255,6 +255,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "construct" and bool(args.infile) == bool(args.random):
         parser.error("construct needs exactly one of --in or --random")
     try:
+        if getattr(args, "witnesses", 0) < 0:
+            raise CliError(f"--witnesses must be non-negative, got {args.witnesses}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

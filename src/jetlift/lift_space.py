@@ -103,6 +103,34 @@ def dimension(params: LiftParams) -> int:
     return binomial(r + s - 1, s) * tail if tail else 0
 
 
+def graded_dimension(params: LiftParams, m: MultiIndex) -> int:
+    """Dimension of the summand of multidegree ``m`` in ``N^k``.
+
+    The multidegree of a cell ``(I, alpha)`` is ``e_I + alpha``, and both
+    ``construct`` and the product rule keep it, so the lift space splits
+    into one summand per ``m`` whose dimension is its count of free cells.
+    The cells of multidegree ``m`` are the ``s``-subsets ``I`` of the
+    support of ``m`` (with ``alpha = m - e_I``, of degree ``|m| - s``).
+    Let ``q`` be the size of that support.  Below the top degree,
+    ``|m| < r + s``, every such cell is free: ``C(q, s)``.  At
+    ``|m| = r + s`` a cell is free exactly when the top axis of ``m`` is
+    not in ``I``, so it lies in the support of ``alpha`` above the last
+    axis of ``I``: ``C(q - 1, s)``.  Otherwise no cell exists (``|m| < s``
+    leaves ``C(q, s) = 0``, and past ``r + s`` ``alpha`` is not in the
+    basis).  With ``binomial``'s conventions this covers ``s = 0`` and
+    ``m = 0`` too, and the sum over ``m`` is ``dimension(params)``.
+    """
+    k = params.algebra.k
+    if len(m) != k or any(x < 0 for x in m):
+        raise ValueError(f"multidegree must be {k} non-negative integers, got {m}")
+    top, q = params.algebra.r + params.s, len(support(m))
+    if degree(m) < top:
+        return binomial(q, params.s)
+    if degree(m) == top:
+        return binomial(q - 1, params.s)
+    return 0
+
+
 def sort_with_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """Sorted copy of ``t`` and the sign of the sorting permutation, or
     ``None`` when an entry repeats."""
@@ -424,6 +452,15 @@ class TableEvaluator:
     zeros without calling the evaluator, and the oracle's ``expand_table``
     evaluates only the unknowns that miss both (``live_columns``), so they
     must stay exactly as they are in ``_compute``.
+
+    Evaluation keeps the multidegree, the exponent sum of the arguments and
+    the target: each peeled axis ``j`` of an argument moves ``e_j`` into
+    the axis tuple and the rest of the argument into the target, so a tuple
+    of multidegree ``m`` reads only cells ``(I, alpha)`` with
+    ``e_I + alpha = m``.  The oracle's product-rule rows also lie in one
+    multidegree each, so ``expand_table`` skips the unknowns of every
+    multidegree where the table has no nonzero cell, and ``nullspace``
+    eliminates one multidegree block at a time.
     """
 
     def __init__(self, table: LiftTable):

@@ -54,15 +54,26 @@ def support(a: MultiIndex) -> tuple[int, ...]:
 
 
 def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
-    # Largest leading exponent first; this is exactly the canonical order
-    # within one degree.
+    # Lexicographically decreasing, so largest leading exponent first: the
+    # canonical order within one degree.  The next composition takes one
+    # from the last nonzero entry before the final one and moves everything
+    # after that entry, plus the one, to its right neighbour.  A loop, not
+    # recursion, so any number of variables works.
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    a = [total] + [0] * (parts - 1)
+    while True:
+        yield tuple(a)
+        i = parts - 2
+        while i >= 0 and a[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        tail, a[-1] = a[-1], 0
+        a[i + 1] = tail + 1
 
 
 def enumerate_degree_exactly(k: int, d: int) -> list[MultiIndex]:

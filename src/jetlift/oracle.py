@@ -38,6 +38,16 @@ row set:
     ``deg d <= r - deg c`` and ``deg d <= r - deg b`` respectively, so for
     larger ``d`` the row is zero.  The basis is sorted by degree, so ``d``
     runs over a prefix of it.
+
+Both routes respect the multidegree grading.  The multidegree of an
+unknown is the exponent sum of its combination plus its target,
+``e(combo) + alpha``, and that of a table cell ``(I, alpha)`` is
+``e_I + alpha``.  Every row lies in one multidegree: each term of
+``R(pre; b, c, d)`` has multidegree ``e(pre) + b + c + d``.  And
+``TableEvaluator`` at an unknown of multidegree ``m`` reads only cells of
+multidegree ``m``.  So ``nullspace`` eliminates one multidegree block at a
+time, and ``expand_table`` evaluates a table only in the blocks that hold
+one of its nonzero cells.
 """
 
 from __future__ import annotations
@@ -100,6 +110,18 @@ class ConstraintSystem:
 
     def column(self, combo: tuple[int, ...], target: int) -> int:
         return self.combo_rank[combo] * self.params.algebra.dim + target
+
+    @cached_property
+    def column_degrees(self) -> tuple[tuple[int, ...], ...]:
+        """The multidegree of each unknown: the exponent sum of its
+        combination plus its target."""
+        alg = self.params.algebra
+        B, exps = alg.dim, alg.basis
+        out = []
+        for combo, _ in self.unknowns[::B]:
+            base = [sum(col) for col in zip(*(exps[g] for g in combo))] or [0] * alg.k
+            out.extend(tuple(map(sum, zip(base, e))) for e in exps)
+        return tuple(out)
 
     @cached_property
     def live_columns(self) -> tuple[int, ...]:
@@ -256,8 +278,9 @@ class _Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def nullspace_basis(self, ncols: int) -> list[dict[int, Fraction]]:
-        """One basis vector per free column, as a dict of its nonzero
+    def nullspace_basis(self, columns: Iterable[int]) -> dict[int, dict[int, Fraction]]:
+        """The nullspace within ``columns``, which hold every pivot: one
+        vector per free column, keyed by it, as a dict of its nonzero
         entries, via full back-substitution."""
         solved: dict[int, dict[int, Fraction]] = {}
         for lead in sorted(self.pivots, reverse=True):
@@ -275,11 +298,11 @@ class _Echelon:
                     for cc, vv in sub.items():
                         out[cc] = out.get(cc, 0) - f * vv
             solved[lead] = {c: v for c, v in out.items() if v}
-        basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in self.pivots}
+        basis = {f: {f: Fraction(1)} for f in columns if f not in self.pivots}
         for lead, row in solved.items():
             for f, cf in row.items():
                 basis[f][lead] = -cf
-        return list(basis.values())
+        return basis
 
 
 class _NullBasis(list):
@@ -298,12 +321,36 @@ class _NullBasis(list):
 
 def nullspace(system: ConstraintSystem) -> tuple[int, list[tuple[Fraction, ...]]]:
     """Exact nullspace dimension and an explicit rational basis, one dense
-    tuple per free column."""
-    ech = _Echelon()
-    for row in sorted(system.rows, key=len):
-        ech.add(row)
+    tuple per free column, in column order.
+
+    The columns of a single-entry row are known zeros: they are dropped
+    from the other rows instead of pivoted on.  Every row lies in one
+    multidegree, so the rest is eliminated one multidegree block at a
+    time, and only a block with fewer pivots than columns is
+    back-substituted.  Each basis vector is the null vector that is 1 at
+    its free column and 0 at the others, and the pivot columns are fixed
+    by the row space, so the basis is the one whole-system elimination
+    gives.
+    """
+    rows = system.rows
+    zeros = {row[0][0] for row in rows if len(row) == 1}
+    degrees = system.column_degrees
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for col, m in enumerate(degrees):
+        if col not in zeros:
+            blocks.setdefault(m, []).append(col)
+    echelons = {m: _Echelon() for m in blocks}
+    for row in sorted(rows, key=len):
+        kept = [(col, v) for col, v in row if col not in zeros]
+        if kept:
+            echelons[degrees[kept[0][0]]].add(kept)
+    sparse: dict[int, dict[int, Fraction]] = {}
+    for m, cols in blocks.items():
+        ech = echelons[m]
+        if ech.rank < len(cols):
+            sparse.update(ech.nullspace_basis(cols))
     n = len(system.unknowns)
-    basis = _NullBasis(ech.nullspace_basis(n), n)
+    basis = _NullBasis([sparse[f] for f in sorted(sparse)], n)
     return len(basis), basis
 
 
@@ -343,14 +390,28 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Sequence[Fraction]])
     return rank_of(rows) == len(cells)
 
 
-def expand_table(system: ConstraintSystem, table) -> list[Fraction]:
-    """Evaluate a lift table at every unknown of the system; only the
-    ``live_columns`` are evaluated, the others are zero for every table."""
+def expand_table(system: ConstraintSystem, table) -> dict[int, Fraction]:
+    """A lift table evaluated at every unknown of the system, as a dict of
+    its nonzero entries.  Only the ``live_columns`` whose multidegree holds
+    a nonzero cell of the table are evaluated: the others are zero, since
+    ``TableEvaluator`` reads at an unknown only cells of its multidegree."""
+    alg = system.params.algebra
+    held = set()
+    for axes, row in zip(table.params.rows, table.cells):
+        for alpha, v in zip(alg.basis, row):
+            if v:
+                m = list(alpha)
+                for j in axes:
+                    m[j - 1] += 1
+                held.add(tuple(m))
     ev = TableEvaluator(table)
-    unknowns = system.unknowns
-    vec = [Fraction(0)] * len(unknowns)
+    unknowns, degrees = system.unknowns, system.column_degrees
+    vec = {}
     for col in system.live_columns:
-        vec[col] = ev.monomials_by_index(*unknowns[col])
+        if degrees[col] in held:
+            v = ev.monomials_by_index(*unknowns[col])
+            if v:
+                vec[col] = v
     return vec
 
 
@@ -368,24 +429,27 @@ def compare_with_construction(
     vectors must span exactly the oracle nullspace (mutual containment by
     rank).  A row that touches none of a vector's nonzero columns sums to
     exactly zero, so only the touched rows are evaluated, in row order;
-    every row still counts as a case.
+    every row still counts as a case.  Rows are indexed only at the columns
+    some vector fills.
     """
     if system is None:
         system = build_constraints(params, max_unknowns=max_unknowns)
     if nullbasis is None:
         _, nullbasis = nullspace(system)
+    cells = free_cells(params)
+    expanded = [
+        expand_table(system, construct(CoefficientAssignment.unit(params, cell)))
+        for cell in cells
+    ]
     rows = system.rows
-    rows_at: list[list[int]] = [[] for _ in system.unknowns]
+    rows_at: dict[int, list[int]] = {col: [] for vec in expanded for col in vec}
     for i, row in enumerate(rows):
         for col, _ in row:
-            rows_at[col].append(i)
+            at = rows_at.get(col)
+            if at is not None:
+                at.append(i)
     rep = VerificationReport(cases={"constraint-rows": 0, "span": 0})
-    expanded = []
-    for cell in free_cells(params):
-        table = construct(CoefficientAssignment.unit(params, cell))
-        dense = expand_table(system, table)
-        vec = {col: dense[col] for col in system.live_columns if dense[col]}
-        expanded.append(vec)
+    for cell, vec in zip(cells, expanded):
         rep.cases["constraint-rows"] += len(rows)
         touched = {i for col in vec for i in rows_at[col]}
         for i in sorted(touched):

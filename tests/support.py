@@ -9,7 +9,8 @@ must report the same cases and the same failures in the same order.
 ``reference_build_rows`` is the oracle's last-slot row builder without its
 pruning: every ``b, c, d`` on every increasing leading tuple, and
 ``reference_build_all_slots`` imposes the rule at every slot on every
-ordered tuple of the other arguments.
+ordered tuple of the other arguments.  ``reference_nullspace`` eliminates
+the whole system at once, where the oracle goes block by block.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd
 from jetlift import CoefficientAssignment, LiftParams, LiftTable, construct, free_cells
 from jetlift.lift_space import FreeCell, TableEvaluator, lookup_skew, sort_with_sign
 from jetlift.multiindex import MultiIndex, add, degree, sub_unit, support
-from jetlift.oracle import ConstraintSystem, _add_rows_at
+from jetlift.oracle import ConstraintSystem, _add_rows_at, _Echelon, _NullBasis
 from jetlift.verifier import Failure, VerificationReport, check_truncation
 from jetlift.weil_algebra import AlgebraParams
 
@@ -335,3 +336,14 @@ def reference_build_all_slots(params: LiftParams) -> ConstraintSystem:
             for b, c in product(range(B), repeat=2):
                 _add_rows_at(rowset, blk, params.algebra.product_index, b, c, B)
     return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), tuple(range(s)))
+
+
+def reference_nullspace(system: ConstraintSystem):
+    """The oracle's nullspace by one elimination of the whole system: every
+    row, single-entry rows included, into one echelon, shortest first."""
+    ech = _Echelon()
+    for row in sorted(system.rows, key=len):
+        ech.add(row)
+    n = len(system.unknowns)
+    basis = _NullBasis(list(ech.nullspace_basis(range(n)).values()), n)
+    return len(basis), basis

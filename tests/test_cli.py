@@ -30,7 +30,7 @@ from jetlift import (
 from jetlift.cli import MAX_TABLE_CELLS, CliError, _print_report, main
 from jetlift.multiindex import MAX_COUNT_DIGITS
 from jetlift.oracle import DEFAULT_MAX_UNKNOWNS
-from jetlift.rationals import MAX_DECIMAL_EXPONENT
+from jetlift.rationals import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_DIGITS
 from jetlift.verifier import Failure, VerificationReport
 from support import reference_run_all_checks
 
@@ -342,6 +342,33 @@ def test_verify_rejects_an_oversized_exponent(tmp_path, capsys):
     assert captured.err.startswith("error: decimal exponent")
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_verify_refuses_a_bound_cell_construct_wrote_past_the_read_cap(tmp_path, capsys):
+    # Free values with ~2,100-digit denominators: a bound cell sums two of
+    # them, so ``construct`` writes a value of more than the 4,000 digits
+    # ``verify`` reads but fewer than the 4,300 it can write.
+    params = LiftParams(AlgebraParams(2, 3), 1)
+    big = 10**2100
+    values = [
+        {"i": list(c.axes), "alpha": list(c.alpha), "c": f"1/{big + n}"}
+        for n, c in enumerate(free_cells(params))
+    ]
+    src, table = tmp_path / "assignment.json", tmp_path / "table.json"
+    src.write_text(json.dumps({"r": 2, "k": 3, "s": 1, "values": values}))
+    assert main(["construct", "--in", str(src), "--out", str(table)]) == 0
+    capsys.readouterr()
+    longest = max(len(c["v"].split("/")[-1]) for c in json.loads(table.read_text())["cells"])
+    assert MAX_RATIONAL_DIGITS < longest <= sys.get_int_max_str_digits()
+    assert main(["verify", "--in", str(table)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: a number of ")
+    assert err.endswith(f" digits in a rational string; at most {MAX_RATIONAL_DIGITS} accepted\n")
+
+
 def test_verify_rejects_malformed_input(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -449,6 +476,74 @@ def test_oracle_guard_answers_without_listing_the_basis(capsys, no_basis_listing
         f"error: system would have at least 10**{MAX_COUNT_DIGITS} unknowns, "
         f"above the limit of {DEFAULT_MAX_UNKNOWNS}\n"
     )
+
+
+# -- witness counts ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--in", "BAD"],
+        ["construct", "--random", "-r", "1", "-k", "2", "-s", "1"],
+        ["oracle", "-r", "1", "-k", "2", "-s", "1", "--compare"],
+    ],
+    ids=["verify", "construct", "oracle"],
+)
+def test_negative_witness_counts_are_refused(tmp_path, capsys, argv):
+    bad = str(table_file(tmp_path, corrupt=True))
+    argv = [bad if a == "BAD" else a for a in argv]
+    assert main([*argv, "--witnesses", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --witnesses must be non-negative, got -1\n")
+
+
+def test_witness_count_limits_the_printed_witnesses(tmp_path, capsys):
+    # The (1,2,1) table with one corrupted bound cell has three witnesses:
+    # 0 prints none of them, 2 the first two, the default all three.
+    bad = str(table_file(tmp_path, corrupt=True))
+    printed = []
+    for extra in (["--witnesses", "0"], ["--witnesses", "2"], []):
+        assert main(["verify", "--in", bad, *extra]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        printed.append([line for line in lines if line.startswith("  witness ")])
+    assert [len(w) for w in printed] == [0, 2, 3]
+    assert printed[1] == printed[2][:2]
+
+
+# -- many variables ----------------------------------------------------------
+
+# Listing the basis is a loop, not one call per variable: 1,000 variables
+# (1,001 monomials at r = 1, s = 0) stay under Python's recursion limit.
+MANY = ["-r", "1", "-k", "1000", "-s", "0"]
+
+
+def test_zset_lists_the_cells_of_a_thousand_variables(tmp_path, capsys):
+    out = tmp_path / "z.json"
+    assert main(["zset", *MANY, "--out", str(out)]) == 0
+    cells = json.loads(out.read_text())
+    assert len(cells) == 1001
+    assert cells[:2] == [{"i": [], "alpha": [0] * 1000}, {"i": [], "alpha": [1] + [0] * 999}]
+    assert cells[-1] == {"i": [], "alpha": [0] * 999 + [1]}
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["dim", *MANY, "--check-z"], "1001 (free cells: 1001)\n"),
+        (
+            ["construct", "--random", *MANY, "--out", "TABLE"],
+            "leibniz: ok (0 cases, 0 failed)\n"
+            "skew: ok (0 cases, 0 failed)\n"
+            "truncation: ok (0 cases, 0 failed)\n",
+        ),
+        (["oracle", *MANY], "nullspace=1001 formula=1001 iso=ok\n"),
+    ],
+    ids=["dim", "construct", "oracle"],
+)
+def test_a_thousand_variables(tmp_path, capsys, argv, expected):
+    argv = [str(tmp_path / "t.json") if a == "TABLE" else a for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 # -- malformed JSON shapes ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Free cells, the closed-form construction, and table evaluation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -23,10 +24,12 @@ from jetlift.lift_space import (
     FreeCell,
     TableEvaluator,
     extract_coefficients,
+    graded_dimension,
     lookup_skew,
     read_params,
     sort_with_sign,
 )
+from jetlift.multiindex import enumerate_degree_at_most
 from support import brute_free_cells, leibniz_eval
 
 P121 = LiftParams(AlgebraParams(1, 2), 1)
@@ -92,6 +95,35 @@ def test_dimension_spot_values():
     }
     for (r, k, s), d in expected.items():
         assert dimension(lift_params(r, k, s)) == d
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+def test_graded_dimension_counts_the_free_cells_of_each_multidegree(r, k, s):
+    # Summed over every multidegree it gives the closed form; per
+    # multidegree it is the free-cell count, e_I + alpha for cell (I, alpha).
+    params = lift_params(r, k, s)
+    held = Counter(
+        tuple(a + (j in cell.axes) for j, a in enumerate(cell.alpha, start=1))
+        for cell in free_cells(params)
+    )
+    degrees = enumerate_degree_at_most(k, r + s + 1)
+    assert set(held) <= set(degrees)
+    assert {m: graded_dimension(params, m) for m in degrees} == {m: held[m] for m in degrees}
+    assert sum(graded_dimension(params, m) for m in degrees) == dimension(params)
+
+
+def test_graded_dimension_examples_and_validation():
+    params = lift_params(2, 3, 2)
+    assert graded_dimension(params, (1, 1, 0)) == 1     # below the top degree
+    assert graded_dimension(params, (1, 1, 1)) == 3
+    assert graded_dimension(params, (2, 1, 1)) == 1     # top degree: C(2, 2)
+    assert graded_dimension(params, (3, 1, 0)) == 0     # top degree, q = 2
+    assert graded_dimension(params, (1, 0, 0)) == 0     # |m| < s
+    assert graded_dimension(params, (2, 2, 1)) == 0     # past r + s
+    assert graded_dimension(lift_params(0, 0, 0), ()) == 1
+    for bad in [(1, 1), (1, -1, 0)]:
+        with pytest.raises(ValueError):
+            graded_dimension(params, bad)
 
 
 def test_zero_arity_dimension_is_the_full_dual():

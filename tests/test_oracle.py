@@ -2,6 +2,7 @@
 agreement with the closed-form side."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ from jetlift import (
     dimension,
     free_cells,
 )
-from jetlift.lift_space import TableEvaluator
+from jetlift.lift_space import TableEvaluator, graded_dimension
 from jetlift.multiindex import COUNT_CAP, MAX_COUNT_DIGITS, binomial
 from jetlift.oracle import (
     DEFAULT_MAX_UNKNOWNS,
@@ -30,7 +31,7 @@ from jetlift.oracle import (
     rank_of,
     unknown_count,
 )
-from support import reference_build_all_slots, reference_build_rows
+from support import reference_build_all_slots, reference_build_rows, reference_nullspace
 
 
 def lift_params(r: int, k: int, s: int) -> LiftParams:
@@ -41,6 +42,11 @@ def satisfies(rows, vec) -> bool:
     return all(
         sum((coeff * vec[col] for col, coeff in row), Fraction(0)) == 0 for row in rows
     )
+
+
+def dense(system, vec: dict) -> list:
+    """A sparse ``expand_table`` vector as the dense list it stands for."""
+    return [vec.get(col, Fraction(0)) for col in range(len(system.unknowns))]
 
 
 # -- sizes and the guard ---------------------------------------------------------
@@ -211,6 +217,29 @@ def test_rows_are_homogeneous_in_the_torus_grading(r, k, s):
 
     mixed = [row for row in system.rows if len({multidegree(c) for c, _ in row}) != 1]
     assert mixed == []
+    assert system.column_degrees == tuple(map(multidegree, range(len(system.unknowns))))
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_graded_nullspace_gives_the_whole_system_basis(r, k, s):
+    # Same nullity and the same basis vectors, in the same order, as one
+    # elimination of the whole system.
+    system = default_system(r, k, s)
+    nullity, basis = nullspace(system)
+    assert (nullity, basis) == reference_nullspace(system)
+    assert [dense(system, vec) for vec in basis.sparse] == [list(vec) for vec in basis]
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_nullity_of_each_block_is_the_graded_dimension(r, k, s):
+    # Each basis vector lies in the block of its free column; every
+    # multidegree that has an unknown is counted, empty blocks included.
+    system = default_system(r, k, s)
+    _, basis = nullspace(system)
+    per_block = Counter(system.column_degrees[min(vec)] for vec in basis.sparse)
+    assert all(len({system.column_degrees[c] for c in vec}) == 1 for vec in basis.sparse)
+    for m in set(system.column_degrees):
+        assert per_block[m] == graded_dimension(system.params, m), m
 
 
 @pytest.mark.parametrize("r,k,s", [(1, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 2, 0)])
@@ -218,11 +247,13 @@ def test_expansion_skips_only_columns_that_are_zero(r, k, s):
     params = lift_params(r, k, s)
     system = build_constraints(params)
     live = set(system.live_columns)
-    for cell in free_cells(params):
-        table = construct(CoefficientAssignment.unit(params, cell))
+    # Unit tables fill one multidegree each, a random table many.
+    units = [CoefficientAssignment.unit(params, cell) for cell in free_cells(params)]
+    for assignment in [*units, CoefficientAssignment.random(params, seed=11)]:
+        table = construct(assignment)
         ev = TableEvaluator(table)
         full = [ev.monomials_by_index(combo, d) for combo, d in system.unknowns]
-        assert expand_table(system, table) == full
+        assert expand_table(system, table) == {col: v for col, v in enumerate(full) if v}
         assert {col for col, v in enumerate(full) if v} <= live
 
 
@@ -264,7 +295,7 @@ def test_expanded_unit_tables_satisfy_the_rows():
     system = build_constraints(params)
     for cell in free_cells(params):
         table = construct(CoefficientAssignment.unit(params, cell))
-        assert satisfies(system.rows, expand_table(system, table))
+        assert satisfies(system.rows, dense(system, expand_table(system, table)))
 
 
 @pytest.mark.parametrize("r,k,s", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 2), (2, 1, 1)])
@@ -281,7 +312,10 @@ def test_compare_reports_violated_rows_in_row_order():
     params = lift_params(2, 2, 2)
     system = build_constraints(params)
     cells = free_cells(params)
-    vecs = [expand_table(system, construct(CoefficientAssignment.unit(params, c))) for c in cells]
+    vecs = [
+        dense(system, expand_table(system, construct(CoefficientAssignment.unit(params, c))))
+        for c in cells
+    ]
     support = [col for col, v in enumerate(vecs[0]) if v]
     extra = {((support[0], 1),), ((0, 1), (support[-1], 2))}
     doctored = replace(system, rows=tuple(sorted(set(system.rows) | extra)))
