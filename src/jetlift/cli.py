@@ -98,10 +98,18 @@ def _load_json(path: str) -> dict:
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _write(path: str, write) -> None:
+    """``write(path)``, with a file system error reported as a CliError."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(data: dict | list, out: str | None) -> None:
     text = json.dumps(data, indent=2)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write(out, lambda path: Path(path).write_text(text + "\n", encoding="utf-8"))
     else:
         print(text)
 
@@ -186,7 +194,7 @@ def cmd_oracle(args) -> int:
     except OracleSizeError as exc:
         raise CliError(str(exc)) from exc
     if args.dump:
-        dump_matrix(system, args.dump)
+        _write(args.dump, lambda path: dump_matrix(system, path))
     nullity, basis = nullspace(system)
     formula = dimension(params)
     iso = check_iso(system, basis)

@@ -52,6 +52,11 @@ class LiftParams:
     def row_index(self) -> Mapping[tuple[int, ...], int]:
         return {t: i for i, t in enumerate(self.rows)}
 
+    @cached_property
+    def free_cell_set(self) -> frozenset[FreeCell]:
+        """The free cells as a set, listed once per parameters."""
+        return frozenset(free_cells(self))
+
 
 def read_params(data, what: str, field: str) -> LiftParams:
     """The parameters of a JSON ``what`` object with keys ``r``, ``k``,
@@ -158,10 +163,10 @@ class CoefficientAssignment:
             FreeCell(tuple(cell[0]), tuple(cell[1])): _as_fraction(v)
             for cell, v in self.values.items()
         }
-        expected = set(free_cells(self.params))
-        if set(clean) != expected:
-            missing = sorted(expected - set(clean))[:3]
-            extra = sorted(set(clean) - expected)[:3]
+        expected = self.params.free_cell_set
+        if clean.keys() != expected:
+            missing = sorted(expected - clean.keys())[:3]
+            extra = sorted(clean.keys() - expected)[:3]
             raise ValueError(
                 "assignment does not cover the free cells exactly"
                 + (f"; missing {missing}" if missing else "")
@@ -178,9 +183,9 @@ class CoefficientAssignment:
     @classmethod
     def unit(cls, params: LiftParams, cell: FreeCell) -> "CoefficientAssignment":
         cell = FreeCell(tuple(cell[0]), tuple(cell[1]))
-        vals = {c: Fraction(0) for c in free_cells(params)}
-        if cell not in vals:
+        if cell not in params.free_cell_set:
             raise ValueError(f"{cell} is not a free cell")
+        vals = dict.fromkeys(free_cells(params), Fraction(0))
         vals[cell] = Fraction(1)
         return cls(params, vals)
 
@@ -388,14 +393,16 @@ def _bound_cell(
             continue
         tup, sign = res
         cell = FreeCell(tup, sub_unit(raised, j))
-        if cell not in free:
+        v = free.get(cell)
+        if v is None:
             # Unreachable when the free-cell predicate is right: the lookup's
             # last axis is below the raised monomial's top supported axis.
             raise AssertionError(
                 f"bound cell ({axes}, {alpha}) referenced non-free cell {cell}"
             )
-        acc += alpha[j - 1] * sign * free[cell]
-    return Fraction(-1, alpha[i_last - 1] + 1) * acc
+        if v:
+            acc += alpha[j - 1] * sign * v
+    return Fraction(-1, alpha[i_last - 1] + 1) * acc if acc else acc
 
 
 def extract_coefficients(table: LiftTable) -> CoefficientAssignment:

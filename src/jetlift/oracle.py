@@ -19,25 +19,44 @@ produces exactly the row set of every slot on every ordered tuple.
 
 At the last slot the instance on the leading tuple ``pre`` and basis
 positions ``b, c, d`` is the row
-``R(pre; b, c, d) = F(pre, bc)(d) - F(pre, b)(cd) - F(pre, c)(bd)``, and
-three facts about it let the builder skip instances without changing the
-row set:
+``R(pre; b, c, d) = F(pre, bc)(d) - F(pre, b)(cd) - F(pre, c)(bd)``.
+``R(pre; c, b, d)`` is the same row (``bc = cb``, the other two terms
+trade places), so only ``b <= c`` is instantiated.  Basis position 0 is
+the monomial 1; with ``b = 0`` the first and last terms cancel, leaving
+``F(pre, 1)(cd)``, so these instances give exactly the single-entry rows
+``F(pre, 1)(x)`` for every ``x`` (none when ``0`` is in ``pre``).  They
+are added directly and ``b, c`` run over ``1 .. B-1``.
 
-(a) ``R(pre; b, c, d)`` and ``R(pre; c, b, d)`` are the same coefficient
-    dict (``bc = cb``, the other two terms trade places), so only
-    ``b <= c`` is instantiated.
-(b) Basis position 0 is the monomial 1.  With ``b = 0`` the first and
-    last terms are the same unknown and cancel, leaving the single-entry
-    row ``F(pre, 1)(cd)``; ``c = 0`` is the same by (a), and ``cd`` runs
-    over every position as ``c`` and ``d`` do.  So these instances give
-    exactly the rows ``F(pre, 1)(x)`` for every ``x``, and none when
-    ``0`` is in ``pre`` (then ``F(pre, 1)`` has a repeated entry).  They
-    are emitted directly and ``b, c`` then run over ``1 .. B-1``.
-(c) Without the ``F(pre, bc)`` term (``bc`` truncates or repeats an entry
-    of ``pre``) the other two terms exist only for
-    ``deg d <= r - deg c`` and ``deg d <= r - deg b`` respectively, so for
-    larger ``d`` the row is zero.  The basis is sorted by degree, so ``d``
-    runs over a prefix of it.
+Rows have a fixed shape.  A product of two basis monomials is a monomial
+with coefficient 1, so each term of ``R(pre; b, c, d)`` has coefficient
++-1, the sign of sorting its tuple.  ``F(pre, bc)`` never shares a column
+with the other two terms, because ``bc`` is neither ``b`` nor ``c`` when
+``b, c != 1``.  ``F(pre, b)(cd)`` and ``F(pre, c)(bd)`` share a column
+exactly when ``b == c``; they then merge into ``-2 * sign``.  So a row
+with two or more entries has content 1, and normalising it only flips its
+leading sign.  The column block of ``pre + (x,)`` grows with ``x`` over
+the ``x`` not in ``pre`` (the increasing tuples are numbered in
+lexicographic order), and ``b <= c < bc`` by degree, so the terms come in
+the column order ``F(pre, b)(cd)``, ``F(pre, c)(bd)``, ``F(pre, bc)(d)``
+and rows are built as sorted tuples directly.
+
+The terms live in regions of ``d``.  Let ``n_x`` count the basis
+positions ``d`` with ``deg x + deg d <= r``, a prefix of the
+degree-sorted basis.  ``cd`` exists iff ``d < n_c`` and ``bd`` iff
+``d < n_b``, and ``n_c <= n_b`` as ``b <= c``.  ``d`` runs only up to the
+end of the last region where one of these two terms exists; past it only
+``F(pre, bc)(d)`` is left, so those columns are known zeros, added as one
+range.  The columns of every single-entry row (``F(pre, 1)(x)``, these
+ranges, and the regions with one term) go into one set and are emitted
+once each as ``((col, 1),)``.
+
+A row with two or more entries comes from one instance only, so such rows
+are listed without a set.  The combinations of its columns share exactly
+``pre``, and each adds one of ``b``, ``c``, ``bc``.  A +-2 entry marks
+``b == c``; three entries are ``b < c < bc``; of two entries, the pair
+``F(pre, b)(cd), F(pre, c)(bd)`` has the opposite relative sign to a pair
+with ``F(pre, bc)``, and ``b <= c`` leaves one reading of the latter.  A
+term's target then fixes ``d``.
 
 Both routes respect the multidegree grading.  The multidegree of an
 unknown is the exponent sum of its combination plus its target,
@@ -144,17 +163,23 @@ def build_constraints(
     """Instantiate the product rule on basis tuples.
 
     The rule is imposed at the final slot only, with the leading ``s - 1``
-    arguments running over strictly increasing tuples, and the instances
-    that facts (a)-(c) of the module docstring show to repeat a row or give
-    none are skipped: ``c < b``, a constant ``b`` or ``c`` (whose rows
-    ``F(pre, 1)(x)`` are added directly), and ``d`` past the degree bound
-    when ``F(pre, bc)`` is absent.  This gives the row set of the rule at
-    every slot on every ordered tuple of the other arguments: at the last
-    slot a permutation of the leading tuple scales the three terms of an
-    instance by one common sign, which row normalisation strips, a repeated
-    leading entry zeroes all three terms, and moving the rule from slot
-    ``t`` to the last slot is one permutation common to the three terms.
-    The test-suite checks the equality.
+    arguments running over strictly increasing tuples, on ``b <= c``, and
+    each row is formed once in its final shape, as the module docstring
+    sets out: the rows ``F(pre, 1)(x)`` and every other single-entry row
+    are collected as columns of known zeros, and the rows with two or more
+    entries (coefficients +-1, one of them -+2 when ``b == c``, content 1)
+    only have their leading sign flipped; each of these comes from one
+    instance, so they are listed without a set.  ``d`` runs up to the end
+    of the last region where ``F(pre, b)(cd)`` or ``F(pre, c)(bd)``
+    exists; above it the columns of ``F(pre, bc)`` are added as one range
+    of zeros.
+    This gives the row set of the rule at every slot on every ordered
+    tuple of the other arguments: at the last slot a permutation of the
+    leading tuple scales the three terms of an instance by one common
+    sign, which row normalisation strips, a repeated leading entry zeroes
+    all three terms, and moving the rule from slot ``t`` to the last slot
+    is one permutation common to the three terms.  The test-suite checks
+    the equality.
     """
     n = unknown_count(params)
     if n > max_unknowns:
@@ -179,52 +204,69 @@ def build_constraints(
 
     # For arity zero the slot range is empty.
     slots = tuple(range(max(s - 1, 0), s))
-    rowset: set[tuple[tuple[int, int], ...]] = set()
+    rows: list[tuple[tuple[int, int], ...]] = []
+    zeros: set[int] = set()
     for t in slots:
         for pre in combinations(range(B), t):
-            _add_last_slot_rows(rowset, block(pre), params.algebra)
-    return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), slots)
+            _add_last_slot_rows(rows, zeros, block(pre), params.algebra)
+    rows.extend(((col, 1),) for col in zeros)
+    return ConstraintSystem(params, unknowns, tuple(sorted(rows)), slots)
 
 
-def _add_last_slot_rows(rowset: set, block: list, alg) -> None:
-    """Add the rows ``R(pre; b, c, d)`` for all basis positions ``b, c, d``
-    from only the instances that can give a new one: facts (a)-(c) of the
-    module docstring."""
+def _add_last_slot_rows(rows: list, zeros: set, block: list, alg) -> None:
+    """Add the rows ``R(pre; b, c, d)`` with two or more entries to
+    ``rows`` and the columns of the single-entry ones to ``zeros``, each
+    ``d`` region of each ``b <= c`` once, as the module docstring sets
+    out."""
     B, prod_idx, deg, r = len(block), alg.product_index, alg.degrees, alg.r
+    ends = [bisect_right(deg, r - g) for g in deg]
     if block[0] is not None:
-        rowset.update(((block[0][0] + x, 1),) for x in range(B))
+        zeros.update(range(block[0][0], block[0][0] + B))
+    every_d = range(B)
     for b in range(1, B):
+        at_b, off_b, n_b = block[b], prod_idx[b], ends[b]
         for c in range(b, B):
-            bc = prod_idx[b][c]
-            if bc is not None and block[bc] is not None:
-                lim = r
-            else:
-                lim = max(r - deg[c] if block[b] else -1, r - deg[b] if block[c] else -1)
-            _add_rows_at(rowset, block, prod_idx, b, c, bisect_right(deg, lim))
+            at_c, n_c = block[c], ends[c]
+            # Terms as (column block, coefficient, target by d), in column
+            # order: F(pre, b)(cd), F(pre, c)(bd), F(pre, bc)(d).
+            head = [] if at_b is None or b == c else [(at_b[0], -at_b[1], prod_idx[c])]
+            merged = 2 if b == c else 1
+            tail = [] if at_c is None else [(at_c[0], -merged * at_c[1], off_b)]
+            bc = off_b[c]
+            at_bc = None if bc is None else block[bc]
+            if at_bc is not None:
+                tail.append((at_bc[0], at_bc[1], every_d))
+            # F(pre, b)(cd) or F(pre, c)(bd) exists exactly for d < hi.
+            hi = n_b if at_c is not None else n_c if head else 0
+            if head:
+                _add_region(rows, zeros, head + tail, 0, n_c)
+                if n_c < hi:
+                    _add_region(rows, zeros, tail, n_c, hi)
+            elif hi:
+                _add_region(rows, zeros, tail, 0, hi)
+            if at_bc is not None:
+                zeros.update(range(at_bc[0] + hi, at_bc[0] + B))
 
 
-def _add_rows_at(rowset: set, block: list, prod_idx, b: int, c: int, n: int) -> None:
-    """Add the nonzero rows ``F(.., b*c)(d) - F(.., b)(c*d) - F(.., c)(b*d)``
-    for ``d < n``, the slot's signed columns read from ``block``."""
-    at_b, at_c = block[b], block[c]
-    row_b, row_c = prod_idx[b], prod_idx[c]
-    bc = row_b[c]
-    at_bc = None if bc is None else block[bc]
-    for d in range(n):
-        coeffs = {} if at_bc is None else {at_bc[0] + d: at_bc[1]}
-        cd, bd = row_c[d], row_b[d]
-        if cd is not None and at_b is not None:
-            col = at_b[0] + cd
-            coeffs[col] = coeffs.get(col, 0) - at_b[1]
-        if bd is not None and at_c is not None:
-            col = at_c[0] + bd
-            coeffs[col] = coeffs.get(col, 0) - at_c[1]
-        row = {col: v for col, v in coeffs.items() if v}
-        if len(row) > 1:
-            rowset.add(tuple(sorted(_primitive(row, signed=True).items())))
-        elif row:
-            (col,) = row
-            rowset.add(((col, 1),))
+def _add_region(rows: list, zeros: set, terms: list, lo: int, hi: int) -> None:
+    """Add the rows for ``lo <= d < hi`` whose terms are ``terms``: one
+    term is a known zero, two or three form a row whose leading sign is
+    made positive."""
+    if len(terms) == 1:
+        ((at, _, to),) = terms
+        zeros.update([at + to[d] for d in range(lo, hi)])
+    elif len(terms) == 2:
+        (a1, v1, t1), (a2, v2, t2) = terms
+        if v1 < 0:
+            v1, v2 = -v1, -v2
+        rows.extend([((a1 + t1[d], v1), (a2 + t2[d], v2)) for d in range(lo, hi)])
+    else:
+        (a1, v1, t1), (a2, v2, t2), (a3, v3, t3) = terms
+        if v1 < 0:
+            v1, v2, v3 = -v1, -v2, -v3
+        rows.extend(
+            [((a1 + t1[d], v1), (a2 + t2[d], v2), (a3 + t3[d], v3)) for d in range(lo, hi)]
+        )
 
 
 def _primitive(row: dict[int, int], signed: bool = False) -> dict[int, int]:

@@ -68,6 +68,8 @@ class AlgebraParams:
 
 
 def _as_fraction(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, float):
         raise TypeError(f"float coefficient {c!r} refused: coefficients are exact")
     return Fraction(c)

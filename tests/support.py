@@ -9,8 +9,10 @@ must report the same cases and the same failures in the same order.
 ``reference_build_rows`` is the oracle's last-slot row builder without its
 pruning: every ``b, c, d`` on every increasing leading tuple, and
 ``reference_build_all_slots`` imposes the rule at every slot on every
-ordered tuple of the other arguments.  ``reference_nullspace`` eliminates
-the whole system at once, where the oracle goes block by block.
+ordered tuple of the other arguments, forming each row in a dict of
+coefficients and dividing out its content (``_add_rows_at``), so it
+shares no code with the builder it checks.  ``reference_nullspace``
+eliminates the whole system at once, where the oracle goes block by block.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import gcd
 from jetlift import CoefficientAssignment, LiftParams, LiftTable, construct, free_cells
 from jetlift.lift_space import FreeCell, TableEvaluator, lookup_skew, sort_with_sign
 from jetlift.multiindex import MultiIndex, add, degree, sub_unit, support
-from jetlift.oracle import ConstraintSystem, _add_rows_at, _Echelon, _NullBasis
+from jetlift.oracle import ConstraintSystem, _Echelon, _NullBasis
 from jetlift.verifier import Failure, VerificationReport, check_truncation
 from jetlift.weil_algebra import AlgebraParams
 
@@ -308,6 +310,41 @@ def reference_build_rows(params: LiftParams) -> tuple[tuple[tuple[int, int], ...
                         if row is not None:
                             rowset.add(row)
     return tuple(sorted(rowset))
+
+
+def _add_rows_at(rowset: set, block: list, prod_idx, b: int, c: int, n: int) -> None:
+    """Add the nonzero rows ``F(.., b*c)(d) - F(.., b)(c*d) - F(.., c)(b*d)``
+    for ``d < n``, the slot's signed columns read from ``block``."""
+    at_b, at_c = block[b], block[c]
+    row_b, row_c = prod_idx[b], prod_idx[c]
+    bc = row_b[c]
+    at_bc = None if bc is None else block[bc]
+    for d in range(n):
+        coeffs = {} if at_bc is None else {at_bc[0] + d: at_bc[1]}
+        cd, bd = row_c[d], row_b[d]
+        if cd is not None and at_b is not None:
+            col = at_b[0] + cd
+            coeffs[col] = coeffs.get(col, 0) - at_b[1]
+        if bd is not None and at_c is not None:
+            col = at_c[0] + bd
+            coeffs[col] = coeffs.get(col, 0) - at_c[1]
+        row = {col: v for col, v in coeffs.items() if v}
+        if len(row) > 1:
+            rowset.add(tuple(sorted(_primitive(row, signed=True).items())))
+        elif row:
+            (col,) = row
+            rowset.add(((col, 1),))
+
+
+def _primitive(row: dict[int, int], signed: bool = False) -> dict[int, int]:
+    """``row`` (no zero entries) divided by its content; ``signed`` also
+    makes its entry at the lowest column positive, as rows are stored."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    if signed and row[min(row)] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def reference_build_all_slots(params: LiftParams) -> ConstraintSystem:

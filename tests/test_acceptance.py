@@ -1,4 +1,4 @@
-"""Acceptance gate: seven criteria, one test and one printed PASS/FAIL line
+"""Acceptance gate: eight criteria, one test and one printed PASS/FAIL line
 each.  Run ``pytest -s tests/test_acceptance.py`` to watch the lines appear;
 every comparison below is exact (integers and rationals, no tolerances).
 
@@ -6,11 +6,12 @@ The parameter grid is r, k in {1,2,3} and s in {0,1,2,3}.  Every criterion
 runs on the full grid except criterion 6, which drops the points whose
 linear system would exceed the CLI's unknown-count guard (exactly one point,
 (3,3,3)): its every-slot reference would instantiate about ten million
-product-rule instances there.  The oracle criteria 1 and 4 build (3,3,3)
-with the guard lifted to its unknown count.
+product-rule instances there.  The oracle criteria 1, 4 and 8 build
+(3,3,3) with the guard lifted to its unknown count.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from jetlift import (
     free_cells,
     run_all_checks,
 )
-from jetlift.lift_space import extract_coefficients
+from jetlift.lift_space import extract_coefficients, graded_dimension
 from jetlift.multiindex import binomial
 from jetlift.oracle import (
     DEFAULT_MAX_UNKNOWNS,
@@ -239,5 +240,37 @@ def test_criterion_7_corruption_detection():
         7,
         "single-cell corruptions at detectable cells are flagged in all 20 "
         "seeded trials per point (r, k ≤ 2, s in {1, 2})",
+        failures,
+    )
+
+
+def test_criterion_8_graded_agreement(oracle_cache):
+    # Every oracle basis vector lies in one multidegree block, the block of
+    # its free column; the closed form, the free cells and the oracle must
+    # then agree block by block.
+    failures = []
+    for point in FULL_GRID:
+        params, system, _, basis = oracle_cache[point]
+        degrees = system.column_degrees
+        cells = Counter()
+        for cell in free_cells(params):
+            m = list(cell.alpha)
+            for j in cell.axes:
+                m[j - 1] += 1
+            cells[tuple(m)] += 1
+        vectors = Counter()
+        for vec in basis.sparse:
+            blocks = {degrees[col] for col in vec}
+            if len(blocks) != 1:
+                failures.append((point, "vector spans blocks", sorted(blocks)))
+            vectors.update(blocks)
+        for m in sorted(set(degrees) | set(cells)):
+            counts = (graded_dimension(params, m), cells[m], vectors[m])
+            if len(set(counts)) != 1:
+                failures.append((point, m, counts))
+    finish(
+        8,
+        "per multidegree block, the graded closed form, the free cells and "
+        "the oracle basis vectors agree on the full grid",
         failures,
     )

@@ -381,6 +381,30 @@ def test_verify_rejects_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def _assert_cannot_write(argv, path, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    assert not Path(path).exists()
+
+
+def test_oracle_reports_an_unwritable_dump(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.mtx"
+    argv = ["oracle", "-r", "1", "-k", "1", "-s", "1", "--dump", str(path)]
+    _assert_cannot_write(argv, path, capsys)
+
+
+def test_zset_reports_an_unwritable_out(tmp_path, capsys):
+    path = tmp_path / "missing" / "z.json"
+    argv = ["zset", "-r", "1", "-k", "1", "-s", "1", "--out", str(path)]
+    _assert_cannot_write(argv, path, capsys)
+
+
+def test_construct_reports_an_unwritable_out(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.json"
+    argv = ["construct", "--random", "-r", "1", "-k", "1", "-s", "1", "--out", str(path)]
+    _assert_cannot_write(argv, path, capsys)
+
+
 @pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
     reason="this Python writes integers of any length",

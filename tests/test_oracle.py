@@ -204,6 +204,25 @@ def test_pruned_builder_gives_the_unpruned_rows(r, k, s):
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_rows_have_the_shape_the_builder_forms(r, k, s):
+    # Each term of a product-rule row has coefficient +-1, and only the two
+    # single-factor terms can share a column (when b == c), so the builder
+    # forms rows in this shape without dividing by a content.
+    for row in default_system(r, k, s).rows:
+        assert 1 <= len(row) <= 3, row
+        if len(row) == 1:
+            assert row[0][1] == 1, row
+            continue
+        cols = [col for col, _ in row]
+        values = [v for _, v in row]
+        assert cols == sorted(set(cols)), row
+        assert values[0] > 0, row
+        assert set(values) <= {1, -1, 2, -2}, row
+        assert sum(abs(v) == 2 for v in values) <= 1, row
+        assert math.gcd(*values) == 1, row
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_rows_are_homogeneous_in_the_torus_grading(r, k, s):
     # Scaling each variable preserves the product rule, so every column of a
     # row has the same multidegree: the exponent sum of its combination
