@@ -201,7 +201,7 @@ def cmd_oracle(args) -> int:
     ok = nullity == formula and iso
     print(f"nullspace={nullity} formula={formula} iso={'ok' if iso else 'FAIL'}")
     if args.compare:
-        rep = compare_with_construction(params, system=system, nullbasis=basis)
+        rep = compare_with_construction(system, basis)
         _print_report(rep, args.witnesses, sys.stdout)
         ok = ok and rep.passed
     return 0 if ok else 1

@@ -39,7 +39,7 @@ class LiftParams:
     s: int
 
     def __post_init__(self) -> None:
-        if self.s < 0:
+        if parse_int(self.s, "arity") < 0:
             raise ValueError(f"arity must be non-negative, got {self.s}")
 
     @cached_property

@@ -85,7 +85,6 @@ from .lift_space import (
     LiftParams,
     TableEvaluator,
     construct,
-    dimension,
     free_cells,
     sort_with_sign,
 )
@@ -347,23 +346,9 @@ class _Echelon:
         return basis
 
 
-class _NullBasis(list):
-    """Dense basis vectors (tuples of Fractions) that keep their nonzero
-    entries alongside as ``sparse`` dicts, which ``rank_of`` reads instead
-    of scanning the zeros.  A slice or copy is a plain list."""
-
-    def __init__(self, sparse: list[dict[int, Fraction]], ncols: int):
-        for vec in sparse:
-            row = [Fraction(0)] * ncols
-            for c, v in vec.items():
-                row[c] = v
-            self.append(tuple(row))
-        self.sparse = sparse
-
-
-def nullspace(system: ConstraintSystem) -> tuple[int, list[tuple[Fraction, ...]]]:
-    """Exact nullspace dimension and an explicit rational basis, one dense
-    tuple per free column, in column order.
+def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]:
+    """Exact nullspace dimension and an explicit rational basis, one vector
+    per free column, in column order, each a dict of its nonzero entries.
 
     The columns of a single-entry row are known zeros: they are dropped
     from the other rows instead of pivoted on.  Every row lies in one
@@ -386,33 +371,30 @@ def nullspace(system: ConstraintSystem) -> tuple[int, list[tuple[Fraction, ...]]
         kept = [(col, v) for col, v in row if col not in zeros]
         if kept:
             echelons[degrees[kept[0][0]]].add(kept)
-    sparse: dict[int, dict[int, Fraction]] = {}
+    by_free: dict[int, dict[int, Fraction]] = {}
     for m, cols in blocks.items():
         ech = echelons[m]
         if ech.rank < len(cols):
-            sparse.update(ech.nullspace_basis(cols))
-    n = len(system.unknowns)
-    basis = _NullBasis([sparse[f] for f in sorted(sparse)], n)
-    return len(basis), basis
+            by_free.update(ech.nullspace_basis(cols))
+    return len(by_free), [by_free[f] for f in sorted(by_free)]
 
 
-def _integer_row(vec) -> dict[int, int]:
-    pairs = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
-    items = {c: Fraction(v) for c, v in pairs if v}
+def _integer_row(vec: Mapping[int, Fraction]) -> dict[int, int]:
+    items = {c: v for c, v in vec.items() if v}
     scale = lcm(*(v.denominator for v in items.values()))
     return {c: int(v * scale) for c, v in items.items()}
 
 
-def rank_of(vectors: Iterable) -> int:
-    """Exact rank of a family of rational vectors (dense or sparse); a basis
-    from ``nullspace`` is read through its nonzero entries."""
+def rank_of(vectors: Iterable[Mapping[int, Fraction]]) -> int:
+    """Exact rank of a family of sparse rational vectors, each a dict from
+    column to value, like the basis ``nullspace`` returns."""
     ech = _Echelon()
-    for v in getattr(vectors, "sparse", vectors):
+    for v in vectors:
         ech.add(_integer_row(v))
     return ech.rank
 
 
-def check_iso(system: ConstraintSystem, nullbasis: Sequence[Sequence[Fraction]]) -> bool:
+def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]) -> bool:
     """Is reading a nullspace vector off at the free cells bijective?
 
     Builds the free-cell-by-basis-vector matrix and tests squareness plus
@@ -428,7 +410,7 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Sequence[Fraction]])
     for cell in cells:
         combo = tuple(bi[unit(alg.k, i)] for i in cell.axes)
         col = system.column(combo, bi[cell.alpha])
-        rows.append({b: nullbasis[b][col] for b in range(len(nullbasis)) if nullbasis[b][col]})
+        rows.append({b: v for b, vec in enumerate(nullbasis) if (v := vec.get(col))})
     return rank_of(rows) == len(cells)
 
 
@@ -458,11 +440,7 @@ def expand_table(system: ConstraintSystem, table) -> dict[int, Fraction]:
 
 
 def compare_with_construction(
-    params: LiftParams,
-    *,
-    system: ConstraintSystem | None = None,
-    nullbasis: Sequence[Sequence[Fraction]] | None = None,
-    max_unknowns: int = DEFAULT_MAX_UNKNOWNS,
+    system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]
 ) -> VerificationReport:
     """Cross-validate the closed-form construction against the brute force.
 
@@ -474,10 +452,7 @@ def compare_with_construction(
     every row still counts as a case.  Rows are indexed only at the columns
     some vector fills.
     """
-    if system is None:
-        system = build_constraints(params, max_unknowns=max_unknowns)
-    if nullbasis is None:
-        _, nullbasis = nullspace(system)
+    params = system.params
     cells = free_cells(params)
     expanded = [
         expand_table(system, construct(CoefficientAssignment.unit(params, cell)))
@@ -503,7 +478,7 @@ def compare_with_construction(
                 )
     r_null = rank_of(nullbasis)
     r_exp = rank_of(expanded)
-    r_union = rank_of([*getattr(nullbasis, "sparse", nullbasis), *expanded])
+    r_union = rank_of([*nullbasis, *expanded])
     rep.cases["span"] = 1
     if not (r_null == r_exp == r_union == len(nullbasis) == len(expanded)):
         rep.failures.append(

@@ -24,7 +24,7 @@ from math import gcd
 from jetlift import CoefficientAssignment, LiftParams, LiftTable, construct, free_cells
 from jetlift.lift_space import FreeCell, TableEvaluator, lookup_skew, sort_with_sign
 from jetlift.multiindex import MultiIndex, add, degree, sub_unit, support
-from jetlift.oracle import ConstraintSystem, _Echelon, _NullBasis
+from jetlift.oracle import ConstraintSystem, _Echelon
 from jetlift.verifier import Failure, VerificationReport, check_truncation
 from jetlift.weil_algebra import AlgebraParams
 
@@ -381,6 +381,5 @@ def reference_nullspace(system: ConstraintSystem):
     ech = _Echelon()
     for row in sorted(system.rows, key=len):
         ech.add(row)
-    n = len(system.unknowns)
-    basis = _NullBasis(list(ech.nullspace_basis(range(n)).values()), n)
+    basis = list(ech.nullspace_basis(range(len(system.unknowns))).values())
     return len(basis), basis

@@ -145,6 +145,12 @@ def test_negative_arity_is_refused():
         lift_params(1, 2, -1)
 
 
+@pytest.mark.parametrize("s", [True, 1.0, 2.5, "2", None])
+def test_arity_must_be_an_integer(s):
+    with pytest.raises(ValueError, match="arity must be an integer"):
+        lift_params(1, 2, s)
+
+
 # -- permutation sign -----------------------------------------------------------
 
 
@@ -450,19 +456,19 @@ def test_element_evaluation_is_multilinear_and_skew():
     alg = P222.algebra
     rng = random.Random(13)
 
-    def rand_elem():
-        return AlgebraElement(
-            alg,
-            {
-                rng.randrange(alg.dim): Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                for _ in range(3)
-            },
-        )
+    def rand_coeffs():
+        return {
+            rng.randrange(alg.dim): Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            for _ in range(3)
+        }
 
     for _ in range(10):
-        u, v, w, d = rand_elem(), rand_elem(), rand_elem(), rand_elem()
+        cu, cv = rand_coeffs(), rand_coeffs()
+        u, v = AlgebraElement(alg, cu), AlgebraElement(alg, cv)
+        w, d = AlgebraElement(alg, rand_coeffs()), AlgebraElement(alg, rand_coeffs())
         a = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        assert evaluate(table, [u.scaled(a) + v, w], d) == a * evaluate(
+        combo = {pos: a * cu.get(pos, 0) + cv.get(pos, 0) for pos in cu.keys() | cv.keys()}
+        assert evaluate(table, [AlgebraElement(alg, combo), w], d) == a * evaluate(
             table, [u, w], d
         ) + evaluate(table, [v, w], d)
         assert evaluate(table, [u, v], d) == -evaluate(table, [v, u], d)
@@ -475,20 +481,17 @@ def test_element_evaluation_agrees_with_monomial_evaluation():
     for g1 in alg.basis:
         for g2 in alg.basis:
             for d in alg.basis:
-                got = evaluate(
-                    table,
-                    [AlgebraElement.monomial(alg, g1), AlgebraElement.monomial(alg, g2)],
-                    AlgebraElement.monomial(alg, d),
-                )
+                args = [AlgebraElement.from_terms(alg, {g: 1}) for g in (g1, g2)]
+                got = evaluate(table, args, AlgebraElement.from_terms(alg, {d: 1}))
                 assert got == monomial_value(table, [g1, g2], d)
 
 
 def test_element_evaluation_validation():
     table = construct(CoefficientAssignment.random(P222, seed=12))
     alg = P222.algebra
-    one = AlgebraElement.one(alg)
+    one = AlgebraElement(alg, {0: 1})
     with pytest.raises(ValueError, match="argument"):
         evaluate(table, [one], one)
-    foreign = AlgebraElement.one(AlgebraParams(1, 2))
+    foreign = AlgebraElement(AlgebraParams(1, 2), {0: 1})
     with pytest.raises(ValueError, match="parameters"):
         evaluate(table, [one, foreign], one)

@@ -31,6 +31,7 @@ from jetlift.oracle import (
     rank_of,
     unknown_count,
 )
+from jetlift.verifier import Failure
 from support import reference_build_all_slots, reference_build_rows, reference_nullspace
 
 
@@ -38,15 +39,11 @@ def lift_params(r: int, k: int, s: int) -> LiftParams:
     return LiftParams(AlgebraParams(r, k), s)
 
 
-def satisfies(rows, vec) -> bool:
+def satisfies(rows, vec: dict) -> bool:
     return all(
-        sum((coeff * vec[col] for col, coeff in row), Fraction(0)) == 0 for row in rows
+        sum((coeff * vec.get(col, 0) for col, coeff in row), Fraction(0)) == 0
+        for row in rows
     )
-
-
-def dense(system, vec: dict) -> list:
-    """A sparse ``expand_table`` vector as the dense list it stands for."""
-    return [vec.get(col, Fraction(0)) for col in range(len(system.unknowns))]
 
 
 # -- sizes and the guard ---------------------------------------------------------
@@ -100,7 +97,7 @@ def test_smallest_system_is_fully_frozen():
     assert system.rows == (((0, 1),), ((1, 1),), ((3, 1),))
     nullity, basis = nullspace(system)
     assert nullity == 1
-    assert basis == [(Fraction(0), Fraction(0), Fraction(1), Fraction(0))]
+    assert basis == [{2: Fraction(1)}]
     assert check_iso(system, basis)
 
 
@@ -246,7 +243,6 @@ def test_graded_nullspace_gives_the_whole_system_basis(r, k, s):
     system = default_system(r, k, s)
     nullity, basis = nullspace(system)
     assert (nullity, basis) == reference_nullspace(system)
-    assert [dense(system, vec) for vec in basis.sparse] == [list(vec) for vec in basis]
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
@@ -255,8 +251,8 @@ def test_nullity_of_each_block_is_the_graded_dimension(r, k, s):
     # multidegree that has an unknown is counted, empty blocks included.
     system = default_system(r, k, s)
     _, basis = nullspace(system)
-    per_block = Counter(system.column_degrees[min(vec)] for vec in basis.sparse)
-    assert all(len({system.column_degrees[c] for c in vec}) == 1 for vec in basis.sparse)
+    per_block = Counter(system.column_degrees[min(vec)] for vec in basis)
+    assert all(len({system.column_degrees[c] for c in vec}) == 1 for vec in basis)
     for m in set(system.column_degrees):
         assert per_block[m] == graded_dimension(system.params, m), m
 
@@ -276,13 +272,6 @@ def test_expansion_skips_only_columns_that_are_zero(r, k, s):
         assert {col for col, v in enumerate(full) if v} <= live
 
 
-def test_rank_of_reads_a_nullspace_basis_like_its_dense_copy():
-    system = build_constraints(lift_params(2, 2, 2))
-    nullity, basis = nullspace(system)
-    assert all(isinstance(vec, tuple) for vec in basis)
-    assert rank_of(basis) == rank_of(list(basis)) == nullity == 3
-
-
 # -- isomorphism check ----------------------------------------------------------------
 
 
@@ -294,15 +283,14 @@ def test_check_iso_rejects_wrong_bases():
     assert not check_iso(system, basis[:-1])
     degenerate = [basis[0]] * len(basis)
     assert not check_iso(system, degenerate)
-    zeros = [tuple(Fraction(0) for _ in system.unknowns)] * len(basis)
-    assert not check_iso(system, zeros)
+    assert not check_iso(system, [{}] * len(basis))
 
 
 def test_rank_of_examples():
     assert rank_of([]) == 0
-    assert rank_of([(Fraction(0), Fraction(0))]) == 0
-    assert rank_of([(1, 0), (0, 1), (1, 1)]) == 2
-    assert rank_of([(Fraction(1, 2), Fraction(1)), (Fraction(1), Fraction(2))]) == 1
+    assert rank_of([{}, {0: Fraction(0), 1: Fraction(0)}]) == 0
+    assert rank_of([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
+    assert rank_of([{0: Fraction(1, 2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(2)}]) == 1
     assert rank_of([{0: Fraction(1)}, {1: Fraction(1, 3)}]) == 2
 
 
@@ -314,12 +302,14 @@ def test_expanded_unit_tables_satisfy_the_rows():
     system = build_constraints(params)
     for cell in free_cells(params):
         table = construct(CoefficientAssignment.unit(params, cell))
-        assert satisfies(system.rows, dense(system, expand_table(system, table)))
+        assert satisfies(system.rows, expand_table(system, table))
 
 
 @pytest.mark.parametrize("r,k,s", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 2), (2, 1, 1)])
 def test_compare_with_construction_passes(r, k, s):
-    rep = compare_with_construction(lift_params(r, k, s))
+    system = build_constraints(lift_params(r, k, s))
+    _, basis = nullspace(system)
+    rep = compare_with_construction(system, basis)
     assert rep.passed, rep.to_json_dict()
     assert rep.cases["span"] == 1
 
@@ -332,19 +322,18 @@ def test_compare_reports_violated_rows_in_row_order():
     system = build_constraints(params)
     cells = free_cells(params)
     vecs = [
-        dense(system, expand_table(system, construct(CoefficientAssignment.unit(params, c))))
-        for c in cells
+        expand_table(system, construct(CoefficientAssignment.unit(params, c))) for c in cells
     ]
-    support = [col for col, v in enumerate(vecs[0]) if v]
+    support = sorted(vecs[0])
     extra = {((support[0], 1),), ((0, 1), (support[-1], 2))}
     doctored = replace(system, rows=tuple(sorted(set(system.rows) | extra)))
     _, basis = nullspace(system)
-    rep = compare_with_construction(params, system=doctored, nullbasis=basis)
+    rep = compare_with_construction(doctored, basis)
     expected = [
         (cell, row)
         for cell, vec in zip(cells, vecs)
         for row in doctored.rows
-        if sum((coeff * vec[col] for col, coeff in row), Fraction(0)) != 0
+        if not satisfies([row], vec)
     ]
     assert expected
     assert [f.witness for f in rep.failures if f.check == "constraint-rows"] == expected
@@ -355,9 +344,25 @@ def test_compare_detects_a_doctored_basis():
     params = lift_params(1, 2, 1)
     system = build_constraints(params)
     _, basis = nullspace(system)
-    wrong = [tuple(2 * v for v in basis[0])] * len(basis)
-    rep = compare_with_construction(params, system=system, nullbasis=wrong)
+    wrong = [{col: 2 * v for col, v in basis[0].items()}] * len(basis)
+    rep = compare_with_construction(system, wrong)
     assert not rep.passed
+
+
+def test_compare_needs_the_union_rank_for_a_full_rank_basis_off_the_kernel():
+    # 1 added at a live column where no vector is free (a vector's free
+    # column is the last it holds) keeps the basis of full rank but takes it
+    # off the kernel; the nullspace and construction ranks both still read
+    # 3, so only the rank of their union sees it.
+    system = build_constraints(lift_params(2, 2, 2))
+    _, basis = nullspace(system)
+    free = {max(vec) for vec in basis}
+    col = next(c for c in system.live_columns if c not in free)
+    assert col not in basis[0]
+    wrong = [{**basis[0], col: Fraction(1)}, *basis[1:]]
+    rep = compare_with_construction(system, wrong)
+    witness = (("nullspace", 3), ("construction", 3), ("union", 4))
+    assert rep.failures == [Failure("span", witness, Fraction(3), Fraction(4))]
 
 
 # -- matrix dump -------------------------------------------------------------------------
