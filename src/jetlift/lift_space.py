@@ -39,6 +39,8 @@ class LiftParams:
     s: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algebra, AlgebraParams):
+            raise TypeError(f"algebra must be an AlgebraParams, got {self.algebra!r}")
         if parse_int(self.s, "arity") < 0:
             raise ValueError(f"arity must be non-negative, got {self.s}")
 
@@ -126,6 +128,7 @@ def graded_dimension(params: LiftParams, m: MultiIndex) -> int:
     ``m = 0`` too, and the sum over ``m`` is ``dimension(params)``.
     """
     k = params.algebra.k
+    m = tuple(parse_int(x, "multidegree entry") for x in m)
     if len(m) != k or any(x < 0 for x in m):
         raise ValueError(f"multidegree must be {k} non-negative integers, got {m}")
     top, q = params.algebra.r + params.s, len(support(m))
@@ -425,8 +428,8 @@ def lookup_skew(table: LiftTable, axes: Sequence[int], alpha: MultiIndex) -> Fra
     """Table value at an arbitrary axis tuple: zero on a repeated axis,
     otherwise the signed cell at the sorted tuple."""
     p = table.params
-    axes = tuple(axes)
-    alpha = tuple(alpha)
+    axes = tuple(parse_int(j, "axis") for j in axes)
+    alpha = tuple(parse_int(e, "exponent") for e in alpha)
     if len(axes) != p.s:
         raise ValueError(f"expected {p.s} axes, got {len(axes)}")
     k = p.algebra.k
@@ -450,15 +453,17 @@ class TableEvaluator:
     monomial is peeled one supported axis at a time, the leftover exponents
     migrate into the target, and the resulting degree-one tuple is read off
     the table with the sign of its sorting permutation.  Everything is keyed
-    by basis position; the verifier's sweeps and the oracle's table
-    expansion lean on this.
+    by basis position; the verifier's product-rule sweep and the oracle's
+    table expansion lean on this.  Signing by sorting makes the values
+    skew-symmetric for every table, which ``check_skew`` relies on.
 
     Two kinds of tuple give zero before any cell is read: one with a
     constant argument monomial, and one whose argument and target degrees
-    sum past r + s.  The verifier's sweeps decide the tuples that hit these
-    zeros without calling the evaluator, and the oracle's ``expand_table``
-    evaluates only the unknowns that miss both (``live_columns``), so they
-    must stay exactly as they are in ``_compute``.
+    sum past r + s.  The verifier's product-rule sweep decides the tuples
+    that hit these zeros without calling the evaluator, and the oracle's
+    ``expand_table`` evaluates only the unknowns that miss both
+    (``live_columns``), so they must stay exactly as they are in
+    ``_compute``.
 
     Evaluation keeps the multidegree, the exponent sum of the arguments and
     the target: each peeled axis ``j`` of an argument moves ``e_j`` into

@@ -7,10 +7,15 @@ vanish.  Every check decides every basis tuple -- by multilinearity that is
 complete coverage, no sampling involved -- and its ``cases`` count is the
 number of basis tuples decided.
 
-The skew and product-rule sweeps evaluate only the tuples that can read a
-table cell.  ``TableEvaluator`` returns zero, before reading any cell, when
-an argument monomial is constant or when the argument and target degrees
-sum past r + s; the identities below then hold for every table, so those
+Skew-symmetry is carried by the table layout: rows are stored only on
+increasing axis tuples and ``TableEvaluator`` signs every read by sorting,
+so ``check_skew`` counts its cases without evaluating any (its docstring
+has the proof).
+
+The product-rule sweep evaluates only the tuples that can read a table
+cell.  ``TableEvaluator`` returns zero, before reading any cell, when an
+argument monomial is constant or when the argument and target degrees sum
+past r + s; the identities below then hold for every table, so those
 tuples are decided without evaluation:
 
 - a product-rule instance ``(others, b, c, d)`` with a constant entry in
@@ -19,9 +24,34 @@ tuples are decided without evaluation:
   total degree (or a truncated product, which contributes zero), so 0 = 0;
 - one with ``b`` constant: the left side and the term with ``c`` in the
   slot are the same evaluation, and the term with ``b`` in the slot has a
-  constant argument (likewise with ``b`` and ``c`` exchanged);
-- a skew pair ``(g, d)`` with a constant entry in ``g`` or over the degree
-  cap: its value, every slot exchange of it and the repeated case are 0.
+  constant argument (likewise with ``b`` and ``c`` exchanged).
+
+For r >= 1 the product-rule sweep and the truncation check give the same
+verdict on every table.  Fix the other arguments; peeling them one axis
+each writes the map in the last slot as a weighted sum of terms
+``x^u * phi_J``, one per peeled axis tuple ``J``, where
+``(x^u * phi)(a)(d) = phi(a)(x^u d)``, ``u`` collects the leftover
+exponents of the other arguments, and ``phi_J(x_j)`` is the signed row of
+``J + (j,)``.  ``phi_J`` peels its own argument the same way:
+``phi_J(x^a) = sum_j a_j x^(a - e_j) phi_J(x_j)``, the polynomial
+derivation with the stored cells as its values on the variables.  Such a
+derivation passes to the truncated algebra exactly when it kills the
+generators ``x^eps``, ``|eps| = r + 1``, of the truncation ideal, and
+``phi_J(x^eps)`` is nonzero only at the constant target, where it is the
+truncation sum at ``(J, eps)``.
+
+- Truncation passes: every ``phi_J`` is a derivation of the truncated
+  algebra into its dual, so is every ``x^u * phi_J``, and so is their sum;
+  the product rule holds on every basis tuple.
+- The product rule passes: with ``r >= 1``, split ``eps = b + c`` with
+  ``b``, ``c`` nonconstant, both in the basis.  The instance with degree-one
+  others on ``J``, arguments ``b``, ``c`` and the constant target reads
+  ``0 = phi_J(b)(c) + phi_J(c)(b)``, which is the truncation sum at
+  ``(J, eps)``.
+
+At r = 0 no basis monomial is nonconstant, so the product-rule sweep
+reads no cell and passes every table, while truncation requires every
+cell to be zero; only truncation sees the cells there.
 """
 
 from __future__ import annotations
@@ -30,7 +60,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import perm
+from math import comb, perm
 
 from .lift_space import LiftTable, TableEvaluator, lookup_skew
 from .multiindex import enumerate_degree_exactly, sub_unit, support
@@ -102,54 +132,36 @@ def _nonconstant_tuples(n: int, budget: int, degrees: tuple[int, ...]):
             yield (x,) + rest, dx + d_rest
 
 
-def check_skew(table: LiftTable, *, evaluator: TableEvaluator | None = None) -> VerificationReport:
+def check_skew(table: LiftTable) -> VerificationReport:
     """Exchanging two argument slots must negate the value, and a repeated
     argument monomial must kill it.  Vacuous for arity below two.
 
     ``cases`` counts one case per slot pair and one per repeated tuple, for
-    every tuple of s + 1 basis positions; only the tuples that can read a
-    cell are evaluated (see the module docstring)."""
-    p = table.params
-    s = p.s
-    rep = VerificationReport(cases={"skew": 0})
-    if s < 2:
-        return rep
-    ev = evaluator or TableEvaluator(table)
-    alg = p.algebra
-    basis = alg.basis
-    degrees = alg.degrees
-    cap = alg.r + s
-    B = len(basis)
-    pairs = list(combinations(range(s), 2))
-    for g, deg_g in _nonconstant_tuples(s, cap, degrees):
-        distinct = len(set(g)) == s
-        for d in range(bisect_right(degrees, cap - deg_g)):
-            v = ev.monomials_by_index(g, d)
-            if not distinct and v != 0:
-                rep.failures.append(
-                    Failure(
-                        "skew",
-                        (tuple(basis[x] for x in g), "repeated", basis[d]),
-                        Fraction(0),
-                        v,
-                    )
-                )
-            for a, b in pairs:
-                swapped = list(g)
-                swapped[a], swapped[b] = swapped[b], swapped[a]
-                w = ev.monomials_by_index(tuple(swapped), d)
-                if w != -v:
-                    rep.failures.append(
-                        Failure(
-                            "skew",
-                            (tuple(basis[x] for x in g), (a + 1, b + 1), basis[d]),
-                            -v,
-                            w,
-                        )
-                    )
-    repeated = B**s - perm(B, s)
-    rep.cases["skew"] = B ** (s + 1) * len(pairs) + repeated * B
-    return rep
+    every tuple of s + 1 basis positions.  Every case holds for every
+    table, so none is evaluated: ``TableEvaluator`` computes the value at
+    ``(g_1, ..., g_s; d)`` as a sum over the peeled axis tuples
+    ``(j_1, ..., j_s)``, one supported axis ``j_t`` of each ``g_t``, of the
+    signed cell at the sorted tuple, weighted by the product of the
+    exponents ``g_t[j_t]``, with target ``g_1 + ... + g_s + d - e_J``.
+
+    - Exchanging ``g_a`` and ``g_b`` exchanges ``j_a`` and ``j_b`` in every
+      peeled tuple.  The weight, the target, the sorted tuple and so the
+      cell stay the same, and the sorting sign flips, so every term and the
+      sum are negated.  The two zeros read before any cell (a constant
+      argument, degrees past r + s) do not depend on the argument order.
+    - When ``g_a = g_b``, a peeled tuple with ``j_a = j_b`` has a repeated
+      axis and reads zero.  The others pair up with the tuple that has
+      ``j_a`` and ``j_b`` exchanged, whose term is the negative of theirs by
+      the same argument, so the sum is zero.
+
+    A table stores only increasing axis tuples, so no cell value can break
+    either; ``tests/test_verifier.py`` sweeps every case on tables with
+    random cells."""
+    s = table.params.s
+    B = table.params.algebra.dim
+    return VerificationReport(
+        cases={"skew": B ** (s + 1) * comb(s, 2) + (B**s - perm(B, s)) * B}
+    )
 
 
 def check_leibniz_basis(
@@ -249,9 +261,8 @@ def check_truncation(table: LiftTable) -> VerificationReport:
 
 
 def run_all_checks(table: LiftTable, *, all_slots: bool = False) -> VerificationReport:
-    """Run the three table checks with a shared evaluation cache."""
-    ev = TableEvaluator(table)
-    rep = check_skew(table, evaluator=ev)
-    rep = rep.merged(check_leibniz_basis(table, all_slots=all_slots, evaluator=ev))
+    """Run the three table checks."""
+    rep = check_skew(table)
+    rep = rep.merged(check_leibniz_basis(table, all_slots=all_slots))
     return rep.merged(check_truncation(table))
 

@@ -61,10 +61,13 @@ class AlgebraParams:
 
 
 def _as_fraction(c) -> Fraction:
+    """An exact coefficient.  Floats, bools and strings are refused rather
+    than coerced; strings are read with ``parse_rational`` at the JSON
+    boundary."""
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, float):
-        raise TypeError(f"float coefficient {c!r} refused: coefficients are exact")
+    if isinstance(c, (float, bool, str)):
+        raise TypeError(f"{type(c).__name__} coefficient {c!r} refused: coefficients are exact")
     return Fraction(c)
 
 

@@ -4,8 +4,9 @@ Everything here recomputes results straight from first principles (box
 enumeration, definition filters, indicator tables, product-rule recursion)
 so the package code is checked against a second route, not against itself.
 The ``reference_*`` checks are the skew and product-rule sweeps without the
-verifier's pruning: they evaluate every basis tuple, so the pruned sweeps
-must report the same cases and the same failures in the same order.
+verifier's pruning: they evaluate every basis tuple, so the pruned
+product-rule sweep must report the same cases and the same failures in the
+same order, and ``check_skew``, which evaluates nothing, the same cases.
 ``reference_build_rows`` is the oracle's last-slot row builder without its
 pruning: every ``b, c, d`` on every increasing leading tuple, and
 ``reference_build_all_slots`` imposes the rule at every slot on every
@@ -129,7 +130,9 @@ def reference_check_skew(
 ) -> VerificationReport:
     """``check_skew`` as an unpruned sweep: every basis tuple is evaluated.
     Exchanging two argument slots must negate the value, and a repeated
-    argument monomial must kill it.  Vacuous for arity below two."""
+    argument monomial must kill it.  Vacuous for arity below two.  It
+    checks the premise ``check_skew`` rests on: the evaluator is
+    skew-symmetric on every table."""
     p = table.params
     s = p.s
     rep = VerificationReport(cases={"skew": 0})

@@ -124,6 +124,9 @@ def test_graded_dimension_examples_and_validation():
     for bad in [(1, 1), (1, -1, 0)]:
         with pytest.raises(ValueError):
             graded_dimension(params, bad)
+    for bad in [(True, 1, 0), (1.0, 1, 0), (1, "1", 0), (1, None, 0)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            graded_dimension(params, bad)
 
 
 def test_zero_arity_dimension_is_the_full_dual():
@@ -138,6 +141,12 @@ def test_rows_are_increasing_axis_tuples():
     assert lift_params(1, 3, 2).rows == ((1, 2), (1, 3), (2, 3))
     assert lift_params(1, 2, 0).rows == ((),)
     assert lift_params(1, 1, 2).rows == ()
+
+
+@pytest.mark.parametrize("algebra", [None, (2, 2), {"r": 2, "k": 2}, 2])
+def test_lift_params_refuse_an_algebra_that_is_not_algebra_params(algebra):
+    with pytest.raises(TypeError, match="AlgebraParams"):
+        LiftParams(algebra, 1)
 
 
 def test_negative_arity_is_refused():
@@ -328,6 +337,40 @@ def test_table_shape_validation():
         LiftTable(P121, ((Fraction(0),) * 2, (Fraction(0),) * 2))
 
 
+BAD_COEFFICIENTS = [0.5, True, " 3 ", "2", pytest.param("9" * 5000, id="5000-digits")]
+
+
+@pytest.mark.parametrize("c", BAD_COEFFICIENTS)
+def test_with_cell_refuses_inexact_bool_and_text_values(c):
+    t = construct(CoefficientAssignment.zeros(P121))
+    with pytest.raises(TypeError, match="refused"):
+        t.with_cell((2,), (1, 0), c)
+
+
+@pytest.mark.parametrize("c", BAD_COEFFICIENTS)
+def test_table_cells_refuse_inexact_bool_and_text_values(c):
+    with pytest.raises(TypeError, match="refused"):
+        LiftTable(P121, ((Fraction(0), c, Fraction(0)), (Fraction(0),) * 3))
+
+
+@pytest.mark.parametrize("c", BAD_COEFFICIENTS)
+def test_scaling_refuses_inexact_bool_and_text_factors(c):
+    a = CoefficientAssignment.random(P121, seed=1)
+    for x in (a, construct(a)):
+        with pytest.raises(TypeError, match="refused"):
+            x.scaled(c)
+        with pytest.raises(TypeError, match="refused"):
+            c * x
+
+
+@pytest.mark.parametrize("c", BAD_COEFFICIENTS)
+def test_assignments_refuse_inexact_bool_and_text_values(c):
+    vals = dict.fromkeys(free_cells(P121), Fraction(0))
+    vals[free_cells(P121)[0]] = c
+    with pytest.raises(TypeError, match="refused"):
+        CoefficientAssignment(P121, vals)
+
+
 def test_with_cell_is_a_copy():
     t = construct(CoefficientAssignment.zeros(P121))
     u = t.with_cell((2,), (1, 0), Fraction(4))
@@ -418,6 +461,15 @@ def test_lookup_skew_validation():
         lookup_skew(t, (0, 1), (0, 0))
     with pytest.raises(ValueError, match="basis"):
         lookup_skew(t, (1, 2), (9, 9))
+    for axes, alpha in [
+        ((1.0, 2), (0, 0)),
+        ((True, 2), (0, 0)),
+        ((1, "2"), (0, 0)),
+        ((1, 2), (True, 0)),
+        ((1, 2), (0, 1.0)),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            lookup_skew(t, axes, alpha)
 
 
 @pytest.mark.parametrize("r,k,s", [(2, 2, 1), (2, 2, 2), (1, 2, 2), (3, 1, 1)])

@@ -1,5 +1,6 @@
 """Exhaustive table checks: valid tables pass, perturbed tables fail exactly
-when the perturbation leaves the solution space."""
+when the perturbation leaves the solution space; skew-symmetry holds on
+every table by its layout."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlift import AlgebraParams, CoefficientAssignment, LiftParams, construct, run_all_checks
+from jetlift import (
+    AlgebraParams,
+    CoefficientAssignment,
+    LiftParams,
+    LiftTable,
+    construct,
+    dimension,
+    run_all_checks,
+)
 from jetlift.lift_space import TableEvaluator
 from jetlift.verifier import check_leibniz_basis, check_skew, check_truncation
 from support import (
@@ -165,9 +174,9 @@ def sweep_outcome(rep):
 
 
 def assert_sweeps_match_reference(table):
-    # One evaluator for every pruned sweep, as run_all_checks shares one.
+    # One evaluator for both pruned product-rule sweeps.
     ev = TableEvaluator(table)
-    pairs = [(check_skew(table, evaluator=ev), reference_check_skew(table))]
+    pairs = [(check_skew(table), reference_check_skew(table))]
     for all_slots in (False, True):
         fast = check_leibniz_basis(table, all_slots=all_slots, evaluator=ev)
         pairs.append((fast, reference_check_leibniz_basis(table, all_slots=all_slots)))
@@ -191,13 +200,38 @@ def test_pruned_sweeps_match_the_unpruned_reference(r, k, s):
         assert_sweeps_match_reference(bad)
 
 
+def random_cells_table(params: LiftParams, seed: int) -> LiftTable:
+    """A table whose every cell is random, so almost never in the lift
+    space."""
+    rng = random.Random(seed)
+    return LiftTable(
+        params,
+        tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in params.algebra.basis)
+            for _ in params.rows
+        ),
+    )
+
+
+@pytest.mark.parametrize("r,k,s", EQUIVALENCE_GRID)
+def test_the_table_layout_makes_every_table_skew_symmetric(r, k, s):
+    """``check_skew`` evaluates nothing, since ``TableEvaluator`` is
+    skew-symmetric on every table; the unpruned sweep checks that premise
+    on tables with random cells and counts the same cases."""
+    params = lift_params(r, k, s)
+    table = random_cells_table(params, seed=2000 + 100 * r + 10 * k + s)
+    rep = reference_check_skew(table)
+    assert rep.passed, rep.failures[:3]
+    assert rep.cases == check_skew(table).cases
+
+
 class NoSymmetryEvaluator:
     """Stands in for ``TableEvaluator`` with only the two zeros the pruned
-    sweeps rely on: a constant argument, or argument and target degrees
-    summing past r + s.  Every other value is a positive number that
-    depends on the argument order, so every instance the sweeps reach
-    fails, and the failure lists show exactly which instances were reached
-    and in what order."""
+    product-rule sweep relies on: a constant argument, or argument and
+    target degrees summing past r + s.  Every other value is a positive
+    number that depends on the argument order, so every instance the
+    sweeps reach fails, and the failure lists show exactly which instances
+    were reached and in what order."""
 
     def __init__(self, params: LiftParams):
         self.degrees = params.algebra.degrees
@@ -219,32 +253,71 @@ def test_pruned_sweeps_reach_the_same_instances_as_the_reference(r, k, s):
         slow = reference_check_leibniz_basis(table, all_slots=all_slots, evaluator=ev)
         assert fast.failures
         assert sweep_outcome(fast) == sweep_outcome(slow), all_slots
-    fast = check_skew(table, evaluator=ev)
-    assert sweep_outcome(fast) == sweep_outcome(reference_check_skew(table, evaluator=ev))
-    assert bool(fast.failures) == (s >= 2)
+
+
+@pytest.mark.parametrize("r,k,s", [(1, 2, 1), (2, 2, 2), (1, 3, 3), (2, 3, 2), (2, 2, 3)])
+def test_the_skew_reference_fails_an_evaluator_without_the_sorting_sign(r, k, s):
+    params = lift_params(r, k, s)
+    rep = reference_check_skew(random_table(params), evaluator=NoSymmetryEvaluator(params))
+    assert bool(rep.failures) == (s >= 2)
 
 
 SMALL_POINTS = [(1, 2, 1), (2, 1, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2), (1, 3, 2), (1, 3, 3)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(SMALL_POINTS),
-    st.integers(0, 10**6),
-    st.lists(
+def cell_bumps(max_size: int):
+    """Up to ``max_size`` (cell pick, increment) pairs for ``perturbed``."""
+    return st.lists(
         st.tuples(
             st.integers(0, 10**6),
             st.fractions(min_value=-5, max_value=5, max_denominator=6),
         ),
         min_size=1,
-        max_size=5,
-    ),
-)
-def test_pruned_sweeps_match_the_reference_on_perturbed_tables(point, seed, bumps):
+        max_size=max_size,
+    )
+
+
+def perturbed(point, seed, bumps):
+    """A constructed table with each picked cell moved by its increment."""
     params = lift_params(*point)
     cells = [(axes, alpha) for axes in params.rows for alpha in params.algebra.basis]
     table = random_table(params, seed=seed)
     for pick, eps in bumps:
         axes, alpha = cells[pick % len(cells)]
         table = table.with_cell(axes, alpha, table.cell(axes, alpha) + eps)
-    assert_sweeps_match_reference(table)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_POINTS), st.integers(0, 10**6), cell_bumps(5))
+def test_pruned_sweeps_match_the_reference_on_perturbed_tables(point, seed, bumps):
+    assert_sweeps_match_reference(perturbed(point, seed, bumps))
+
+
+# -- the product rule and truncation decide alike ----------------------------
+
+AGREEMENT_POINTS = SMALL_POINTS + [(3, 2, 1), (3, 2, 2), (2, 3, 1), (2, 3, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(AGREEMENT_POINTS), st.integers(0, 10**6), cell_bumps(3))
+def test_product_rule_and_truncation_agree_for_positive_order(point, seed, bumps):
+    """For r >= 1 the product rule on basis tuples and the truncation
+    identities accept the same tables (proof in the verifier docstring)."""
+    table = perturbed(point, seed, bumps)
+    assert check_leibniz_basis(table).passed == check_truncation(table).passed
+
+
+@pytest.mark.parametrize("k,s", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+def test_at_order_zero_only_truncation_sees_the_cells(k, s):
+    """At r = 0 every argument monomial is constant, so the product-rule
+    sweep reads no cell and passes any table; truncation rejects every
+    nonzero cell, and the lift space is zero."""
+    params = lift_params(0, k, s)
+    assert dimension(params) == 0
+    zero = LiftTable(params, tuple((Fraction(0),) for _ in params.rows))
+    assert check_leibniz_basis(zero).passed and check_truncation(zero).passed
+    for axes in params.rows:
+        bad = zero.with_cell(axes, (0,) * k, Fraction(2, 3))
+        assert check_leibniz_basis(bad).passed
+        assert not check_truncation(bad).passed

@@ -101,6 +101,18 @@ def test_float_coefficients_are_refused():
         AlgebraElement.from_terms(P22, {(1, 0): 0.25})
 
 
+@pytest.mark.parametrize(
+    "c", [True, False, "1/2", " 3 ", pytest.param("9" * 5000, id="5000-digits")]
+)
+def test_bool_and_text_coefficients_are_refused(c):
+    # A bool is not a number here, and a string is read by parse_rational
+    # at the JSON boundary, under its digit caps, never coerced.
+    with pytest.raises(TypeError, match="refused"):
+        AlgebraElement(P22, {0: c})
+    with pytest.raises(TypeError, match="refused"):
+        AlgebraElement.from_terms(P22, {(1, 0): c})
+
+
 def test_out_of_range_terms_are_refused():
     with pytest.raises(ValueError):
         AlgebraElement.from_terms(P22, {(3, 0): 1})
