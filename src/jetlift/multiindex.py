@@ -8,6 +8,7 @@ variable, so ``x^a`` means ``x1^a[0] * ... * xk^a[k-1]``.  Axis arguments are
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator
 
 MultiIndex = tuple[int, ...]
@@ -29,7 +30,7 @@ def add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     """Entrywise sum, the exponent of the product ``x^a * x^b``."""
     if len(a) != len(b):
         raise ValueError(f"multi-index lengths differ: {len(a)} != {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def unit(k: int, j: int) -> MultiIndex:

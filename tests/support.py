@@ -7,6 +7,9 @@ The ``reference_*`` checks are the skew and product-rule sweeps without the
 verifier's pruning: they evaluate every basis tuple, so the pruned
 product-rule sweep must report the same cases and the same failures in the
 same order, and ``check_skew``, which evaluates nothing, the same cases.
+``reference_run_all_checks`` runs them over every multidegree block with a
+truncation check read through ``lookup_skew``, where ``run_all_checks``
+sweeps only the blocks in which a truncation sum fails.
 ``reference_build_rows`` is the oracle's last-slot row builder without its
 pruning: every ``b, c, d`` on every increasing leading tuple, and
 ``reference_build_all_slots`` imposes the rule at every slot on every
@@ -24,9 +27,16 @@ from math import gcd
 
 from jetlift import CoefficientAssignment, LiftParams, LiftTable, construct, free_cells
 from jetlift.lift_space import FreeCell, TableEvaluator, lookup_skew, sort_with_sign
-from jetlift.multiindex import MultiIndex, add, degree, sub_unit, support
+from jetlift.multiindex import (
+    MultiIndex,
+    add,
+    degree,
+    enumerate_degree_exactly,
+    sub_unit,
+    support,
+)
 from jetlift.oracle import ConstraintSystem, _Echelon
-from jetlift.verifier import Failure, VerificationReport, check_truncation
+from jetlift.verifier import Failure, VerificationReport
 from jetlift.weil_algebra import AlgebraParams
 
 
@@ -245,14 +255,40 @@ def reference_check_leibniz_basis(
     return rep
 
 
+def reference_check_truncation(table: LiftTable) -> VerificationReport:
+    """``check_truncation`` reading every term through the public
+    ``lookup_skew``: for every strictly increasing axis (s-1)-tuple and
+    every exponent of total degree r+1, the weighted sum of table values
+    with one unit peeled off each supported axis must vanish."""
+    p = table.params
+    s = p.s
+    rep = VerificationReport(cases={"truncation": 0})
+    if s == 0:
+        return rep
+    r, k = p.algebra.r, p.algebra.k
+    n = 0
+    for g in combinations(range(1, k + 1), s - 1):
+        for eps in enumerate_degree_exactly(k, r + 1):
+            acc = Fraction(0)
+            for h in support(eps):
+                acc += eps[h - 1] * lookup_skew(table, g + (h,), sub_unit(eps, h))
+            n += 1
+            if acc != 0:
+                rep.failures.append(Failure("truncation", (g, eps), Fraction(0), acc))
+    rep.cases["truncation"] = n
+    return rep
+
+
 def reference_run_all_checks(
     table: LiftTable, *, all_slots: bool = False
 ) -> VerificationReport:
-    """``run_all_checks`` with the unpruned skew and product-rule sweeps."""
+    """``run_all_checks`` with the unpruned skew and product-rule sweeps
+    over every multidegree block, and the truncation check read through
+    ``lookup_skew``."""
     ev = TableEvaluator(table)
     rep = reference_check_skew(table, evaluator=ev)
     rep = rep.merged(reference_check_leibniz_basis(table, all_slots=all_slots, evaluator=ev))
-    return rep.merged(check_truncation(table))
+    return rep.merged(reference_check_truncation(table))
 
 
 def _canonical_row(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...] | None:

@@ -1,6 +1,7 @@
 """Exhaustive table checks: valid tables pass, perturbed tables fail exactly
 when the perturbation leaves the solution space; skew-symmetry holds on
-every table by its layout."""
+every table by its layout; the product-rule sweep behind truncation visits
+only the failing multidegree blocks and reports what the full sweep does."""
 
 import random
 from fractions import Fraction
@@ -24,6 +25,8 @@ from support import (
     detectable_cells,
     reference_check_leibniz_basis,
     reference_check_skew,
+    reference_check_truncation,
+    reference_run_all_checks,
 )
 
 P121 = LiftParams(AlgebraParams(1, 2), 1)
@@ -170,13 +173,27 @@ EQUIVALENCE_GRID = [
 
 
 def sweep_outcome(rep):
-    return rep.cases, [(f.check, f.witness, f.expected, f.actual) for f in rep.failures]
+    return list(rep.cases.items()), [
+        (f.check, f.witness, f.expected, f.actual) for f in rep.failures
+    ]
+
+
+def assert_run_matches_reference(table):
+    """``run_all_checks`` reports what the unpruned sweeps over every block
+    report: the same cases and the same failures in the same order."""
+    for all_slots in (False, True):
+        fast = run_all_checks(table, all_slots=all_slots)
+        slow = reference_run_all_checks(table, all_slots=all_slots)
+        assert sweep_outcome(fast) == sweep_outcome(slow), all_slots
 
 
 def assert_sweeps_match_reference(table):
     # One evaluator for both pruned product-rule sweeps.
     ev = TableEvaluator(table)
-    pairs = [(check_skew(table), reference_check_skew(table))]
+    pairs = [
+        (check_skew(table), reference_check_skew(table)),
+        (check_truncation(table), reference_check_truncation(table)),
+    ]
     for all_slots in (False, True):
         fast = check_leibniz_basis(table, all_slots=all_slots, evaluator=ev)
         pairs.append((fast, reference_check_leibniz_basis(table, all_slots=all_slots)))
@@ -198,6 +215,7 @@ def test_pruned_sweeps_match_the_unpruned_reference(r, k, s):
         bad = table.with_cell(axes, alpha, table.cell(axes, alpha) + Fraction(5, 3))
         assert not run_all_checks(bad).passed
         assert_sweeps_match_reference(bad)
+        assert_run_matches_reference(bad)
 
 
 def random_cells_table(params: LiftParams, seed: int) -> LiftTable:
@@ -321,3 +339,61 @@ def test_at_order_zero_only_truncation_sees_the_cells(k, s):
         bad = zero.with_cell(axes, (0,) * k, Fraction(2, 3))
         assert check_leibniz_basis(bad).passed
         assert not check_truncation(bad).passed
+
+
+# -- truncation picks the blocks the product-rule sweep visits ---------------
+
+ORDER_ZERO_POINTS = [(0, 1, 1), (0, 2, 1), (0, 2, 2), (0, 3, 2), (0, 3, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(AGREEMENT_POINTS + ORDER_ZERO_POINTS),
+    st.integers(0, 10**6),
+    cell_bumps(3),
+)
+def test_run_all_checks_matches_the_reference_on_perturbed_tables(point, seed, bumps):
+    assert_run_matches_reference(perturbed(point, seed, bumps))
+
+
+def multidegree(params: LiftParams, gammas, delta):
+    exps = [params.algebra.basis[x] for x in gammas + (delta,)]
+    return tuple(map(sum, zip(*exps)))
+
+
+def test_a_clean_table_is_decided_without_evaluating_a_tuple(monkeypatch):
+    params = lift_params(3, 3, 3)
+    table = random_table(params, seed=11)
+
+    def refuse(self, gammas, delta):
+        raise AssertionError(f"evaluated {gammas}, {delta}")
+
+    monkeypatch.setattr(TableEvaluator, "_compute", refuse)
+    for all_slots in (False, True):
+        rep = run_all_checks(table, all_slots=all_slots)
+        assert rep.passed
+        assert rep.cases["leibniz"] == (3 if all_slots else 1) * params.algebra.dim**5
+
+
+@pytest.mark.parametrize("r,k,s", [(3, 3, 3), (2, 4, 3), (3, 3, 2)])
+def test_a_corrupted_cell_is_swept_only_in_its_own_block(monkeypatch, r, k, s):
+    """Every tuple the sweep evaluates has the corrupted cell's multidegree
+    ``e_I + alpha``."""
+    params = lift_params(r, k, s)
+    table = random_table(params, seed=12)
+    axes, alpha = detectable_cells(params)[-1]
+    bad = table.with_cell(axes, alpha, table.cell(axes, alpha) + 1)
+    block = list(alpha)
+    for j in axes:
+        block[j - 1] += 1
+    seen = []
+    compute = TableEvaluator._compute
+
+    def record(self, gammas, delta):
+        seen.append(multidegree(params, gammas, delta))
+        return compute(self, gammas, delta)
+
+    monkeypatch.setattr(TableEvaluator, "_compute", record)
+    rep = run_all_checks(bad, all_slots=True)
+    assert {f.check for f in rep.failures} == {"leibniz", "truncation"}
+    assert seen and set(seen) == {tuple(block)}
