@@ -166,7 +166,8 @@ def cmd_construct(args) -> int:
             raise CliError("--random needs -r, -k and -s")
         params = _params(args)
         _check_enumerable(params, "completing the table")
-        assignment = CoefficientAssignment.random(params, seed=args.seed)
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        assignment = CoefficientAssignment.random(params, seed=seed)
     # Looked up on the module so a wrapper installed on lift_space.construct
     # (perfbench's tracer) also sees the CLI's calls.
     table = lift_space.construct(assignment)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p, required=False)
     p.add_argument("--in", dest="infile", help="assignment JSON to complete")
     p.add_argument("--random", action="store_true", help="use a seeded random assignment")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for --random")
+    p.add_argument("--seed", type=int, help="seed for --random")
     p.add_argument("--out", help="write the table JSON here instead of stdout")
     p.add_argument("--witnesses", type=int, default=10, help="witness lines to print")
     p.set_defaults(func=cmd_construct)
@@ -260,8 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "construct" and bool(args.infile) == bool(args.random):
-        parser.error("construct needs exactly one of --in or --random")
+    if args.command == "construct":
+        if bool(args.infile) == bool(args.random):
+            parser.error("construct needs exactly one of --in or --random")
+        if args.infile and any(v is not None for v in (args.r, args.k, args.s, args.seed)):
+            parser.error("construct --in takes no -r, -k, -s or --seed")
     try:
         if getattr(args, "witnesses", 0) < 0:
             raise CliError(f"--witnesses must be non-negative, got {args.witnesses}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .multiindex import MultiIndex, add, binomial, degree, sub_unit, support, unit
 from .rationals import (
@@ -101,6 +101,27 @@ def free_cells(params: LiftParams) -> list[FreeCell]:
     ]
 
 
+def multidegree(axes: Sequence[int], alpha: MultiIndex) -> MultiIndex:
+    """The block of the cell ``(axes, alpha)``: its multidegree
+    ``e_axes + alpha``."""
+    m = list(alpha)
+    for j in axes:
+        m[j - 1] += 1
+    return tuple(m)
+
+
+def block_cells(params: LiftParams, m: MultiIndex) -> list[FreeCell]:
+    """The cells of block ``m`` in row order: one per ``s``-subset ``I`` of
+    the support of ``m``, with ``alpha = m - e_I``, when ``alpha`` is in
+    the basis (``|m| - s <= r``)."""
+    if degree(m) - params.s > params.algebra.r:
+        return []
+    return [
+        FreeCell(axes, tuple(x - (j in axes) for j, x in enumerate(m, start=1)))
+        for axes in combinations(support(m), params.s)
+    ]
+
+
 def dimension(params: LiftParams) -> int:
     """Closed-form count of the free cells, valid in every degenerate
     parameter range under the fixed binomial conventions."""
@@ -116,10 +137,10 @@ def graded_dimension(params: LiftParams, m: MultiIndex) -> int:
     The multidegree of a cell ``(I, alpha)`` is ``e_I + alpha``, and both
     ``construct`` and the product rule keep it, so the lift space splits
     into one summand per ``m`` whose dimension is its count of free cells.
-    The cells of multidegree ``m`` are the ``s``-subsets ``I`` of the
-    support of ``m`` (with ``alpha = m - e_I``, of degree ``|m| - s``).
-    Let ``q`` be the size of that support.  Below the top degree,
-    ``|m| < r + s``, every such cell is free: ``C(q, s)``.  At
+    ``block_cells`` lists the cells of multidegree ``m``: the ``s``-subsets
+    ``I`` of the support of ``m`` (with ``alpha = m - e_I``, of degree
+    ``|m| - s``).  Let ``q`` be the size of that support.  Below the top
+    degree, ``|m| < r + s``, every such cell is free: ``C(q, s)``.  At
     ``|m| = r + s`` a cell is free exactly when the top axis of ``m`` is
     not in ``I``, so it lies in the support of ``alpha`` above the last
     axis of ``I``: ``C(q - 1, s)``.  Otherwise no cell exists (``|m| < s``
@@ -203,26 +224,6 @@ class CoefficientAssignment:
             },
         )
 
-    # -- arithmetic (linearity in the assignment) ---------------------------
-
-    def scaled(self, c) -> "CoefficientAssignment":
-        f = _as_fraction(c)
-        return CoefficientAssignment(self.params, {z: f * v for z, v in self.values.items()})
-
-    def __rmul__(self, c) -> "CoefficientAssignment":
-        return self.scaled(c)
-
-    def __add__(self, other: "CoefficientAssignment") -> "CoefficientAssignment":
-        if self.params != other.params:
-            raise ValueError("lift parameters differ")
-        return CoefficientAssignment(
-            self.params, {z: v + other.values[z] for z, v in self.values.items()}
-        )
-
-    def vector(self) -> tuple[Fraction, ...]:
-        """Values in the canonical free-cell order."""
-        return tuple(self.values[c] for c in free_cells(self.params))
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -288,28 +289,6 @@ class LiftTable:
         rows[ri][ci] = _as_fraction(value)
         return LiftTable(p, tuple(tuple(row) for row in rows))
 
-    # -- pointwise linear structure ------------------------------------------
-
-    def scaled(self, c) -> "LiftTable":
-        f = _as_fraction(c)
-        return LiftTable(
-            self.params, tuple(tuple(f * v for v in row) for row in self.cells)
-        )
-
-    def __rmul__(self, c) -> "LiftTable":
-        return self.scaled(c)
-
-    def __add__(self, other: "LiftTable") -> "LiftTable":
-        if self.params != other.params:
-            raise ValueError("lift parameters differ")
-        return LiftTable(
-            self.params,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.cells, other.cells)
-            ),
-        )
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -355,38 +334,39 @@ class LiftTable:
 
 
 def construct(assignment: CoefficientAssignment) -> LiftTable:
-    """Complete an assignment on the free cells to the full table.
+    """Complete an assignment on the free cells to the full table, one row
+    of ``complete`` values per axis tuple."""
+    p = assignment.params
+    basis = p.algebra.basis
+    B = len(basis)
+    values = complete(assignment.values, product(p.rows, basis))
+    return LiftTable(p, tuple(tuple(values[i : i + B]) for i in range(0, len(values), B)))
+
+
+def complete(free: Mapping[FreeCell, Fraction], cells: Iterable[FreeCell]) -> list[Fraction]:
+    """The values at ``cells``: a cell of ``free`` keeps its value, and any
+    other is bound.
 
     A bound cell sits at a row ``i1 < ... < is`` and a full-degree monomial
     ``a`` whose supported axes all lie at or below ``is``.  Expanding the
     vanishing product ``x^(a + e_is)`` along the last slot must give zero,
     and solving that single relation for the bound cell expresses it through
     cells at strictly smaller last axes -- which are all free, so one pass
-    over the grid suffices.
+    suffices.  Those cells have the bound cell's multidegree, so ``free``
+    needs only the free cells of the blocks that ``cells`` meet.
     """
-    p = assignment.params
-    alg = p.algebra
-    free = assignment.values
-    k = alg.k
-    rows = []
-    for axes in p.rows:
-        row = []
-        for a in alg.basis:
-            probe = FreeCell(axes, a)
-            if probe in free:
-                row.append(free[probe])
-            else:
-                row.append(_bound_cell(free, axes, a, k))
-        rows.append(tuple(row))
-    return LiftTable(p, tuple(rows))
+    get = free.get
+    return [
+        v if (v := get(cell)) is not None else _bound_cell(free, *cell) for cell in cells
+    ]
 
 
 def _bound_cell(
-    free: Mapping[FreeCell, Fraction], axes: tuple[int, ...], alpha: MultiIndex, k: int
+    free: Mapping[FreeCell, Fraction], axes: tuple[int, ...], alpha: MultiIndex
 ) -> Fraction:
     i_last = axes[-1]
     lead = axes[:-1]
-    raised = add(alpha, unit(k, i_last))
+    raised = add(alpha, unit(len(alpha), i_last))
     acc = Fraction(0)
     for j in support(alpha):
         if j == i_last:
@@ -460,10 +440,8 @@ class TableEvaluator:
     Two kinds of tuple give zero before any cell is read: one with a
     constant argument monomial, and one whose argument and target degrees
     sum past r + s.  The verifier's product-rule sweep decides the tuples
-    that hit these zeros without calling the evaluator, and the oracle's
-    ``expand_table`` evaluates only the unknowns that miss both
-    (``live_columns``), so they must stay exactly as they are in
-    ``_compute``.
+    that hit these zeros without calling the evaluator, so they must stay
+    exactly as they are in ``_compute``.
 
     Evaluation keeps the multidegree, the exponent sum of the arguments and
     the target: each peeled axis ``j`` of an argument moves ``e_j`` into

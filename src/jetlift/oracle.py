@@ -77,18 +77,23 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from operator import add
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .lift_space import (
-    CoefficientAssignment,
+    FreeCell,
     LiftParams,
+    LiftTable,
     TableEvaluator,
-    construct,
+    block_cells,
+    complete,
+    construct,  # unused here; the benchmark's tracer patches it on this module
     free_cells,
+    multidegree,
     sort_with_sign,
 )
-from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, capped_binomial, unit
+from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial, unit
 from .verifier import Failure, VerificationReport
 
 DEFAULT_MAX_UNKNOWNS = 20_000
@@ -130,30 +135,18 @@ class ConstraintSystem:
         return self.combo_rank[combo] * self.params.algebra.dim + target
 
     @cached_property
-    def column_degrees(self) -> tuple[tuple[int, ...], ...]:
-        """The multidegree of each unknown: the exponent sum of its
-        combination plus its target."""
+    def block_columns(self) -> Mapping[MultiIndex, list[int]]:
+        """The ascending columns of each multidegree block.  The multidegree
+        of an unknown is the exponent sum of its combination plus its
+        target."""
         alg = self.params.algebra
         B, exps = alg.dim, alg.basis
-        out = []
-        for combo, _ in self.unknowns[::B]:
+        out: dict[MultiIndex, list[int]] = {}
+        for i, (combo, _) in enumerate(self.unknowns[::B]):
             base = [sum(col) for col in zip(*(exps[g] for g in combo))] or [0] * alg.k
-            out.extend(tuple(map(sum, zip(base, e))) for e in exps)
-        return tuple(out)
-
-    @cached_property
-    def live_columns(self) -> tuple[int, ...]:
-        """The columns a table can make nonzero: ``TableEvaluator`` gives 0
-        before reading a cell on a tuple with a constant entry (basis
-        position 0) or whose degrees sum past ``r + s``."""
-        alg = self.params.algebra
-        B, deg, cap = alg.dim, alg.degrees, alg.r + self.params.s
-        return tuple(
-            i * B + d
-            for i, (combo, _) in enumerate(self.unknowns[::B])
-            if 0 not in combo
-            for d in range(bisect_right(deg, cap - sum(deg[g] for g in combo)))
-        )
+            for d, e in enumerate(exps):
+                out.setdefault(tuple(map(add, base, e)), []).append(i * B + d)
+        return out
 
 
 def build_constraints(
@@ -361,19 +354,19 @@ def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]
     """
     rows = system.rows
     zeros = {row[0][0] for row in rows if len(row) == 1}
-    degrees = system.column_degrees
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for col, m in enumerate(degrees):
-        if col not in zeros:
-            blocks.setdefault(m, []).append(col)
-    echelons = {m: _Echelon() for m in blocks}
+    blocks = []
+    echelon_at: dict[int, _Echelon] = {}
+    for cols in system.block_columns.values():
+        cols = [col for col in cols if col not in zeros]
+        ech = _Echelon()
+        echelon_at.update(dict.fromkeys(cols, ech))
+        blocks.append((cols, ech))
     for row in sorted(rows, key=len):
         kept = [(col, v) for col, v in row if col not in zeros]
         if kept:
-            echelons[degrees[kept[0][0]]].add(kept)
+            echelon_at[kept[0][0]].add(kept)
     by_free: dict[int, dict[int, Fraction]] = {}
-    for m, cols in blocks.items():
-        ech = echelons[m]
+    for cols, ech in blocks:
         if ech.rank < len(cols):
             by_free.update(ech.nullspace_basis(cols))
     return len(by_free), [by_free[f] for f in sorted(by_free)]
@@ -414,29 +407,43 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fractio
     return rank_of(rows) == len(cells)
 
 
-def expand_table(system: ConstraintSystem, table) -> dict[int, Fraction]:
+def expand_table(system: ConstraintSystem, table: LiftTable) -> dict[int, Fraction]:
     """A lift table evaluated at every unknown of the system, as a dict of
-    its nonzero entries.  Only the ``live_columns`` whose multidegree holds
-    a nonzero cell of the table are evaluated: the others are zero, since
-    ``TableEvaluator`` reads at an unknown only cells of its multidegree."""
-    alg = system.params.algebra
-    held = set()
-    for axes, row in zip(table.params.rows, table.cells):
-        for alpha, v in zip(alg.basis, row):
-            if v:
-                m = list(alpha)
-                for j in axes:
-                    m[j - 1] += 1
-                held.add(tuple(m))
+    its nonzero entries.  Only the blocks that hold a nonzero cell of the
+    table are evaluated: ``TableEvaluator`` reads at an unknown only cells
+    of its multidegree, so the others are zero."""
+    p = table.params
+    held = {
+        multidegree(axes, alpha)
+        for axes, row in zip(p.rows, table.cells)
+        for alpha, v in zip(p.algebra.basis, row)
+        if v
+    }
     ev = TableEvaluator(table)
-    unknowns, degrees = system.unknowns, system.column_degrees
+    unknowns, blocks = system.unknowns, system.block_columns
     vec = {}
-    for col in system.live_columns:
-        if degrees[col] in held:
+    for m in held:
+        for col in blocks.get(m, ()):
             v = ev.monomials_by_index(*unknowns[col])
             if v:
                 vec[col] = v
     return vec
+
+
+def _unit_table(params: LiftParams, one: FreeCell) -> LiftTable:
+    """The table of the assignment that is 1 at the free cell ``one`` and 0
+    at the others.  Its nonzero cells lie in the block of ``one``, so only
+    that block is completed, from its own free cells; the rest is 0."""
+    block = block_cells(params, multidegree(*one))
+    free = {c: Fraction(int(c == one)) for c in block if c in params.free_cell_set}
+    zero_row = (Fraction(0),) * params.algebra.dim
+    rows = [zero_row] * len(params.rows)
+    for cell, v in zip(block, complete(free, block)):
+        if v:
+            row = list(zero_row)
+            row[params.algebra.basis_index[cell.alpha]] = v
+            rows[params.row_index[cell.axes]] = tuple(row)
+    return LiftTable(params, tuple(rows))
 
 
 def compare_with_construction(
@@ -452,12 +459,8 @@ def compare_with_construction(
     every row still counts as a case.  Rows are indexed only at the columns
     some vector fills.
     """
-    params = system.params
-    cells = free_cells(params)
-    expanded = [
-        expand_table(system, construct(CoefficientAssignment.unit(params, cell)))
-        for cell in cells
-    ]
+    cells = free_cells(system.params)
+    expanded = [expand_table(system, _unit_table(system.params, cell)) for cell in cells]
     rows = system.rows
     rows_at: dict[int, list[int]] = {col: [] for vec in expanded for col in vec}
     for i, row in enumerate(rows):

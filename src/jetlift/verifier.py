@@ -87,7 +87,7 @@ from itertools import combinations, product
 from math import comb, perm
 from typing import Mapping
 
-from .lift_space import LiftTable, TableEvaluator, sort_with_sign
+from .lift_space import LiftTable, TableEvaluator, multidegree, sort_with_sign
 from .multiindex import MultiIndex, add, enumerate_degree_exactly, sub_unit, support
 
 
@@ -345,10 +345,7 @@ def run_all_checks(table: LiftTable, *, all_slots: bool = False) -> Verification
     failure it would find on all of them (module docstring)."""
     trunc = check_truncation(table)
     # The sum at (J, eps) reads the cells of multidegree e_J + eps.
-    blocks = {
-        tuple(x + (j in axes) for j, x in enumerate(eps, start=1))
-        for axes, eps in (f.witness for f in trunc.failures)
-    }
+    blocks = {multidegree(*f.witness) for f in trunc.failures}
     rep = check_skew(table)
     rep = rep.merged(check_leibniz_basis(table, blocks=blocks, all_slots=all_slots))
     return rep.merged(trunc)

@@ -35,9 +35,20 @@ from jetlift.multiindex import (
     sub_unit,
     support,
 )
-from jetlift.oracle import ConstraintSystem, _Echelon
+from jetlift.oracle import DEFAULT_MAX_UNKNOWNS, ConstraintSystem, _Echelon, unknown_count
 from jetlift.verifier import Failure, VerificationReport
 from jetlift.weil_algebra import AlgebraParams
+
+
+# Every r <= 3, k <= 4, s <= 4 whose oracle system fits the default guard:
+# 94 points, the degenerate shapes among them.
+PRUNING_POINTS = [
+    (r, k, s)
+    for r in range(4)
+    for k in range(5)
+    for s in range(5)
+    if unknown_count(LiftParams(AlgebraParams(r, k), s)) <= DEFAULT_MAX_UNKNOWNS
+]
 
 
 def brute_monomials(k: int, d: int) -> list[tuple[int, ...]]:

@@ -25,7 +25,7 @@ from jetlift import (
     free_cells,
     run_all_checks,
 )
-from jetlift.lift_space import extract_coefficients, graded_dimension
+from jetlift.lift_space import block_cells, extract_coefficients, graded_dimension, multidegree
 from jetlift.multiindex import binomial
 from jetlift.oracle import (
     DEFAULT_MAX_UNKNOWNS,
@@ -169,8 +169,12 @@ def test_criterion_5_roundtrip_and_linearity():
             b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             c1 = CoefficientAssignment.random(params, seed=base + 1000 + i)
             c2 = CoefficientAssignment.random(params, seed=base + 2000 + i)
-            lhs = construct(a * c1 + b * c2)
-            rhs = construct(c1).scaled(a) + construct(c2).scaled(b)
+            combo = {z: a * v + b * c2.values[z] for z, v in c1.values.items()}
+            lhs = construct(CoefficientAssignment(params, combo)).cells
+            t1, t2 = construct(c1).cells, construct(c2).cells
+            rhs = tuple(
+                tuple(a * x + b * y for x, y in zip(r1, r2)) for r1, r2 in zip(t1, t2)
+            )
             if lhs != rhs:
                 failures.append((point, "linearity", i))
     finish(
@@ -251,21 +255,18 @@ def test_criterion_8_graded_agreement(oracle_cache):
     failures = []
     for point in FULL_GRID:
         params, system, _, basis = oracle_cache[point]
-        degrees = system.column_degrees
-        cells = Counter()
-        for cell in free_cells(params):
-            m = list(cell.alpha)
-            for j in cell.axes:
-                m[j - 1] += 1
-            cells[tuple(m)] += 1
+        block_of = {col: m for m, cols in system.block_columns.items() for col in cols}
+        free = params.free_cell_set
         vectors = Counter()
         for vec in basis:
-            blocks = {degrees[col] for col in vec}
+            blocks = {block_of[col] for col in vec}
             if len(blocks) != 1:
                 failures.append((point, "vector spans blocks", sorted(blocks)))
             vectors.update(blocks)
-        for m in sorted(set(degrees) | set(cells)):
-            counts = (graded_dimension(params, m), cells[m], vectors[m])
+        blocks = set(system.block_columns) | {multidegree(*cell) for cell in free}
+        for m in sorted(blocks):
+            cells = sum(cell in free for cell in block_cells(params, m))
+            counts = (graded_dimension(params, m), cells, vectors[m])
             if len(set(counts)) != 1:
                 failures.append((point, m, counts))
     finish(

@@ -259,6 +259,19 @@ def test_construct_requires_exactly_one_source(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "extra", [["-r", "9"], ["-k", "9"], ["-s", "9"], ["--seed", "3"], ["--seed", "1729"]]
+)
+def test_construct_from_file_refuses_parameters_and_seed(tmp_path, capsys, extra):
+    # The file fixes r, k, s and the values, so these would be ignored.
+    src = tmp_path / "assignment.json"
+    src.write_text(json.dumps(UNIT_ASSIGNMENT))
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--in", str(src), *extra])
+    assert exc.value.code == 2
+    assert "construct --in takes no -r, -k, -s or --seed" in capsys.readouterr().err
+
+
 def test_construct_random_needs_parameters(capsys):
     assert main(["construct", "--random"]) == 2
     assert "needs -r, -k and -s" in capsys.readouterr().err

@@ -17,10 +17,10 @@ from jetlift import (
     dimension,
     free_cells,
 )
-from jetlift.lift_space import TableEvaluator, graded_dimension
+from jetlift import lift_space
+from jetlift.lift_space import TableEvaluator, block_cells, graded_dimension, multidegree
 from jetlift.multiindex import COUNT_CAP, MAX_COUNT_DIGITS, binomial
 from jetlift.oracle import (
-    DEFAULT_MAX_UNKNOWNS,
     OracleSizeError,
     build_constraints,
     check_iso,
@@ -32,7 +32,12 @@ from jetlift.oracle import (
     unknown_count,
 )
 from jetlift.verifier import Failure
-from support import reference_build_all_slots, reference_build_rows, reference_nullspace
+from support import (
+    PRUNING_POINTS,
+    reference_build_all_slots,
+    reference_build_rows,
+    reference_nullspace,
+)
 
 
 def lift_params(r: int, k: int, s: int) -> LiftParams:
@@ -174,14 +179,6 @@ def test_last_slot_system_has_the_same_nullspace(r, k, s):
 
 # -- pruned last-slot builder ---------------------------------------------------------
 
-PRUNING_POINTS = [
-    (r, k, s)
-    for r in range(4)
-    for k in range(5)
-    for s in range(5)
-    if unknown_count(lift_params(r, k, s)) <= DEFAULT_MAX_UNKNOWNS
-]
-
 
 @lru_cache(maxsize=None)
 def default_system(r: int, k: int, s: int):
@@ -227,13 +224,17 @@ def test_rows_are_homogeneous_in_the_torus_grading(r, k, s):
     system = default_system(r, k, s)
     basis = system.params.algebra.basis
 
-    def multidegree(col):
+    def column_degree(col):
         combo, target = system.unknowns[col]
         return tuple(map(sum, zip(basis[target], *(basis[g] for g in combo))))
 
-    mixed = [row for row in system.rows if len({multidegree(c) for c, _ in row}) != 1]
+    mixed = [row for row in system.rows if len({column_degree(c) for c, _ in row}) != 1]
     assert mixed == []
-    assert system.column_degrees == tuple(map(multidegree, range(len(system.unknowns))))
+    blocks = system.block_columns
+    assert all(cols == sorted(cols) for cols in blocks.values())
+    assert {c: m for m, cols in blocks.items() for c in cols} == {
+        c: column_degree(c) for c in range(len(system.unknowns))
+    }
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
@@ -251,9 +252,10 @@ def test_nullity_of_each_block_is_the_graded_dimension(r, k, s):
     # multidegree that has an unknown is counted, empty blocks included.
     system = default_system(r, k, s)
     _, basis = nullspace(system)
-    per_block = Counter(system.column_degrees[min(vec)] for vec in basis)
-    assert all(len({system.column_degrees[c] for c in vec}) == 1 for vec in basis)
-    for m in set(system.column_degrees):
+    block_of = {c: m for m, cols in system.block_columns.items() for c in cols}
+    per_block = Counter(block_of[min(vec)] for vec in basis)
+    assert all(len({block_of[c] for c in vec}) == 1 for vec in basis)
+    for m in system.block_columns:
         assert per_block[m] == graded_dimension(system.params, m), m
 
 
@@ -261,7 +263,6 @@ def test_nullity_of_each_block_is_the_graded_dimension(r, k, s):
 def test_expansion_skips_only_columns_that_are_zero(r, k, s):
     params = lift_params(r, k, s)
     system = build_constraints(params)
-    live = set(system.live_columns)
     # Unit tables fill one multidegree each, a random table many.
     units = [CoefficientAssignment.unit(params, cell) for cell in free_cells(params)]
     for assignment in [*units, CoefficientAssignment.random(params, seed=11)]:
@@ -269,7 +270,6 @@ def test_expansion_skips_only_columns_that_are_zero(r, k, s):
         ev = TableEvaluator(table)
         full = [ev.monomials_by_index(combo, d) for combo, d in system.unknowns]
         assert expand_table(system, table) == {col: v for col, v in enumerate(full) if v}
-        assert {col for col, v in enumerate(full) if v} <= live
 
 
 # -- isomorphism check ----------------------------------------------------------------
@@ -350,19 +350,48 @@ def test_compare_detects_a_doctored_basis():
 
 
 def test_compare_needs_the_union_rank_for_a_full_rank_basis_off_the_kernel():
-    # 1 added at a live column where no vector is free (a vector's free
-    # column is the last it holds) keeps the basis of full rank but takes it
-    # off the kernel; the nullspace and construction ranks both still read
-    # 3, so only the rank of their union sees it.
+    # 1 added at a column where no vector is free (a vector's free column
+    # is the last it holds), one with no constant entry and degrees summing
+    # to at most r + s, keeps the basis of full rank but takes it off the
+    # kernel; the nullspace and construction ranks both still read 3, so
+    # only the rank of their union sees it.
     system = build_constraints(lift_params(2, 2, 2))
     _, basis = nullspace(system)
     free = {max(vec) for vec in basis}
-    col = next(c for c in system.live_columns if c not in free)
+    col = min(
+        c
+        for m, cols in system.block_columns.items()
+        if sum(m) <= 2 + 2
+        for c in cols
+        if c not in free and 0 not in system.unknowns[c][0]
+    )
     assert col not in basis[0]
     wrong = [{**basis[0], col: Fraction(1)}, *basis[1:]]
     rep = compare_with_construction(system, wrong)
     witness = (("nullspace", 3), ("construction", 3), ("union", 4))
     assert rep.failures == [Failure("span", witness, Fraction(3), Fraction(4))]
+
+
+@pytest.mark.parametrize("point,calls", [((2, 5, 3), 84), ((3, 3, 2), 12)])
+def test_compare_completes_only_each_units_block(monkeypatch, point, calls):
+    # Each unit table is completed on its own block, so the bound-cell
+    # formula runs once per bound cell of each unit's block, not once per
+    # bound cell of the table.
+    params = lift_params(*point)
+    system = build_constraints(params, max_unknowns=unknown_count(params))
+    _, basis = nullspace(system)
+    free = params.free_cell_set
+    expected = sum(
+        sum(c not in free for c in block_cells(params, multidegree(*cell)))
+        for cell in free
+    )
+    seen = []
+    bound_cell = lift_space._bound_cell
+    monkeypatch.setattr(
+        lift_space, "_bound_cell", lambda *args: seen.append(args) or bound_cell(*args)
+    )
+    assert compare_with_construction(system, basis).passed
+    assert len(seen) == expected == calls
 
 
 # -- matrix dump -------------------------------------------------------------------------
