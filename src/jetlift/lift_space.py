@@ -116,10 +116,13 @@ def block_cells(params: LiftParams, m: MultiIndex) -> list[FreeCell]:
     the basis (``|m| - s <= r``)."""
     if degree(m) - params.s > params.algebra.r:
         return []
-    return [
-        FreeCell(axes, tuple(x - (j in axes) for j, x in enumerate(m, start=1)))
-        for axes in combinations(support(m), params.s)
-    ]
+    out = []
+    for axes in combinations(support(m), params.s):
+        alpha = list(m)
+        for j in axes:
+            alpha[j - 1] -= 1
+        out.append(FreeCell(axes, tuple(alpha)))
+    return out
 
 
 def dimension(params: LiftParams) -> int:

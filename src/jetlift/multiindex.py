@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import compress
 from typing import Iterator
 
 MultiIndex = tuple[int, ...]
@@ -51,30 +52,35 @@ def sub_unit(a: MultiIndex, j: int) -> MultiIndex:
 
 def support(a: MultiIndex) -> tuple[int, ...]:
     """Ascending 1-based axes with a positive exponent."""
-    return tuple(j for j, x in enumerate(a, start=1) if x > 0)
+    return tuple(compress(range(1, len(a) + 1), a))
 
 
 def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
     # Lexicographically decreasing, so largest leading exponent first: the
     # canonical order within one degree.  The next composition takes one
-    # from the last nonzero entry before the final one and moves everything
-    # after that entry, plus the one, to its right neighbour.  A loop, not
-    # recursion, so any number of variables works.
+    # from the last nonzero entry before the final one, at ``i``, and moves
+    # everything after that entry, plus the one, to its right neighbour,
+    # which is then the last nonzero entry unless it is the final one.  A
+    # loop, not recursion, so any number of variables works, and ``i`` is
+    # tracked rather than searched for, so each step is short.
     if parts == 0:
         if total == 0:
             yield ()
         return
     a = [total] + [0] * (parts - 1)
+    i = 0 if total and parts > 1 else -1
     while True:
         yield tuple(a)
-        i = parts - 2
-        while i >= 0 and a[i] == 0:
-            i -= 1
         if i < 0:
             return
         a[i] -= 1
         tail, a[-1] = a[-1], 0
         a[i + 1] = tail + 1
+        if i + 2 < parts:
+            i += 1
+        else:
+            while i >= 0 and a[i] == 0:
+                i -= 1
 
 
 def enumerate_degree_exactly(k: int, d: int) -> list[MultiIndex]:

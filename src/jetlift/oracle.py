@@ -24,8 +24,9 @@ positions ``b, c, d`` is the row
 trade places), so only ``b <= c`` is instantiated.  Basis position 0 is
 the monomial 1; with ``b = 0`` the first and last terms cancel, leaving
 ``F(pre, 1)(cd)``, so these instances give exactly the single-entry rows
-``F(pre, 1)(x)`` for every ``x`` (none when ``0`` is in ``pre``).  They
-are added directly and ``b, c`` run over ``1 .. B-1``.
+``F(pre, 1)(x)`` for every ``x`` (none when ``0`` is in ``pre``): every
+unknown whose combination holds the monomial 1 is a known zero.  The
+other instances have ``b, c`` in ``1 .. B-1``.
 
 Rows have a fixed shape.  A product of two basis monomials is a monomial
 with coefficient 1, so each term of ``R(pre; b, c, d)`` has coefficient
@@ -38,25 +39,12 @@ leading sign.  The column block of ``pre + (x,)`` grows with ``x`` over
 the ``x`` not in ``pre`` (the increasing tuples are numbered in
 lexicographic order), and ``b <= c < bc`` by degree, so the terms come in
 the column order ``F(pre, b)(cd)``, ``F(pre, c)(bd)``, ``F(pre, bc)(d)``
-and rows are built as sorted tuples directly.
-
-The terms live in regions of ``d``.  Let ``n_x`` count the basis
-positions ``d`` with ``deg x + deg d <= r``, a prefix of the
-degree-sorted basis.  ``cd`` exists iff ``d < n_c`` and ``bd`` iff
-``d < n_b``, and ``n_c <= n_b`` as ``b <= c``.  ``d`` runs only up to the
-end of the last region where one of these two terms exists; past it only
-``F(pre, bc)(d)`` is left, so those columns are known zeros, added as one
-range.  The columns of every single-entry row (``F(pre, 1)(x)``, these
-ranges, and the regions with one term) go into one set and are emitted
-once each as ``((col, 1),)``.
-
-A row with two or more entries comes from one instance only, so such rows
-are listed without a set.  The combinations of its columns share exactly
-``pre``, and each adds one of ``b``, ``c``, ``bc``.  A +-2 entry marks
-``b == c``; three entries are ``b < c < bc``; of two entries, the pair
-``F(pre, b)(cd), F(pre, c)(bd)`` has the opposite relative sign to a pair
-with ``F(pre, bc)``, and ``b <= c`` leaves one reading of the latter.  A
-term's target then fixes ``d``.
+and each row is formed as a sorted tuple directly.  An instance with one
+surviving term is a known zero; the known zeros of a block are collected
+in a set and listed once each as ``((col, 1),)``.  A row with two or more
+entries comes from one instance only: its columns share exactly ``pre``,
+each adds one of ``b``, ``c``, ``bc``, and a term's target then fixes
+``d``.  So such rows are listed without a set.
 
 Both routes respect the multidegree grading.  The multidegree of an
 unknown is the exponent sum of its combination plus its target,
@@ -64,27 +52,71 @@ unknown is the exponent sum of its combination plus its target,
 ``e_I + alpha``.  Every row lies in one multidegree: each term of
 ``R(pre; b, c, d)`` has multidegree ``e(pre) + b + c + d``.  And
 ``TableEvaluator`` at an unknown of multidegree ``m`` reads only cells of
-multidegree ``m``.  So ``nullspace`` eliminates one multidegree block at a
-time, and ``expand_table`` evaluates a table only in the blocks that hold
-one of its nonzero cells.
+multidegree ``m``.  So the system is a direct sum of blocks, and
+``ConstraintSystem`` generates block ``m`` on its own, from ``m``: its
+unknowns are the increasing tuples of basis monomials whose exponent sum
+lies under ``m``, each with the rest of ``m`` as target when that has
+degree at most ``r``; its rows are the instances of the factorisations
+``e(pre) + b + c + d = m``.  The global rows, in the order of the whole
+system, are the sorted union of the blocks' rows.
+
+Permuting the variables is an automorphism of the algebra, so it maps
+block ``m`` onto block ``sigma(m)``.  Let ``sigma`` permute the ``k``
+variables.  It keeps degrees, so it maps basis monomials to basis
+monomials, and ``sigma(x^b x^c) = sigma(x^b) sigma(x^c)``, truncated
+products included.  Send the unknown ``F(combo)(d)`` to ``eps *
+F(combo')(sigma d)``, where ``combo'`` sorts ``sigma`` applied entrywise
+to ``combo`` and ``eps`` is the sign of that sort: a signed permutation
+of the unknowns taking block ``m`` to block ``sigma(m)``.  Applying
+``sigma`` to every argument of an instance ``(pre, b, c, d)`` gives the
+instance ``(sigma pre, sigma b, sigma c, sigma d)``, with the products
+carried along, and its row is the image of ``R(pre; b, c, d)`` under that
+signed permutation.  Its leading tuple need not be increasing, nor
+``sigma b <= sigma c``, but by the reduction above the rule on every
+ordered leading tuple and every ``b, c`` has the same normalised rows as
+the instantiated ones.  Since ``sigma^-1`` acts alike, ``sigma`` maps the
+normalised rows of block ``m`` one to one onto those of ``sigma(m)``, up
+to sign, single-entry rows to single-entry rows.  So every block of an
+orbit has the same row count, and the nullspace of block ``sigma(m)`` is
+the image of that of block ``m``.  ``nullspace`` therefore eliminates one
+block per orbit, its representative: ``m`` sorted into non-increasing
+order.  It transports that block's basis to every other block of the
+orbit and then re-reduces it.
+
+The re-reduction recovers the basis a whole-system elimination gives.
+That elimination takes pivots at the lowest column of each row.  Its
+pivot columns are the leading columns of the row space, and the free
+columns ``F`` are the rest.  The basis vector ``v_f`` of a free column
+``f`` is the null vector that is 1 at ``f`` and 0 on the rest of ``F``.
+It is unique, because reading a null vector at ``F`` is bijective.
+Back-substitution writes each pivot entry through larger columns only, so
+``v_f`` is zero above ``f``: ``f`` is the largest column of ``v_f``.  A
+null vector ``v = sum c_f v_f`` then has as largest column the largest
+``f`` with ``c_f != 0``.  So ``F`` is exactly the set of largest columns
+of the null vectors.  Now eliminate any basis of the nullspace with
+pivots at the largest column of each vector.  Reduce fully and scale each
+vector to 1 at its pivot.  The pivots are then ``F``, and each vector is
+1 at its own pivot and 0 at the others, which is ``v_f``.  This step is
+needed because the free cells are not symmetric under ``sigma``: the
+predicate singles out the top axis of a row.  So ``sigma`` need not carry
+free columns to free columns, nor keep the column order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import gcd, lcm
-from operator import add
+from itertools import combinations, groupby, product
+from math import comb, gcd, lcm
+from operator import sub
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
     FreeCell,
     LiftParams,
-    LiftTable,
     TableEvaluator,
     block_cells,
     complete,
@@ -97,6 +129,9 @@ from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial
 from .verifier import Failure, VerificationReport
 
 DEFAULT_MAX_UNKNOWNS = 20_000
+
+Row = tuple[tuple[int, int], ...]
+Cell = tuple[tuple[int, ...], int]
 
 
 class OracleSizeError(ValueError):
@@ -112,66 +147,320 @@ def unknown_count(params: LiftParams) -> int:
     return min(capped_binomial(B, params.s, COUNT_CAP) * B, COUNT_CAP + 1)
 
 
+class Block(NamedTuple):
+    """One multidegree block: its unknowns, ascending global column ->
+    (combination, target), and its rows in global row order."""
+
+    cells: dict[int, Cell]
+    rows: tuple[Row, ...]
+
+
+class _Orbit(NamedTuple):
+    """The blocks ``m`` that permuting the variables gives from ``rep``:
+    how many there are, the row count of each, and the null basis of the
+    block ``rep``, keyed by unknown."""
+
+    rep: MultiIndex
+    size: int
+    rows: int
+    basis: list[dict[Cell, Fraction]]
+
+
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Deduplicated sparse rows over the unknown cells.
+    """The product-rule rows over the unknown cells, one multidegree block
+    at a time.
 
-    ``unknowns[i]`` is the (monomial-position tuple, target position) pair
-    for column ``i``; rows are sorted tuples of (column, integer coefficient)
-    pairs, normalised by content and leading sign.
+    Column ``i`` is the unknown ``unknowns[i]``, a (monomial-position
+    tuple, target position) pair; rows are sorted tuples of (column,
+    integer coefficient) pairs, normalised by content and leading sign.
+    ``block(m)`` generates the unknowns and rows of one block.  ``rows``,
+    ``unknowns`` and ``multidegrees`` list the whole system; only tests,
+    ``dump_matrix`` and benchmark counters read them.
     """
 
     params: LiftParams
-    unknowns: tuple[tuple[tuple[int, ...], int], ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
     slots: tuple[int, ...]
 
     @cached_property
     def combo_rank(self) -> Mapping[tuple[int, ...], int]:
-        B = self.params.algebra.dim
-        return {self.unknowns[i * B][0]: i for i in range(len(self.unknowns) // B)}
+        combos = combinations(range(self.params.algebra.dim), self.params.s)
+        return {c: i for i, c in enumerate(combos)}
 
     def column(self, combo: tuple[int, ...], target: int) -> int:
         return self.combo_rank[combo] * self.params.algebra.dim + target
 
     @cached_property
-    def block_columns(self) -> Mapping[MultiIndex, list[int]]:
-        """The ascending columns of each multidegree block.  The multidegree
-        of an unknown is the exponent sum of its combination plus its
-        target."""
+    def unknowns(self) -> tuple[Cell, ...]:
+        return tuple((c, d) for c in self.combo_rank for d in range(self.params.algebra.dim))
+
+    @cached_property
+    def multidegrees(self) -> tuple[MultiIndex, ...]:
+        """Every block that holds an unknown, orbit by orbit."""
+        return tuple(m for orbit in self._orbits for m, _ in _orbit(orbit.rep))
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        return tuple(sorted(row for m in self.multidegrees for row in self.block(m).rows))
+
+    @cached_property
+    def row_count(self) -> int:
+        """``len(rows)``, counted one block per orbit."""
+        return sum(orbit.size * orbit.rows for orbit in self._orbits)
+
+    def block(self, m: MultiIndex) -> Block:
+        """Block ``m``, generated once and kept."""
+        blk = self._blocks.get(m)
+        if blk is None:
+            cells, zeros, rows = self._generate(m)
+            rows.extend(((col, 1),) for col in zeros)
+            blk = self._blocks[m] = Block(cells, tuple(sorted(rows)))
+        return blk
+
+    @cached_property
+    def _blocks(self) -> dict[MultiIndex, Block]:
+        return {}
+
+    @cached_property
+    def _orbits(self) -> list[_Orbit]:
+        """One entry per orbit of blocks that hold an unknown, with the
+        representative block generated, eliminated and dropped: only its
+        row count and null basis are kept.  The known zeros are dropped
+        from the other rows instead of pivoted on, and the rows with two
+        entries go in first.
+
+        The representatives are the non-increasing ``m`` whose block holds
+        an unknown.  An unknown's multidegree is a sum of ``s + 1`` basis
+        monomials, so its degree is at most ``(s + 1) * r``."""
         alg = self.params.algebra
-        B, exps = alg.dim, alg.basis
-        out: dict[MultiIndex, list[int]] = {}
-        for i, (combo, _) in enumerate(self.unknowns[::B]):
-            base = [sum(col) for col in zip(*(exps[g] for g in combo))] or [0] * alg.k
-            for d, e in enumerate(exps):
-                out.setdefault(tuple(map(add, base, e)), []).append(i * B + d)
+        top = (self.params.s + 1) * alg.r
+        pad = (0,) * alg.k
+        parts = (part for n in range(top + 1) for part in _partitions(n, alg.k, top))
+        out = []
+        for rep in (part + pad[len(part) :] for part in parts):
+            cells, zeros, rows = self._generate(rep)
+            if not cells:
+                continue
+            cols = [col for col in cells if col not in zeros]
+            ech = _Echelon()
+            for row in sorted(rows, key=len):
+                kept = [(col, v) for col, v in row if col not in zeros]
+                if kept:
+                    ech.add(kept)
+            basis = []
+            if ech.rank < len(cols):
+                basis = [
+                    {cells[col]: v for col, v in vec.items()}
+                    for vec in ech.nullspace_basis(cols).values()
+                ]
+            out.append(_Orbit(rep, _orbit_size(rep), len(rows) + len(zeros), basis))
         return out
+
+    # -- the block generator ---------------------------------------------------
+
+    def _generate(self, m: MultiIndex) -> tuple[dict[int, Cell], set[int], list[Row]]:
+        """Block ``m``: its unknowns by ascending column, the columns of
+        its single-entry rows, and its rows with two or more entries, as
+        the module docstring sets out."""
+        alg, s, r = self.params.algebra, self.params.s, self.params.algebra.r
+        B, idx, rank = alg.dim, alg.basis_index, self.combo_rank
+        whole = [((), m, sum(m))]
+        if s:
+            # The leading tuples: b, c and d take the rest of m, of degree
+            # at most 3r.  An unknown's combination is a leading tuple
+            # whose rest has degree at most 2r, and one more pick that
+            # leaves the target.
+            pres = self._picks(whole, s - 1, 3 * r)
+            combos = self._picks([p for p in pres if p[2] <= 2 * r], 1, r)
+        else:
+            pres, combos = [], [w for w in whole if w[2] <= r]
+        cells = dict(
+            sorted((rank[combo] * B + idx[rest], (combo, idx[rest])) for combo, rest, _ in combos)
+        )
+        if not cells or not self.slots:
+            return cells, set(), []
+        # F(pre, 1)(x): every unknown whose combination holds position 0.
+        zeros = {col for col, (combo, _) in cells.items() if combo[0] == 0}
+        rows = []
+        for pre, rest, _ in pres:
+            at = self._slot(pre)
+            singles, multis = self._instances(rest)
+            zeros.update([t[0] + to for x, to in singles if (t := at[x]) is not None])
+            for terms in multis:
+                row = []
+                for x, to, v in terms:
+                    t = at[x]
+                    if t is not None:
+                        row.append((t[0] + to, v * t[1]))
+                if len(row) > 1:
+                    if row[0][1] < 0:
+                        row = [(c, -v) for c, v in row]
+                    rows.append(tuple(row))
+                elif row:
+                    zeros.add(row[0][0])
+        return cells, zeros, rows
+
+    def _picks(
+        self, found: list, t: int, top: int
+    ) -> list[tuple[tuple[int, ...], MultiIndex, int]]:
+        """Each (combination, rest, degree of the rest) of ``found``
+        extended by ``t`` picks of basis positions past its last, each
+        dividing what is left, the last leaving a rest of degree at most
+        ``top``.  A basis monomial has degree at most ``r``, so a pick
+        must leave at most ``top`` plus ``r`` per pick still to come."""
+        alg = self.params.algebra
+        exps, deg, r = alg.basis, alg.degrees, alg.r
+        for left in range(t - 1, -1, -1):
+            grown = []
+            for combo, rest, size in found:
+                divs = self._divisors(rest)
+                # Basis positions are graded: the degree-d monomials start
+                # at bisect_left(deg, d).
+                low = bisect_left(deg, size - top - left * r)
+                start = bisect_left(divs, max(low, combo[-1] + 1 if combo else 0))
+                grown.extend(
+                    [
+                        (combo + (g,), tuple(map(sub, rest, exps[g])), size - deg[g])
+                        for g in divs[start:]
+                    ]
+                )
+            found = grown
+        return found
+
+    def _divisors(self, m: MultiIndex) -> list[int]:
+        """The ascending positions of the basis monomials dividing ``x^m``."""
+        found = self._divisor_cache.get(m)
+        if found is None:
+            alg = self.params.algebra
+            found = sorted(
+                alg.basis_index[a]
+                for a in product(*[range(x + 1) for x in m])
+                if sum(a) <= alg.r
+            )
+            self._divisor_cache[m] = found
+        return found
+
+    def _instances(self, m: MultiIndex) -> tuple[list[tuple[int, int]], list[tuple]]:
+        """The product-rule instances of the factorisations
+        ``x^m = x^b x^c x^d`` into basis monomials with ``1 <= b <= c``,
+        by their terms: ``F(pre, b)(cd)`` when ``b != c``,
+        ``F(pre, c)(bd)`` and ``F(pre, bc)(d)``, each kept when its
+        product is in the basis, as (slot argument, target, coefficient),
+        in column order.  Those with one term, as (slot argument, target),
+        and those with more."""
+        found = self._instance_cache.get(m)
+        if found is None:
+            alg = self.params.algebra
+            exps, deg, prod = alg.basis, alg.degrees, alg.product_index
+            size = sum(m)
+            singles, multis = [], []
+            for b in self._divisors(m)[1:]:
+                after_b = tuple(map(sub, m, exps[b]))
+                cs = self._divisors(after_b)
+                # c >= b, and x^d has degree at most r
+                for c in cs[bisect_left(cs, max(b, bisect_left(deg, size - deg[b] - alg.r))) :]:
+                    d = alg.basis_index[tuple(map(sub, after_b, exps[c]))]
+                    terms = []
+                    if b != c and prod[c][d] is not None:
+                        terms.append((b, prod[c][d], -1))
+                    if prod[b][d] is not None:
+                        terms.append((c, prod[b][d], -2 if b == c else -1))
+                    if prod[b][c] is not None:
+                        terms.append((prod[b][c], d, 1))
+                    if len(terms) == 1:
+                        singles.append(terms[0][:2])
+                    elif terms:
+                        multis.append(tuple(terms))
+            found = self._instance_cache[m] = (singles, multis)
+        return found
+
+    def _slot(self, pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
+        """For every basis position ``x``: the first column of the sorted
+        ``pre + (x,)`` and the sign of the sort, ``None`` when ``x`` is in
+        ``pre``."""
+        found = self._slot_cache.get(pre)
+        if found is None:
+            B, rank = self.params.algebra.dim, self.combo_rank
+            found = []
+            for x in range(B):
+                res = sort_with_sign(pre + (x,))
+                found.append(None if res is None else (rank[res[0]] * B, res[1]))
+            self._slot_cache[pre] = found
+        return found
+
+    @cached_property
+    def _divisor_cache(self) -> dict:
+        return {}
+
+    @cached_property
+    def _instance_cache(self) -> dict:
+        return {}
+
+    @cached_property
+    def _slot_cache(self) -> dict:
+        return {}
+
+
+def _partitions(n: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:
+    """The non-increasing tuples of at most ``parts`` positive integers,
+    each at most ``top``, that sum to ``n``."""
+    if n == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(n, top), 0, -1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _orbit_size(rep: MultiIndex) -> int:
+    """The number of distinct rearrangements of ``rep``."""
+    size, left = 1, len(rep)
+    for _, run in groupby(rep):
+        n = len(list(run))
+        size *= comb(left, n)
+        left -= n
+    return size
+
+
+def _orbit(rep: MultiIndex) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
+    """The distinct rearrangements of the non-increasing ``rep``, ``rep``
+    first, each with the positions its first ``q`` entries move to, ``q``
+    the support size of ``rep``."""
+    k = len(rep)
+    q = k - rep.count(0)
+    runs = [len(list(run)) for _, run in groupby(rep[:q])]
+
+    def place(i: int, free: Sequence[int], placed: tuple[int, ...]):
+        if i == len(runs):
+            m = [0] * k
+            for a, p in enumerate(placed):
+                m[p] = rep[a]
+            yield tuple(m), placed
+            return
+        for chosen in combinations(free, runs[i]):
+            rest = [p for p in free if p not in chosen] if i + 1 < len(runs) else ()
+            yield from place(i + 1, rest, placed + chosen)
+
+    yield from place(0, range(k), ())
 
 
 def build_constraints(
     params: LiftParams, *, max_unknowns: int = DEFAULT_MAX_UNKNOWNS
 ) -> ConstraintSystem:
-    """Instantiate the product rule on basis tuples.
+    """The product-rule system, refused above ``max_unknowns`` unknowns.
 
     The rule is imposed at the final slot only, with the leading ``s - 1``
     arguments running over strictly increasing tuples, on ``b <= c``, and
-    each row is formed once in its final shape, as the module docstring
-    sets out: the rows ``F(pre, 1)(x)`` and every other single-entry row
-    are collected as columns of known zeros, and the rows with two or more
-    entries (coefficients +-1, one of them -+2 when ``b == c``, content 1)
-    only have their leading sign flipped; each of these comes from one
-    instance, so they are listed without a set.  ``d`` runs up to the end
-    of the last region where ``F(pre, b)(cd)`` or ``F(pre, c)(bd)``
-    exists; above it the columns of ``F(pre, bc)`` are added as one range
-    of zeros.
-    This gives the row set of the rule at every slot on every ordered
-    tuple of the other arguments: at the last slot a permutation of the
-    leading tuple scales the three terms of an instance by one common
-    sign, which row normalisation strips, a repeated leading entry zeroes
-    all three terms, and moving the rule from slot ``t`` to the last slot
-    is one permutation common to the three terms.  The test-suite checks
-    the equality.
+    each row is formed once in its final shape, one multidegree block at a
+    time, as the module docstring sets out.  This gives the row set of the
+    rule at every slot on every ordered tuple of the other arguments: at
+    the last slot a permutation of the leading tuple scales the three
+    terms of an instance by one common sign, which row normalisation
+    strips, a repeated leading entry zeroes all three terms, and moving the
+    rule from slot ``t`` to the last slot is one permutation common to the
+    three terms.  The test-suite checks the equality.
     """
     n = unknown_count(params)
     if n > max_unknowns:
@@ -179,86 +468,8 @@ def build_constraints(
         raise OracleSizeError(
             f"system would have {count} unknowns, above the limit of {max_unknowns}"
         )
-    B = params.algebra.dim
-    s = params.s
-    combos = list(combinations(range(B), s))
-    combo_rank = {c: i for i, c in enumerate(combos)}
-    unknowns = tuple((c, d) for c in combos for d in range(B))
-
-    def block(pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
-        # (column block, sign) of pre + (x,) for every basis position x,
-        # None where an entry repeats
-        out = []
-        for x in range(B):
-            res = sort_with_sign(pre + (x,))
-            out.append(None if res is None else (combo_rank[res[0]] * B, res[1]))
-        return out
-
     # For arity zero the slot range is empty.
-    slots = tuple(range(max(s - 1, 0), s))
-    rows: list[tuple[tuple[int, int], ...]] = []
-    zeros: set[int] = set()
-    for t in slots:
-        for pre in combinations(range(B), t):
-            _add_last_slot_rows(rows, zeros, block(pre), params.algebra)
-    rows.extend(((col, 1),) for col in zeros)
-    return ConstraintSystem(params, unknowns, tuple(sorted(rows)), slots)
-
-
-def _add_last_slot_rows(rows: list, zeros: set, block: list, alg) -> None:
-    """Add the rows ``R(pre; b, c, d)`` with two or more entries to
-    ``rows`` and the columns of the single-entry ones to ``zeros``, each
-    ``d`` region of each ``b <= c`` once, as the module docstring sets
-    out."""
-    B, prod_idx, deg, r = len(block), alg.product_index, alg.degrees, alg.r
-    ends = [bisect_right(deg, r - g) for g in deg]
-    if block[0] is not None:
-        zeros.update(range(block[0][0], block[0][0] + B))
-    every_d = range(B)
-    for b in range(1, B):
-        at_b, off_b, n_b = block[b], prod_idx[b], ends[b]
-        for c in range(b, B):
-            at_c, n_c = block[c], ends[c]
-            # Terms as (column block, coefficient, target by d), in column
-            # order: F(pre, b)(cd), F(pre, c)(bd), F(pre, bc)(d).
-            head = [] if at_b is None or b == c else [(at_b[0], -at_b[1], prod_idx[c])]
-            merged = 2 if b == c else 1
-            tail = [] if at_c is None else [(at_c[0], -merged * at_c[1], off_b)]
-            bc = off_b[c]
-            at_bc = None if bc is None else block[bc]
-            if at_bc is not None:
-                tail.append((at_bc[0], at_bc[1], every_d))
-            # F(pre, b)(cd) or F(pre, c)(bd) exists exactly for d < hi.
-            hi = n_b if at_c is not None else n_c if head else 0
-            if head:
-                _add_region(rows, zeros, head + tail, 0, n_c)
-                if n_c < hi:
-                    _add_region(rows, zeros, tail, n_c, hi)
-            elif hi:
-                _add_region(rows, zeros, tail, 0, hi)
-            if at_bc is not None:
-                zeros.update(range(at_bc[0] + hi, at_bc[0] + B))
-
-
-def _add_region(rows: list, zeros: set, terms: list, lo: int, hi: int) -> None:
-    """Add the rows for ``lo <= d < hi`` whose terms are ``terms``: one
-    term is a known zero, two or three form a row whose leading sign is
-    made positive."""
-    if len(terms) == 1:
-        ((at, _, to),) = terms
-        zeros.update([at + to[d] for d in range(lo, hi)])
-    elif len(terms) == 2:
-        (a1, v1, t1), (a2, v2, t2) = terms
-        if v1 < 0:
-            v1, v2 = -v1, -v2
-        rows.extend([((a1 + t1[d], v1), (a2 + t2[d], v2)) for d in range(lo, hi)])
-    else:
-        (a1, v1, t1), (a2, v2, t2), (a3, v3, t3) = terms
-        if v1 < 0:
-            v1, v2, v3 = -v1, -v2, -v3
-        rows.extend(
-            [((a1 + t1[d], v1), (a2 + t2[d], v2), (a3 + t3[d], v3)) for d in range(lo, hi)]
-        )
+    return ConstraintSystem(params, tuple(range(max(params.s - 1, 0), params.s)))
 
 
 def _primitive(row: dict[int, int], signed: bool = False) -> dict[int, int]:
@@ -339,43 +550,96 @@ class _Echelon:
         return basis
 
 
+def _transport(
+    system: ConstraintSystem, basis: list[dict[Cell, Fraction]], placed: tuple[int, ...]
+) -> list[dict[int, Fraction]]:
+    """The representative's null basis carried to the block where its
+    ``i``-th supported axis sits at ``placed[i]``: each combination
+    re-sorted, with the sign of the sort."""
+    alg = system.params.algebra
+    B, k, exps, idx = alg.dim, alg.k, alg.basis, alg.basis_index
+    rank = system.combo_rank
+    moved: dict[int, int] = {}
+
+    def move(g: int) -> int:
+        h = moved.get(g)
+        if h is None:
+            a = [0] * k
+            for i, p in enumerate(placed):
+                a[p] = exps[g][i]
+            h = moved[g] = idx[tuple(a)]
+        return h
+
+    out = []
+    for vec in basis:
+        image = {}
+        for (combo, target), v in vec.items():
+            combo, sign = sort_with_sign(tuple(map(move, combo)))
+            image[rank[combo] * B + move(target)] = v if sign > 0 else -v
+        out.append(image)
+    return out
+
+
+def _reduce_at_largest(vectors: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The basis of the span of the independent ``vectors`` in which each
+    vector is 1 at its largest column and 0 at the others' largest
+    columns, keyed by that column."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for vec in vectors:
+        # Each pivot vector is 1 at its own pivot and 0 at the others, so
+        # one pass clears every pivot column of ``vec``.
+        vec = dict(vec)
+        for lead, p in pivots.items():
+            _subtract(vec, vec.get(lead), p)
+        lead = max(vec)
+        inv = 1 / vec[lead]
+        vec = {c: v * inv for c, v in vec.items()}
+        for p in pivots.values():
+            _subtract(p, p.get(lead), vec)
+        pivots[lead] = vec
+    return pivots
+
+
+def _subtract(vec: dict[int, Fraction], f: Fraction | None, p: Mapping[int, Fraction]) -> None:
+    """``vec -= f * p`` in place, dropping the entries that vanish."""
+    if f:
+        for c, v in p.items():
+            w = vec.get(c, 0) - f * v
+            if w:
+                vec[c] = w
+            else:
+                del vec[c]
+
+
 def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]:
     """Exact nullspace dimension and an explicit rational basis, one vector
     per free column, in column order, each a dict of its nonzero entries.
 
-    The columns of a single-entry row are known zeros: they are dropped
-    from the other rows instead of pivoted on.  Every row lies in one
-    multidegree, so the rest is eliminated one multidegree block at a
-    time, and only a block with fewer pivots than columns is
-    back-substituted.  Each basis vector is the null vector that is 1 at
-    its free column and 0 at the others, and the pivot columns are fixed
-    by the row space, so the basis is the one whole-system elimination
-    gives.
+    One block per orbit of variable permutations is eliminated; its basis
+    is carried to every other block of the orbit and re-reduced there, as
+    the module docstring sets out.  Each basis vector is the null vector
+    that is 1 at its free column and 0 at the others, and the free columns
+    are fixed by the nullspace, so the basis is the one whole-system
+    elimination gives.
     """
-    rows = system.rows
-    zeros = {row[0][0] for row in rows if len(row) == 1}
-    blocks = []
-    echelon_at: dict[int, _Echelon] = {}
-    for cols in system.block_columns.values():
-        cols = [col for col in cols if col not in zeros]
-        ech = _Echelon()
-        echelon_at.update(dict.fromkeys(cols, ech))
-        blocks.append((cols, ech))
-    for row in sorted(rows, key=len):
-        kept = [(col, v) for col, v in row if col not in zeros]
-        if kept:
-            echelon_at[kept[0][0]].add(kept)
     by_free: dict[int, dict[int, Fraction]] = {}
-    for cols, ech in blocks:
-        if ech.rank < len(cols):
-            by_free.update(ech.nullspace_basis(cols))
+    for orbit in system._orbits:
+        if orbit.basis:
+            for m, placed in _orbit(orbit.rep):
+                vectors = _transport(system, orbit.basis, placed)
+                if m == orbit.rep:  # eliminated here: each vector ends at its free column
+                    by_free.update((max(vec), vec) for vec in vectors)
+                else:
+                    by_free.update(_reduce_at_largest(vectors))
     return len(by_free), [by_free[f] for f in sorted(by_free)]
 
 
-def _integer_row(vec: Mapping[int, Fraction]) -> dict[int, int]:
+def _integer_row(vec: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """The nonzero entries of ``vec`` times the least common denominator,
+    and that denominator."""
     items = {c: v for c, v in vec.items() if v}
     scale = lcm(*(v.denominator for v in items.values()))
-    return {c: int(v * scale) for c, v in items.items()}
+    return {c: v.numerator * (scale // v.denominator) for c, v in items.items()}, scale
 
 
 def rank_of(vectors: Iterable[Mapping[int, Fraction]]) -> int:
@@ -383,15 +647,16 @@ def rank_of(vectors: Iterable[Mapping[int, Fraction]]) -> int:
     column to value, like the basis ``nullspace`` returns."""
     ech = _Echelon()
     for v in vectors:
-        ech.add(_integer_row(v))
+        ech.add(_integer_row(v)[0])
     return ech.rank
 
 
 def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]) -> bool:
     """Is reading a nullspace vector off at the free cells bijective?
 
-    Builds the free-cell-by-basis-vector matrix and tests squareness plus
-    invertibility; a dimension mismatch reports False rather than raising.
+    Builds the free-cell-by-basis-vector matrix, from the basis inverted
+    by column, and tests squareness plus invertibility; a dimension
+    mismatch reports False rather than raising.
     """
     params = system.params
     cells = free_cells(params)
@@ -399,51 +664,50 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fractio
         return False
     alg = params.algebra
     bi = alg.basis_index
+    at_column: dict[int, dict[int, Fraction]] = {}
+    for b, vec in enumerate(nullbasis):
+        for col, v in vec.items():
+            if v:
+                at_column.setdefault(col, {})[b] = v
     rows = []
     for cell in cells:
         combo = tuple(bi[unit(alg.k, i)] for i in cell.axes)
-        col = system.column(combo, bi[cell.alpha])
-        rows.append({b: v for b, vec in enumerate(nullbasis) if (v := vec.get(col))})
+        rows.append(at_column.get(system.column(combo, bi[cell.alpha]), {}))
     return rank_of(rows) == len(cells)
 
 
-def expand_table(system: ConstraintSystem, table: LiftTable) -> dict[int, Fraction]:
-    """A lift table evaluated at every unknown of the system, as a dict of
-    its nonzero entries.  Only the blocks that hold a nonzero cell of the
-    table are evaluated: ``TableEvaluator`` reads at an unknown only cells
-    of its multidegree, so the others are zero."""
-    p = table.params
-    held = {
-        multidegree(axes, alpha)
-        for axes, row in zip(p.rows, table.cells)
-        for alpha, v in zip(p.algebra.basis, row)
-        if v
-    }
-    ev = TableEvaluator(table)
-    unknowns, blocks = system.unknowns, system.block_columns
+class _Table(NamedTuple):
+    """What ``TableEvaluator`` reads of a ``LiftTable``, built without
+    validating every cell."""
+
+    params: LiftParams
+    cells: list
+
+
+def expand_table(
+    system: ConstraintSystem, cells: Mapping[FreeCell, Fraction]
+) -> dict[int, Fraction]:
+    """The table with the given nonzero cells, zero elsewhere, evaluated at
+    every unknown of the system, as a dict of its nonzero entries.  Only
+    the blocks of the given cells are evaluated: ``TableEvaluator`` reads
+    at an unknown only cells of its multidegree, so the others are zero."""
+    p = system.params
+    bi, ri = p.algebra.basis_index, p.row_index
+    zero = (Fraction(0),) * p.algebra.dim
+    rows: list = [zero] * len(p.rows)
+    for (axes, alpha), v in cells.items():
+        i = ri[axes]
+        if rows[i] is zero:
+            rows[i] = list(zero)
+        rows[i][bi[alpha]] = v
+    ev = TableEvaluator(_Table(p, rows))
     vec = {}
-    for m in held:
-        for col in blocks.get(m, ()):
-            v = ev.monomials_by_index(*unknowns[col])
+    for m in {multidegree(*cell) for cell in cells}:
+        for col, (combo, target) in system.block(m).cells.items():
+            v = ev.monomials_by_index(combo, target)
             if v:
                 vec[col] = v
     return vec
-
-
-def _unit_table(params: LiftParams, one: FreeCell) -> LiftTable:
-    """The table of the assignment that is 1 at the free cell ``one`` and 0
-    at the others.  Its nonzero cells lie in the block of ``one``, so only
-    that block is completed, from its own free cells; the rest is 0."""
-    block = block_cells(params, multidegree(*one))
-    free = {c: Fraction(int(c == one)) for c in block if c in params.free_cell_set}
-    zero_row = (Fraction(0),) * params.algebra.dim
-    rows = [zero_row] * len(params.rows)
-    for cell, v in zip(block, complete(free, block)):
-        if v:
-            row = list(zero_row)
-            row[params.algebra.basis_index[cell.alpha]] = v
-            rows[params.row_index[cell.axes]] = tuple(row)
-    return LiftTable(params, tuple(rows))
 
 
 def compare_with_construction(
@@ -451,33 +715,38 @@ def compare_with_construction(
 ) -> VerificationReport:
     """Cross-validate the closed-form construction against the brute force.
 
-    For each unit assignment the constructed table, expanded to a sparse
-    unknown vector, must satisfy every constraint row; and the expanded
-    vectors must span exactly the oracle nullspace (mutual containment by
-    rank).  A row that touches none of a vector's nonzero columns sums to
-    exactly zero, so only the touched rows are evaluated, in row order;
-    every row still counts as a case.  Rows are indexed only at the columns
-    some vector fills.
+    For each unit assignment (1 at one free cell, 0 at the others) the
+    constructed table, expanded to a sparse unknown vector, must satisfy
+    every constraint row; and the expanded vectors must span exactly the
+    oracle nullspace (mutual containment by rank).  The unit table's
+    nonzero cells, and so its vector, lie in the block of its free cell:
+    only that block is completed, from its own free cells, and evaluated,
+    and only that block's rows, in row order, can be nonzero on it.  Every
+    row still counts as a case.
     """
-    cells = free_cells(system.params)
-    expanded = [expand_table(system, _unit_table(system.params, cell)) for cell in cells]
-    rows = system.rows
-    rows_at: dict[int, list[int]] = {col: [] for vec in expanded for col in vec}
-    for i, row in enumerate(rows):
-        for col, _ in row:
-            at = rows_at.get(col)
-            if at is not None:
-                at.append(i)
+    params = system.params
+    cells = free_cells(params)
+    free = params.free_cell_set
+    n_rows = system.row_count
     rep = VerificationReport(cases={"constraint-rows": 0, "span": 0})
-    for cell, vec in zip(cells, expanded):
-        rep.cases["constraint-rows"] += len(rows)
-        touched = {i for col in vec for i in rows_at[col]}
-        for i in sorted(touched):
-            row = rows[i]
-            val = sum((coeff * vec.get(col, 0) for col, coeff in row), Fraction(0))
-            if val != 0:
+    expanded = []
+    for one in cells:
+        m = multidegree(*one)
+        block = block_cells(params, m)
+        values = complete({c: Fraction(int(c == one)) for c in block if c in free}, block)
+        vec = expand_table(system, {c: v for c, v in zip(block, values) if v})
+        expanded.append(vec)
+        rep.cases["constraint-rows"] += n_rows
+        ints, scale = _integer_row(vec)
+        for row in system.block(m).rows:
+            total = 0
+            for col, coeff in row:
+                x = ints.get(col)
+                if x:
+                    total += coeff * x
+            if total:
                 rep.failures.append(
-                    Failure("constraint-rows", (cell, row), Fraction(0), val)
+                    Failure("constraint-rows", (one, row), Fraction(0), Fraction(total, scale))
                 )
     r_null = rank_of(nullbasis)
     r_exp = rank_of(expanded)

@@ -16,7 +16,11 @@ pruning: every ``b, c, d`` on every increasing leading tuple, and
 ordered tuple of the other arguments, forming each row in a dict of
 coefficients and dividing out its content (``_add_rows_at``), so it
 shares no code with the builder it checks.  ``reference_nullspace``
-eliminates the whole system at once, where the oracle goes block by block.
+eliminates the whole system at once, and ``reference_blockwise_nullspace``
+every block from its own rows, where the oracle eliminates one block per
+orbit of variable permutations and transports its basis to the others.
+``truncation_kernel_failures`` is a fourth route to the lift space: the
+kernel of the truncation sums on the table cells, block by block.
 """
 
 from __future__ import annotations
@@ -24,9 +28,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from jetlift import CoefficientAssignment, LiftParams, LiftTable, construct, free_cells
-from jetlift.lift_space import FreeCell, TableEvaluator, lookup_skew, sort_with_sign
+from jetlift.lift_space import (
+    FreeCell,
+    TableEvaluator,
+    block_cells,
+    graded_dimension,
+    lookup_skew,
+    sort_with_sign,
+)
 from jetlift.multiindex import (
     MultiIndex,
     add,
@@ -397,7 +409,16 @@ def _primitive(row: dict[int, int], signed: bool = False) -> dict[int, int]:
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def reference_build_all_slots(params: LiftParams) -> ConstraintSystem:
+class ReferenceSystem(NamedTuple):
+    """Whole-system rows over the unknowns, as a reference builds them."""
+
+    params: LiftParams
+    unknowns: tuple[tuple[tuple[int, ...], int], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    slots: tuple[int, ...]
+
+
+def reference_build_all_slots(params: LiftParams) -> ReferenceSystem:
     """The product rule at every slot on every ordered tuple of the other
     arguments and every ``b, c, d``, with no skipping: the row set the
     oracle's last-slot builder must reproduce."""
@@ -422,10 +443,10 @@ def reference_build_all_slots(params: LiftParams) -> ConstraintSystem:
             blk = block(others[:t], others[t:])
             for b, c in product(range(B), repeat=2):
                 _add_rows_at(rowset, blk, params.algebra.product_index, b, c, B)
-    return ConstraintSystem(params, unknowns, tuple(sorted(rowset)), tuple(range(s)))
+    return ReferenceSystem(params, unknowns, tuple(sorted(rowset)), tuple(range(s)))
 
 
-def reference_nullspace(system: ConstraintSystem):
+def reference_nullspace(system: ConstraintSystem | ReferenceSystem):
     """The oracle's nullspace by one elimination of the whole system: every
     row, single-entry rows included, into one echelon, shortest first."""
     ech = _Echelon()
@@ -433,3 +454,85 @@ def reference_nullspace(system: ConstraintSystem):
         ech.add(row)
     basis = list(ech.nullspace_basis(range(len(system.unknowns))).values())
     return len(basis), basis
+
+
+def reference_blockwise_nullspace(system: ConstraintSystem):
+    """The oracle's nullspace with every block eliminated directly from its
+    own generated rows, single-entry rows included, and no block's basis
+    carried to another: what transporting one block per orbit must give."""
+    by_free = {}
+    for m in system.multidegrees:
+        block = system.block(m)
+        ech = _Echelon()
+        for row in sorted(block.rows, key=len):
+            ech.add(row)
+        by_free.update(ech.nullspace_basis(block.cells))
+    return len(by_free), [by_free[f] for f in sorted(by_free)]
+
+
+def truncation_kernel_failures(params: LiftParams) -> list:
+    """The kernel of the truncation sums on the table cells, block by block,
+    against the graded closed form and the free cells.
+
+    The sum at ``(g, eps)`` (``g`` an increasing axis ``(s-1)``-tuple,
+    ``|eps| = r + 1``) reads the cells ``(g + h, eps - e_h)`` of multidegree
+    ``e_g + eps``, so the kernel splits by multidegree, and a block of
+    degree below ``r + s`` holds no sum.  For ``r >= 1`` the verifier
+    proves that a table lies in the lift space exactly when every sum
+    vanishes; at ``r = 0`` the sums kill every cell, and the lift space is
+    0.  So per block the kernel's dimension must be ``graded_dimension``,
+    and the free cells must complement the pivots: with the other cells
+    first, the pivots of the sums are exactly those cells, that is, a
+    kernel vector is fixed by its free cells and they take any values.
+    The elimination never reads the free-cell predicate; only the cell
+    order does.  Returns ``(m, what, found, expected)`` per failing block.
+
+    Block ``m`` lists its cells by the ``s``-subsets of its support, and
+    its sums by the ``(s-1)``-subsets, so its matrix depends on ``m`` only
+    through the exponents on the support, in axis order; it is eliminated
+    once per such pattern and order of the cells.
+    """
+    r, k, s = params.algebra.r, params.algebra.k, params.s
+    free = params.free_cell_set
+    kernels: dict = {}
+    failures = []
+    for d in range(s, r + s + 1):
+        for m in enumerate_degree_exactly(k, d):
+            cells = block_cells(params, m)
+            if not cells:
+                continue
+            is_free = tuple(cell in free for cell in cells)
+            key = (tuple(x for x in m if x), is_free)
+            if key not in kernels:
+                kernels[key] = _truncation_kernel(key[0], s, d == r + s, is_free)
+            nullity, pivots_ok = kernels[key]
+            if nullity != graded_dimension(params, m):
+                failures.append((m, "nullity", nullity, graded_dimension(params, m)))
+            if not pivots_ok:
+                failures.append((m, "pivots", is_free, False))
+    return failures
+
+
+def _truncation_kernel(pattern: tuple[int, ...], s: int, top: bool, is_free: tuple[bool, ...]):
+    """Nullity of the truncation sums of a block with the support exponents
+    ``pattern``, and whether their pivots are exactly its bound cells,
+    taken first; cells and sums are numbered by the ``s``- and
+    ``(s-1)``-subsets of the support, as positions into ``pattern``."""
+    q = len(pattern)
+    subsets = list(combinations(range(q), s))
+    order = sorted(range(len(subsets)), key=lambda i: is_free[i])
+    column = {subsets[i]: c for c, i in enumerate(order)}
+    ech = _Echelon()
+    if top and s:
+        for g in combinations(range(q), s - 1):
+            eps = list(pattern)
+            for j in g:
+                eps[j] -= 1
+            row = {}
+            for h, x in enumerate(eps):
+                res = sort_with_sign(g + (h,)) if x else None
+                if res is not None:
+                    row[column[res[0]]] = x * res[1]
+            ech.add(row)
+    bound = is_free.count(False)
+    return len(subsets) - ech.rank, set(ech.pivots) == set(range(bound))

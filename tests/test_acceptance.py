@@ -1,4 +1,4 @@
-"""Acceptance gate: eight criteria, one test and one printed PASS/FAIL line
+"""Acceptance gate: nine criteria, one test and one printed PASS/FAIL line
 each.  Run ``pytest -s tests/test_acceptance.py`` to watch the lines appear;
 every comparison below is exact (integers and rationals, no tolerances).
 
@@ -7,7 +7,9 @@ runs on the full grid except criterion 6, which drops the points whose
 linear system would exceed the CLI's unknown-count guard (exactly one point,
 (3,3,3)): its every-slot reference would instantiate about ten million
 product-rule instances there.  The oracle criteria 1, 4 and 8 build
-(3,3,3) with the guard lifted to its unknown count.
+(3,3,3) with the guard lifted to its unknown count; criteria 1 and 4 also
+build (4,3,3), (3,4,3) and (4,4,2), with 169,050 to 229,075 unknowns each.
+Criterion 9 checks the truncation kernel on its own, larger grid.
 """
 
 import random
@@ -35,7 +37,12 @@ from jetlift.oracle import (
     nullspace,
     unknown_count,
 )
-from support import detectable_cells, reference_build_all_slots
+from support import (
+    detectable_cells,
+    reference_build_all_slots,
+    reference_nullspace,
+    truncation_kernel_failures,
+)
 
 FULL_GRID = [(r, k, s) for r in (1, 2, 3) for k in (1, 2, 3) for s in (0, 1, 2, 3)]
 
@@ -47,6 +54,16 @@ def lift(point) -> LiftParams:
 
 CAPPED_GRID = [p for p in FULL_GRID if unknown_count(lift(p)) <= DEFAULT_MAX_UNKNOWNS]
 
+# Past the grid, for the brute-force dimension and isomorphism criteria.
+REACH_POINTS = [(4, 3, 3), (3, 4, 3), (4, 4, 2)]
+
+# Criterion 9: r <= 6, k <= 6, s <= 4, and two points with more variables
+# or a higher order.
+KERNEL_GRID = [(r, k, s) for r in range(7) for k in range(7) for s in range(5)] + [
+    (5, 8, 4),
+    (8, 5, 3),
+]
+
 SPOT_DIMENSIONS = {(1, 1, 1): 1, (1, 2, 1): 3, (2, 2, 2): 3, (2, 3, 2): 15}
 
 
@@ -56,7 +73,7 @@ def oracle_cache():
     point, (3,3,3) included with the guard lifted, built once and shared by
     the criteria that need the brute-force side."""
     cache = {}
-    for point in FULL_GRID:
+    for point in FULL_GRID + REACH_POINTS:
         params = lift(point)
         system = build_constraints(params, max_unknowns=unknown_count(params))
         nullity, basis = nullspace(system)
@@ -77,7 +94,7 @@ def test_criterion_1_dimension_cross_check(oracle_cache):
     failures = []
     if set(FULL_GRID) - set(CAPPED_GRID) != {(3, 3, 3)}:
         failures.append(("guard", sorted(set(FULL_GRID) - set(CAPPED_GRID))))
-    for point in FULL_GRID:
+    for point in FULL_GRID + REACH_POINTS:
         params, _, nullity, _ = oracle_cache[point]
         if nullity != dimension(params):
             failures.append((point, "nullspace", nullity, dimension(params)))
@@ -88,7 +105,8 @@ def test_criterion_1_dimension_cross_check(oracle_cache):
             failures.append((point, "spot-nullity", expected))
     finish(
         1,
-        "oracle nullspace dimension equals the closed form on the full grid",
+        "oracle nullspace dimension equals the closed form on the full grid "
+        "and at (4,3,3), (3,4,3), (4,4,2)",
         failures,
     )
 
@@ -137,7 +155,7 @@ def test_criterion_3_every_unit_construction_verifies():
 
 def test_criterion_4_isomorphism(oracle_cache):
     failures = []
-    for point in FULL_GRID:
+    for point in FULL_GRID + REACH_POINTS:
         params, system, _, basis = oracle_cache[point]
         if len(free_cells(params)) != dimension(params):
             failures.append((point, "free-cell count"))
@@ -149,7 +167,8 @@ def test_criterion_4_isomorphism(oracle_cache):
     finish(
         4,
         "free cells count the dimension, evaluation at them is bijective, "
-        "and construction spans exactly the oracle nullspace on the full grid",
+        "and construction spans exactly the oracle nullspace on the full grid "
+        "and at (4,3,3), (3,4,3), (4,4,2)",
         failures,
     )
 
@@ -192,7 +211,7 @@ def test_criterion_6_last_slot_reduction(oracle_cache):
         system_all = reference_build_all_slots(params)
         if system_last.rows != system_all.rows:
             failures.append((point, "row sets"))
-        nullity_all, _ = nullspace(system_all)
+        nullity_all, _ = reference_nullspace(system_all)
         if nullity_last != nullity_all:
             failures.append((point, "nullity", nullity_last, nullity_all))
         for vec in basis_last:
@@ -255,7 +274,7 @@ def test_criterion_8_graded_agreement(oracle_cache):
     failures = []
     for point in FULL_GRID:
         params, system, _, basis = oracle_cache[point]
-        block_of = {col: m for m, cols in system.block_columns.items() for col in cols}
+        block_of = {col: m for m in system.multidegrees for col in system.block(m).cells}
         free = params.free_cell_set
         vectors = Counter()
         for vec in basis:
@@ -263,7 +282,7 @@ def test_criterion_8_graded_agreement(oracle_cache):
             if len(blocks) != 1:
                 failures.append((point, "vector spans blocks", sorted(blocks)))
             vectors.update(blocks)
-        blocks = set(system.block_columns) | {multidegree(*cell) for cell in free}
+        blocks = set(system.multidegrees) | {multidegree(*cell) for cell in free}
         for m in sorted(blocks):
             cells = sum(cell in free for cell in block_cells(params, m))
             counts = (graded_dimension(params, m), cells, vectors[m])
@@ -273,5 +292,20 @@ def test_criterion_8_graded_agreement(oracle_cache):
         8,
         "per multidegree block, the graded closed form, the free cells and "
         "the oracle basis vectors agree on the full grid",
+        failures,
+    )
+
+
+def test_criterion_9_truncation_kernel():
+    # A fourth route, without the oracle: the kernel of the truncation sums,
+    # block by block, on a grid far past the oracle's reach.
+    failures = []
+    for point in KERNEL_GRID:
+        failures.extend((point, *f) for f in truncation_kernel_failures(lift(point)))
+    finish(
+        9,
+        "per multidegree block, the kernel of the truncation sums has the "
+        "graded dimension and the free cells complement its pivots "
+        "(r <= 6, k <= 6, s <= 4, and (5,8,4), (8,5,3))",
         failures,
     )
