@@ -194,6 +194,7 @@ def cmd_oracle(args) -> int:
         system = build_constraints(params, max_unknowns=args.max_unknowns)
     except OracleSizeError as exc:
         raise CliError(str(exc)) from exc
+    _check_enumerable(params)
     if args.dump:
         _write(args.dump, lambda path: dump_matrix(system, path))
     nullity, basis = nullspace(system)

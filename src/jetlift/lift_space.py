@@ -77,27 +77,21 @@ class FreeCell(NamedTuple):
     alpha: MultiIndex
 
 
-def _is_free(axes: tuple[int, ...], alpha: MultiIndex, r: int) -> bool:
-    # Bound cells are exactly the full-degree columns whose supported axes
-    # all sit at or below the row's last axis; for 0-ary tables every cell
-    # is free (the maps are plain functionals, nothing constrains them).
-    if not axes:
-        return True
-    if degree(alpha) < r:
-        return True
-    sup = support(alpha)
-    return bool(sup) and axes[-1] < sup[-1]
-
-
 def free_cells(params: LiftParams) -> list[FreeCell]:
     """The cells whose values determine the whole table, ordered row-major:
     axis tuples lexicographically, monomials canonically within a row."""
-    r = params.algebra.r
+    alg = params.algebra
+    # For 0-ary tables every cell is free (the maps are plain functionals,
+    # nothing constrains them).
+    if not params.s:
+        return [FreeCell((), a) for a in alg.basis]
+    # Bound cells are exactly the full-degree columns whose supported axes
+    # all sit at or below the row's last axis.
     return [
         FreeCell(axes, a)
         for axes in params.rows
-        for a in params.algebra.basis
-        if _is_free(axes, a, r)
+        for a, d, sup in zip(alg.basis, alg.degrees, alg.supports)
+        if d < alg.r or (sup and axes[-1] < sup[-1])
     ]
 
 

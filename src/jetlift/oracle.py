@@ -100,18 +100,31 @@ vector to 1 at its pivot.  The pivots are then ``F``, and each vector is
 needed because the free cells are not symmetric under ``sigma``: the
 predicate singles out the top axis of a row.  So ``sigma`` need not carry
 free columns to free columns, nor keep the column order.
+
+The generator and the transport code an exponent vector as one integer:
+a field of ``w`` bits per variable (8, 16, 32 or 64) with room for
+``(s + 1) * r``, an unknown's top degree, below the field's guard bit.
+With ``G`` the guard bits, a field of ``(m | G) - g`` keeps its guard
+bit, and borrows nothing, exactly when ``g_i <= m_i``; so ``x^g`` divides
+``x^m`` when ``((m | G) - g) & G == G``, and the quotient is ``m - g``.
+Before a representative block is eliminated, a row left with one entry
+once the known zeros are dropped makes its column a known zero too, until
+no row does, as a null vector is zero at the known zeros.  Elimination
+stops once the rank equals the number of other (live) columns: the
+nullspace is then 0.  Neither step changes the nullspace, which alone
+fixes the basis; the row count is taken before both.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 from math import comb, gcd, lcm
-from operator import sub
 from pathlib import Path
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
@@ -226,7 +239,8 @@ class ConstraintSystem:
         """One entry per orbit of blocks that hold an unknown, with the
         representative block generated, eliminated and dropped: only its
         row count and null basis are kept.  The known zeros are dropped
-        from the other rows instead of pivoted on, and the rows with two
+        from the other rows instead of pivoted on, with the presolve and
+        the early stop of the module docstring, and the rows with two
         entries go in first.
 
         The representatives are the non-increasing ``m`` whose block holds
@@ -241,19 +255,31 @@ class ConstraintSystem:
             cells, zeros, rows = self._generate(rep)
             if not cells:
                 continue
+            count = len(rows) + len(zeros)
+            while True:  # a row left with one entry makes its column a known zero
+                known, live = len(zeros), []
+                for row in rows:
+                    row = [e for e in row if e[0] not in zeros]
+                    if len(row) > 1:
+                        live.append(row)
+                    elif row:
+                        zeros.add(row[0][0])
+                rows = live
+                if len(zeros) == known:
+                    break
             cols = [col for col in cells if col not in zeros]
             ech = _Echelon()
             for row in sorted(rows, key=len):
-                kept = [(col, v) for col, v in row if col not in zeros]
-                if kept:
-                    ech.add(kept)
+                ech.add(row)
+                if ech.rank == len(cols):  # the other rows are dependent
+                    break
             basis = []
             if ech.rank < len(cols):
                 basis = [
                     {cells[col]: v for col, v in vec.items()}
                     for vec in ech.nullspace_basis(cols).values()
                 ]
-            out.append(_Orbit(rep, _orbit_size(rep), len(rows) + len(zeros), basis))
+            out.append(_Orbit(rep, _orbit_size(rep), count, basis))
         return out
 
     # -- the block generator ---------------------------------------------------
@@ -263,8 +289,11 @@ class ConstraintSystem:
         its single-entry rows, and its rows with two or more entries, as
         the module docstring sets out."""
         alg, s, r = self.params.algebra, self.params.s, self.params.algebra.r
-        B, idx, rank = alg.dim, alg.basis_index, self.combo_rank
-        whole = [((), m, sum(m))]
+        B, rank, pos = alg.dim, self.combo_rank, self._positions
+        size = sum(m)
+        if size > (s + 1) * r:  # no unknown; the codes hold exponents up to (s + 1) r
+            return {}, set(), []
+        whole = [((), self._code(m), size)]
         if s:
             # The leading tuples: b, c and d take the rest of m, of degree
             # at most 3r.  An unknown's combination is a leading tuple
@@ -275,16 +304,16 @@ class ConstraintSystem:
         else:
             pres, combos = [], [w for w in whole if w[2] <= r]
         cells = dict(
-            sorted((rank[combo] * B + idx[rest], (combo, idx[rest])) for combo, rest, _ in combos)
+            sorted((rank[combo] * B + pos[rest], (combo, pos[rest])) for combo, rest, _ in combos)
         )
         if not cells or not self.slots:
             return cells, set(), []
         # F(pre, 1)(x): every unknown whose combination holds position 0.
         zeros = {col for col, (combo, _) in cells.items() if combo[0] == 0}
         rows = []
-        for pre, rest, _ in pres:
+        for pre, rest, size in pres:
             at = self._slot(pre)
-            singles, multis = self._instances(rest)
+            singles, multis = self._instances(rest, size)
             zeros.update([t[0] + to for x, to in singles if (t := at[x]) is not None])
             for terms in multis:
                 row = []
@@ -300,66 +329,56 @@ class ConstraintSystem:
                     zeros.add(row[0][0])
         return cells, zeros, rows
 
-    def _picks(
-        self, found: list, t: int, top: int
-    ) -> list[tuple[tuple[int, ...], MultiIndex, int]]:
-        """Each (combination, rest, degree of the rest) of ``found``
-        extended by ``t`` picks of basis positions past its last, each
-        dividing what is left, the last leaving a rest of degree at most
-        ``top``.  A basis monomial has degree at most ``r``, so a pick
+    def _picks(self, found: list, t: int, top: int) -> list[tuple[tuple[int, ...], int, int]]:
+        """Each (combination, code of the rest, degree of the rest) of
+        ``found`` extended by ``t`` picks of basis positions past its last,
+        each dividing what is left, the last leaving a rest of degree at
+        most ``top``.  A basis monomial has degree at most ``r``, so a pick
         must leave at most ``top`` plus ``r`` per pick still to come."""
         alg = self.params.algebra
-        exps, deg, r = alg.basis, alg.degrees, alg.r
+        deg, r = alg.degrees, alg.r
         for left in range(t - 1, -1, -1):
             grown = []
             for combo, rest, size in found:
-                divs = self._divisors(rest)
+                divs = self._divisors(rest, size)
                 # Basis positions are graded: the degree-d monomials start
                 # at bisect_left(deg, d).
                 low = bisect_left(deg, size - top - left * r)
-                start = bisect_left(divs, max(low, combo[-1] + 1 if combo else 0))
-                grown.extend(
-                    [
-                        (combo + (g,), tuple(map(sub, rest, exps[g])), size - deg[g])
-                        for g in divs[start:]
-                    ]
-                )
+                start = bisect_left(divs, (max(low, combo[-1] + 1 if combo else 0),))
+                grown.extend([(combo + (g,), q, size - deg[g]) for g, q in divs[start:]])
             found = grown
         return found
 
-    def _divisors(self, m: MultiIndex) -> list[int]:
-        """The ascending positions of the basis monomials dividing ``x^m``."""
+    def _divisors(self, m: int, size: int) -> list[tuple[int, int]]:
+        """The basis monomials dividing the code ``m`` of degree ``size``, as
+        (position, code of the quotient), by ascending position."""
         found = self._divisor_cache.get(m)
         if found is None:
-            alg = self.params.algebra
-            found = sorted(
-                alg.basis_index[a]
-                for a in product(*[range(x + 1) for x in m])
-                if sum(a) <= alg.r
-            )
+            guard, top = self._guard, m | self._guard
+            codes = self._codes[: bisect_right(self.params.algebra.degrees, size)]
+            found = [(g, m - c) for g, c in enumerate(codes) if (top - c) & guard == guard]
             self._divisor_cache[m] = found
         return found
 
-    def _instances(self, m: MultiIndex) -> tuple[list[tuple[int, int]], list[tuple]]:
+    def _instances(self, m: int, size: int) -> tuple[list[tuple[int, int]], list[tuple]]:
         """The product-rule instances of the factorisations
         ``x^m = x^b x^c x^d`` into basis monomials with ``1 <= b <= c``,
-        by their terms: ``F(pre, b)(cd)`` when ``b != c``,
-        ``F(pre, c)(bd)`` and ``F(pre, bc)(d)``, each kept when its
-        product is in the basis, as (slot argument, target, coefficient),
-        in column order.  Those with one term, as (slot argument, target),
-        and those with more."""
+        for the code ``m`` of degree ``size``, by their terms:
+        ``F(pre, b)(cd)`` when ``b != c``, ``F(pre, c)(bd)`` and
+        ``F(pre, bc)(d)``, each kept when its product is in the basis, as
+        (slot argument, target, coefficient), in column order.  Those with
+        one term, as (slot argument, target), and those with more."""
         found = self._instance_cache.get(m)
         if found is None:
             alg = self.params.algebra
-            exps, deg, prod = alg.basis, alg.degrees, alg.product_index
-            size = sum(m)
+            deg, prod, at = alg.degrees, alg.product_index, self._positions
             singles, multis = [], []
-            for b in self._divisors(m)[1:]:
-                after_b = tuple(map(sub, m, exps[b]))
-                cs = self._divisors(after_b)
+            for b, after_b in self._divisors(m, size)[1:]:
+                left = size - deg[b]
+                cs = self._divisors(after_b, left)
                 # c >= b, and x^d has degree at most r
-                for c in cs[bisect_left(cs, max(b, bisect_left(deg, size - deg[b] - alg.r))) :]:
-                    d = alg.basis_index[tuple(map(sub, after_b, exps[c]))]
+                for c, dc in cs[bisect_left(cs, (max(b, bisect_left(deg, left - alg.r)),)) :]:
+                    d = at[dc]
                     terms = []
                     if b != c and prod[c][d] is not None:
                         terms.append((b, prod[c][d], -1))
@@ -377,16 +396,51 @@ class ConstraintSystem:
     def _slot(self, pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
         """For every basis position ``x``: the first column of the sorted
         ``pre + (x,)`` and the sign of the sort, ``None`` when ``x`` is in
-        ``pre``."""
+        ``pre``.  ``pre`` is increasing, so ``x`` moves past the entries
+        after its insertion point, one transposition each."""
         found = self._slot_cache.get(pre)
         if found is None:
-            B, rank = self.params.algebra.dim, self.combo_rank
+            B, rank, n = self.params.algebra.dim, self.combo_rank, len(pre)
             found = []
             for x in range(B):
-                res = sort_with_sign(pre + (x,))
-                found.append(None if res is None else (rank[res[0]] * B, res[1]))
+                i = bisect_left(pre, x)
+                if pre[i : i + 1] == (x,):
+                    found.append(None)
+                else:
+                    found.append((rank[pre[:i] + (x,) + pre[i:]] * B, (-1) ** (n - i)))
             self._slot_cache[pre] = found
         return found
+
+    # -- integer codes of exponent vectors -------------------------------------
+
+    @cached_property
+    def _stride(self) -> int:
+        """The bits per variable in a code: room for ``(s + 1) * r`` below
+        a guard bit (with ``k > 0``, a basis past ``2**63`` is unlistable)."""
+        top = (self.params.s + 1) * self.params.algebra.r
+        return next((w for w in (8, 16, 32) if top < 1 << w - 1), 64)
+
+    @cached_property
+    def _guard(self) -> int:
+        """The top bit of every variable's field."""
+        w = self._stride
+        return ((1 << self.params.algebra.k * w) - 1) // ((1 << w) - 1) << w - 1
+
+    @cached_property
+    def _pack(self) -> Struct:
+        kind = {8: "B", 16: "H", 32: "I", 64: "Q"}[self._stride]
+        return Struct(f"<{self.params.algebra.k}{kind}")
+
+    def _code(self, m: MultiIndex) -> int:
+        return int.from_bytes(self._pack.pack(*m), "little")
+
+    @cached_property
+    def _codes(self) -> list[int]:
+        return [self._code(e) for e in self.params.algebra.basis]
+
+    @cached_property
+    def _positions(self) -> dict[int, int]:
+        return {c: g for g, c in enumerate(self._codes)}
 
     @cached_property
     def _divisor_cache(self) -> dict:
@@ -556,18 +610,18 @@ def _transport(
     """The representative's null basis carried to the block where its
     ``i``-th supported axis sits at ``placed[i]``: each combination
     re-sorted, with the sign of the sort."""
-    alg = system.params.algebra
-    B, k, exps, idx = alg.dim, alg.k, alg.basis, alg.basis_index
-    rank = system.combo_rank
+    B, rank, codes = system.params.algebra.dim, system.combo_rank, system._codes
+    w = system._stride
+    field = (1 << w) - 1
     moved: dict[int, int] = {}
 
     def move(g: int) -> int:
         h = moved.get(g)
         if h is None:
-            a = [0] * k
-            for i, p in enumerate(placed):
-                a[p] = exps[g][i]
-            h = moved[g] = idx[tuple(a)]
+            c = codes[g]
+            h = moved[g] = system._positions[
+                sum((c >> i * w & field) << p * w for i, p in enumerate(placed))
+            ]
         return h
 
     out = []
@@ -669,10 +723,11 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fractio
         for col, v in vec.items():
             if v:
                 at_column.setdefault(col, {})[b] = v
-    rows = []
-    for cell in cells:
-        combo = tuple(bi[unit(alg.k, i)] for i in cell.axes)
-        rows.append(at_column.get(system.column(combo, bi[cell.alpha]), {}))
+    axis = {i: bi[unit(alg.k, i)] for i in {i for cell in cells for i in cell.axes}}
+    rows = [
+        at_column.get(system.column(tuple(map(axis.get, cell.axes)), bi[cell.alpha]), {})
+        for cell in cells
+    ]
     return rank_of(rows) == len(cells)
 
 

@@ -19,6 +19,9 @@ shares no code with the builder it checks.  ``reference_nullspace``
 eliminates the whole system at once, and ``reference_blockwise_nullspace``
 every block from its own rows, where the oracle eliminates one block per
 orbit of variable permutations and transports its basis to the others.
+``reference_orbit_blocks`` eliminates each orbit's representative block
+from all of its rows, where the oracle first drops the columns its
+single-entry rows fix at zero and stops once the rank is full.
 ``truncation_kernel_failures`` is a fourth route to the lift space: the
 kernel of the truncation sums on the table cells, block by block.
 """
@@ -468,6 +471,25 @@ def reference_blockwise_nullspace(system: ConstraintSystem):
             ech.add(row)
         by_free.update(ech.nullspace_basis(block.cells))
     return len(by_free), [by_free[f] for f in sorted(by_free)]
+
+
+def reference_orbit_blocks(system: ConstraintSystem) -> list:
+    """Each orbit representative with its block's row count and null basis,
+    keyed by unknown, from one plain elimination of all of the block's
+    rows, single-entry rows included, with no known-zero presolve and no
+    early stop: what the oracle keeps of each representative."""
+    out = []
+    for orbit in system._orbits:
+        block = system.block(orbit.rep)
+        ech = _Echelon()
+        for row in block.rows:
+            ech.add(row)
+        basis = [
+            {block.cells[c]: v for c, v in vec.items()}
+            for vec in ech.nullspace_basis(block.cells).values()
+        ]
+        out.append((orbit.rep, len(block.rows), basis))
+    return out
 
 
 def truncation_kernel_failures(params: LiftParams) -> list:

@@ -88,6 +88,21 @@ def test_free_cell_enumeration_is_refused_past_the_cap(capsys, command, params):
     )
 
 
+@pytest.mark.parametrize("command", [["oracle"], ["oracle", "--compare"]])
+def test_oracle_refuses_a_free_cell_listing_past_the_cap(capsys, command):
+    # At r = 0 the unknown guard passes any k; check_iso would list C(k, s) rows.
+    assert main([*command, *HUGE_TABLES[1]]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: listing the free cells would visit more than {MAX_TABLE_CELLS} table cells\n",
+    )
+
+
+def test_oracle_answers_at_r_zero_with_a_hundred_thousand_variables(capsys):
+    assert main(["oracle", "-r", "0", "-k", "100000", "-s", "1"]) == 0
+    assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
+
+
 def test_dim_without_check_z_does_not_enumerate(capsys):
     assert main(["dim", "-r", "0", "-k", "100000", "-s", "2"]) == 0
     assert capsys.readouterr().out == "0\n"

@@ -47,6 +47,7 @@ from support import (
     reference_build_all_slots,
     reference_build_rows,
     reference_nullspace,
+    reference_orbit_blocks,
 )
 
 
@@ -299,6 +300,37 @@ def test_graded_nullspace_gives_the_whole_system_basis(r, k, s):
     assert (nullity, basis) == reference_nullspace(system)
 
 
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_presolve_and_early_stop_keep_each_representatives_rows_and_basis(r, k, s):
+    system = default_system(r, k, s)
+    orbits = [(orbit.rep, orbit.rows, orbit.basis) for orbit in system._orbits]
+    assert orbits == reference_orbit_blocks(system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**40),
+    st.integers(0, 6),
+    st.integers(0, 4),
+    st.booleans(),
+    st.data(),
+)
+def test_guard_bits_decide_division_and_the_difference_is_the_quotient(r, k, s, below, data):
+    # Exponents up to (s + 1) r fit below the guard bit of their field.
+    system = ConstraintSystem(lift_params(r, k, s), ())
+    vec = st.tuples(*[st.integers(0, (s + 1) * r)] * k)
+    m, g = data.draw(vec), data.draw(vec)
+    if below:
+        g = tuple(map(min, g, m))
+    code, guard, w = system._code, system._guard, system._stride
+    divides = ((code(m) | guard) - code(g)) & guard == guard
+    assert divides == all(a >= b for a, b in zip(m, g))
+    if divides:
+        rest = code(m) - code(g)
+        field = (1 << w) - 1
+        assert [rest >> i * w & field for i in range(k)] == [a - b for a, b in zip(m, g)]
+
+
 CAPPED_GRID = [
     (r, k, s)
     for r in (1, 2, 3)
@@ -388,7 +420,9 @@ def test_expanded_unit_tables_satisfy_the_rows():
         assert satisfies(system.rows, expand_table(system, nonzero_cells(table)))
 
 
-@pytest.mark.parametrize("r,k,s", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 2), (2, 1, 1)])
+@pytest.mark.parametrize(
+    "r,k,s", [(1, 1, 1), (1, 2, 1), (1, 2, 2), (2, 2, 2), (2, 1, 1), (1, 1000, 0)]
+)
 def test_compare_with_construction_passes(r, k, s):
     system = build_constraints(lift_params(r, k, s))
     _, basis = nullspace(system)
