@@ -11,10 +11,12 @@ increasing axis tuple, one column per basis monomial.  The distinguished
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from struct import Struct
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .multiindex import MultiIndex, add, binomial, degree, sub_unit, support, unit
@@ -58,6 +60,11 @@ class LiftParams:
     def free_cell_set(self) -> frozenset[FreeCell]:
         """The free cells as a set, listed once per parameters."""
         return frozenset(free_cells(self))
+
+    @cached_property
+    def codes(self) -> MonomialCodes:
+        """The integer codes of exponent vectors, built once per parameters."""
+        return MonomialCodes(self)
 
 
 def read_params(data, what: str, field: str) -> LiftParams:
@@ -117,6 +124,104 @@ def block_cells(params: LiftParams, m: MultiIndex) -> list[FreeCell]:
             alpha[j - 1] -= 1
         out.append(FreeCell(axes, tuple(alpha)))
     return out
+
+
+class MonomialCodes:
+    """Exponent vectors coded as integers, and the divisor listings that
+    both product-rule routes, the verifier's sweep and the oracle's block
+    generator, walk to list the instances of one multidegree block.
+
+    A code has a field of ``stride`` bits per variable (8, 16, 32 or 64)
+    with room for ``(s + 1) * r``, an unknown's top degree, below the
+    field's guard bit.  With ``G`` the guard bits, a field of
+    ``(m | G) - g`` keeps its guard bit, and borrows nothing, exactly when
+    ``g_i <= m_i``; so ``x^g`` divides ``x^m`` when
+    ``((m | G) - g) & G == G``, and the quotient is ``m - g``.
+    """
+
+    def __init__(self, params: LiftParams):
+        self.params = params
+
+    @cached_property
+    def stride(self) -> int:
+        """The bits per variable: room for ``(s + 1) * r`` below a guard bit
+        (with ``k > 0``, a basis past ``2**63`` is unlistable)."""
+        top = (self.params.s + 1) * self.params.algebra.r
+        return next((w for w in (8, 16, 32) if top < 1 << w - 1), 64)
+
+    @cached_property
+    def guard(self) -> int:
+        """The top bit of every variable's field."""
+        w = self.stride
+        return ((1 << self.params.algebra.k * w) - 1) // ((1 << w) - 1) << w - 1
+
+    @cached_property
+    def _pack(self) -> Struct:
+        kind = {8: "B", 16: "H", 32: "I", 64: "Q"}[self.stride]
+        return Struct(f"<{self.params.algebra.k}{kind}")
+
+    def code(self, m: MultiIndex) -> int:
+        return int.from_bytes(self._pack.pack(*m), "little")
+
+    @cached_property
+    def codes(self) -> list[int]:
+        """The code of each basis monomial, by basis position."""
+        return [self.code(e) for e in self.params.algebra.basis]
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Basis position by code."""
+        return {c: g for g, c in enumerate(self.codes)}
+
+    def divisors(self, m: int, size: int) -> list[tuple[int, int]]:
+        """The basis monomials dividing the code ``m`` of degree ``size``, as
+        (position, code of the quotient), by ascending position."""
+        found = self._divisor_cache.get(m)
+        if found is None:
+            guard, top = self.guard, m | self.guard
+            codes = self.codes[: bisect_right(self.params.algebra.degrees, size)]
+            found = [(g, m - c) for g, c in enumerate(codes) if (top - c) & guard == guard]
+            self._divisor_cache[m] = found
+        return found
+
+    def picks(self, found: list, t: int, top: int) -> list[tuple[tuple[int, ...], int, int]]:
+        """Each (combination, code of the rest, degree of the rest) of
+        ``found`` extended by ``t`` picks of basis positions past its last,
+        each dividing what is left, the last leaving a rest of degree at
+        most ``top``.  A basis monomial has degree at most ``r``, so a pick
+        must leave at most ``top`` plus ``r`` per pick still to come."""
+        alg = self.params.algebra
+        deg, r, divisors = alg.degrees, alg.r, self.divisors
+        for left in range(t - 1, -1, -1):
+            grown = []
+            for combo, rest, size in found:
+                divs = divisors(rest, size)
+                # Basis positions are graded: the degree-d monomials start
+                # at bisect_left(deg, d).
+                low = bisect_left(deg, size - top - left * r)
+                start = bisect_left(divs, (max(low, combo[-1] + 1 if combo else 0),))
+                grown.extend([(combo + (g,), q, size - deg[g]) for g, q in divs[start:]])
+            found = grown
+        return found
+
+    def factors(self, m: int, size: int) -> list[tuple[int, int, int]]:
+        """The factorisations ``x^m = x^b x^c x^d`` into basis monomials
+        with ``1 <= b <= c``, for the code ``m`` of degree ``size``, as
+        basis positions ``(b, c, d)``."""
+        alg = self.params.algebra
+        deg, r, at, divisors = alg.degrees, alg.r, self.positions, self.divisors
+        out = []
+        for b, after_b in divisors(m, size)[1:]:
+            left = size - deg[b]
+            cs = divisors(after_b, left)
+            # c >= b, and x^d has degree at most r
+            start = bisect_left(cs, (max(b, bisect_left(deg, left - r)),))
+            out.extend([(b, c, at[dc]) for c, dc in cs[start:]])
+        return out
+
+    @cached_property
+    def _divisor_cache(self) -> dict:
+        return {}
 
 
 def dimension(params: LiftParams) -> int:
@@ -434,11 +539,14 @@ class TableEvaluator:
     table expansion lean on this.  Signing by sorting makes the values
     skew-symmetric for every table, which ``check_skew`` relies on.
 
-    Two kinds of tuple give zero before any cell is read: one with a
-    constant argument monomial, and one whose argument and target degrees
-    sum past r + s.  The verifier's product-rule sweep decides the tuples
-    that hit these zeros without calling the evaluator, so they must stay
-    exactly as they are in ``_compute``.
+    Three kinds of tuple read zero on every table.  The verifier's
+    product-rule sweep decides them without calling the evaluator, so they
+    must stay exactly as they are:
+
+    - a constant argument monomial, read before any cell in ``_compute``;
+    - argument and target degrees summing past r + s, likewise;
+    - a repeated argument monomial: each peeled axis tuple with a repeated
+      axis reads zero and the others cancel in pairs (``check_skew``).
 
     Evaluation keeps the multidegree, the exponent sum of the arguments and
     the target: each peeled axis ``j`` of an argument moves ``e_j`` into

@@ -103,7 +103,8 @@ def enumerate_degree_at_most(k: int, d: int) -> list[MultiIndex]:
     if d < 0:
         raise ValueError(f"degree must be non-negative, got {d}")
     out: list[MultiIndex] = []
-    for v in range(d + 1):
+    # Without variables only degree 0 has a multi-index.
+    for v in range(d + 1 if k else 1):
         out.extend(_compositions(v, k))
     return out
 

@@ -101,30 +101,26 @@ needed because the free cells are not symmetric under ``sigma``: the
 predicate singles out the top axis of a row.  So ``sigma`` need not carry
 free columns to free columns, nor keep the column order.
 
-The generator and the transport code an exponent vector as one integer:
-a field of ``w`` bits per variable (8, 16, 32 or 64) with room for
-``(s + 1) * r``, an unknown's top degree, below the field's guard bit.
-With ``G`` the guard bits, a field of ``(m | G) - g`` keeps its guard
-bit, and borrows nothing, exactly when ``g_i <= m_i``; so ``x^g`` divides
-``x^m`` when ``((m | G) - g) & G == G``, and the quotient is ``m - g``.
-Before a representative block is eliminated, a row left with one entry
-once the known zeros are dropped makes its column a known zero too, until
-no row does, as a null vector is zero at the known zeros.  Elimination
-stops once the rank equals the number of other (live) columns: the
-nullspace is then 0.  Neither step changes the nullspace, which alone
-fixes the basis; the row count is taken before both.
+The generator and the transport code an exponent vector as one integer,
+and list divisors and picks, with ``lift_space.MonomialCodes``, which the
+verifier's product-rule sweep walks too.  Before a representative block
+is eliminated, a row left with one entry once the known zeros are dropped
+makes its column a known zero too, until no row does, as a null vector is
+zero at the known zeros.  Elimination stops once the rank equals the
+number of other (live) columns: the nullspace is then 0.  Neither step
+changes the nullspace, which alone fixes the basis; the row count is
+taken before both.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby
 from math import comb, gcd, lcm
 from pathlib import Path
-from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
@@ -249,7 +245,9 @@ class ConstraintSystem:
         alg = self.params.algebra
         top = (self.params.s + 1) * alg.r
         pad = (0,) * alg.k
-        parts = (part for n in range(top + 1) for part in _partitions(n, alg.k, top))
+        # Without variables every multidegree has degree 0.
+        degrees = range(top + 1 if alg.k else 1)
+        parts = (part for n in degrees for part in _partitions(n, alg.k, top))
         out = []
         for rep in (part + pad[len(part) :] for part in parts):
             cells, zeros, rows = self._generate(rep)
@@ -289,18 +287,19 @@ class ConstraintSystem:
         its single-entry rows, and its rows with two or more entries, as
         the module docstring sets out."""
         alg, s, r = self.params.algebra, self.params.s, self.params.algebra.r
-        B, rank, pos = alg.dim, self.combo_rank, self._positions
+        codes = self.params.codes
+        B, rank, pos = alg.dim, self.combo_rank, codes.positions
         size = sum(m)
         if size > (s + 1) * r:  # no unknown; the codes hold exponents up to (s + 1) r
             return {}, set(), []
-        whole = [((), self._code(m), size)]
+        whole = [((), codes.code(m), size)]
         if s:
             # The leading tuples: b, c and d take the rest of m, of degree
             # at most 3r.  An unknown's combination is a leading tuple
             # whose rest has degree at most 2r, and one more pick that
             # leaves the target.
-            pres = self._picks(whole, s - 1, 3 * r)
-            combos = self._picks([p for p in pres if p[2] <= 2 * r], 1, r)
+            pres = codes.picks(whole, s - 1, 3 * r)
+            combos = codes.picks([p for p in pres if p[2] <= 2 * r], 1, r)
         else:
             pres, combos = [], [w for w in whole if w[2] <= r]
         cells = dict(
@@ -329,37 +328,6 @@ class ConstraintSystem:
                     zeros.add(row[0][0])
         return cells, zeros, rows
 
-    def _picks(self, found: list, t: int, top: int) -> list[tuple[tuple[int, ...], int, int]]:
-        """Each (combination, code of the rest, degree of the rest) of
-        ``found`` extended by ``t`` picks of basis positions past its last,
-        each dividing what is left, the last leaving a rest of degree at
-        most ``top``.  A basis monomial has degree at most ``r``, so a pick
-        must leave at most ``top`` plus ``r`` per pick still to come."""
-        alg = self.params.algebra
-        deg, r = alg.degrees, alg.r
-        for left in range(t - 1, -1, -1):
-            grown = []
-            for combo, rest, size in found:
-                divs = self._divisors(rest, size)
-                # Basis positions are graded: the degree-d monomials start
-                # at bisect_left(deg, d).
-                low = bisect_left(deg, size - top - left * r)
-                start = bisect_left(divs, (max(low, combo[-1] + 1 if combo else 0),))
-                grown.extend([(combo + (g,), q, size - deg[g]) for g, q in divs[start:]])
-            found = grown
-        return found
-
-    def _divisors(self, m: int, size: int) -> list[tuple[int, int]]:
-        """The basis monomials dividing the code ``m`` of degree ``size``, as
-        (position, code of the quotient), by ascending position."""
-        found = self._divisor_cache.get(m)
-        if found is None:
-            guard, top = self._guard, m | self._guard
-            codes = self._codes[: bisect_right(self.params.algebra.degrees, size)]
-            found = [(g, m - c) for g, c in enumerate(codes) if (top - c) & guard == guard]
-            self._divisor_cache[m] = found
-        return found
-
     def _instances(self, m: int, size: int) -> tuple[list[tuple[int, int]], list[tuple]]:
         """The product-rule instances of the factorisations
         ``x^m = x^b x^c x^d`` into basis monomials with ``1 <= b <= c``,
@@ -370,26 +338,20 @@ class ConstraintSystem:
         one term, as (slot argument, target), and those with more."""
         found = self._instance_cache.get(m)
         if found is None:
-            alg = self.params.algebra
-            deg, prod, at = alg.degrees, alg.product_index, self._positions
+            prod = self.params.algebra.product_index
             singles, multis = [], []
-            for b, after_b in self._divisors(m, size)[1:]:
-                left = size - deg[b]
-                cs = self._divisors(after_b, left)
-                # c >= b, and x^d has degree at most r
-                for c, dc in cs[bisect_left(cs, (max(b, bisect_left(deg, left - alg.r)),)) :]:
-                    d = at[dc]
-                    terms = []
-                    if b != c and prod[c][d] is not None:
-                        terms.append((b, prod[c][d], -1))
-                    if prod[b][d] is not None:
-                        terms.append((c, prod[b][d], -2 if b == c else -1))
-                    if prod[b][c] is not None:
-                        terms.append((prod[b][c], d, 1))
-                    if len(terms) == 1:
-                        singles.append(terms[0][:2])
-                    elif terms:
-                        multis.append(tuple(terms))
+            for b, c, d in self.params.codes.factors(m, size):
+                terms = []
+                if b != c and prod[c][d] is not None:
+                    terms.append((b, prod[c][d], -1))
+                if prod[b][d] is not None:
+                    terms.append((c, prod[b][d], -2 if b == c else -1))
+                if prod[b][c] is not None:
+                    terms.append((prod[b][c], d, 1))
+                if len(terms) == 1:
+                    singles.append(terms[0][:2])
+                elif terms:
+                    multis.append(tuple(terms))
             found = self._instance_cache[m] = (singles, multis)
         return found
 
@@ -410,41 +372,6 @@ class ConstraintSystem:
                     found.append((rank[pre[:i] + (x,) + pre[i:]] * B, (-1) ** (n - i)))
             self._slot_cache[pre] = found
         return found
-
-    # -- integer codes of exponent vectors -------------------------------------
-
-    @cached_property
-    def _stride(self) -> int:
-        """The bits per variable in a code: room for ``(s + 1) * r`` below
-        a guard bit (with ``k > 0``, a basis past ``2**63`` is unlistable)."""
-        top = (self.params.s + 1) * self.params.algebra.r
-        return next((w for w in (8, 16, 32) if top < 1 << w - 1), 64)
-
-    @cached_property
-    def _guard(self) -> int:
-        """The top bit of every variable's field."""
-        w = self._stride
-        return ((1 << self.params.algebra.k * w) - 1) // ((1 << w) - 1) << w - 1
-
-    @cached_property
-    def _pack(self) -> Struct:
-        kind = {8: "B", 16: "H", 32: "I", 64: "Q"}[self._stride]
-        return Struct(f"<{self.params.algebra.k}{kind}")
-
-    def _code(self, m: MultiIndex) -> int:
-        return int.from_bytes(self._pack.pack(*m), "little")
-
-    @cached_property
-    def _codes(self) -> list[int]:
-        return [self._code(e) for e in self.params.algebra.basis]
-
-    @cached_property
-    def _positions(self) -> dict[int, int]:
-        return {c: g for g, c in enumerate(self._codes)}
-
-    @cached_property
-    def _divisor_cache(self) -> dict:
-        return {}
 
     @cached_property
     def _instance_cache(self) -> dict:
@@ -610,16 +537,16 @@ def _transport(
     """The representative's null basis carried to the block where its
     ``i``-th supported axis sits at ``placed[i]``: each combination
     re-sorted, with the sign of the sort."""
-    B, rank, codes = system.params.algebra.dim, system.combo_rank, system._codes
-    w = system._stride
+    B, rank, codes = system.params.algebra.dim, system.combo_rank, system.params.codes
+    w = codes.stride
     field = (1 << w) - 1
     moved: dict[int, int] = {}
 
     def move(g: int) -> int:
         h = moved.get(g)
         if h is None:
-            c = codes[g]
-            h = moved[g] = system._positions[
+            c = codes.codes[g]
+            h = moved[g] = codes.positions[
                 sum((c >> i * w & field) << p * w for i, p in enumerate(placed))
             ]
         return h

@@ -24,7 +24,20 @@ tuples are decided without evaluation:
   total degree (or a truncated product, which contributes zero), so 0 = 0;
 - one with ``b`` constant: the left side and the term with ``c`` in the
   slot are the same evaluation, and the term with ``b`` in the slot has a
-  constant argument (likewise with ``b`` and ``c`` exchanged).
+  constant argument (likewise with ``b`` and ``c`` exchanged);
+- one with a repeated entry in ``others``: every term has a repeated
+  argument, where ``TableEvaluator`` reads zero on every table (the second
+  bullet of ``check_skew``'s proof), so 0 = 0.
+
+The sweep walks one multidegree block ``m`` at a time with
+``lift_space.MonomialCodes``, the generator the oracle builds its rows
+with.  Every instance the bullets leave has distinct nonconstant others,
+nonconstant ``b`` and ``c``, and a degree sum of at most r + s.  The
+leading tuples are the increasing picks of nonconstant basis monomials
+dividing ``x^m``, ``others`` runs over their orderings, and ``(b, c, d)``
+over the factorisations of the rest with ``b`` and ``c`` nonconstant.  The
+failures are sorted by (slot, others, b, c, d) in basis positions, the
+order of a sweep over every basis tuple.
 
 For r >= 1 the product-rule sweep and the truncation check give the same
 verdict on every table.  Fix the other arguments; peeling them one axis
@@ -80,15 +93,20 @@ form either way.  On a table that passes truncation no tuple is evaluated.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations
 from math import comb, perm
-from typing import Mapping
+from operator import itemgetter
 
 from .lift_space import LiftTable, TableEvaluator, multidegree, sort_with_sign
-from .multiindex import MultiIndex, add, enumerate_degree_exactly, sub_unit, support
+from .multiindex import (
+    MultiIndex,
+    enumerate_degree_at_most,
+    enumerate_degree_exactly,
+    sub_unit,
+    support,
+)
 
 
 @dataclass
@@ -142,21 +160,6 @@ class VerificationReport:
         }
 
 
-def _nonconstant_tuples(n: int, budget: int, degrees: tuple[int, ...]):
-    """Tuples of ``n`` nonconstant basis positions whose degrees sum to at
-    most ``budget``, in lexicographic order, each with its degree sum.
-
-    Basis positions are ordered by ascending degree, so every entry runs
-    over a prefix of the positions after the constant monomial at 0."""
-    if n == 0:
-        yield (), 0
-        return
-    for x in range(1, bisect_right(degrees, budget - n + 1)):
-        dx = degrees[x]
-        for rest, d_rest in _nonconstant_tuples(n - 1, budget - dx, degrees):
-            yield (x,) + rest, dx + d_rest
-
-
 def check_skew(table: LiftTable) -> VerificationReport:
     """Exchanging two argument slots must negate the value, and a repeated
     argument monomial must kill it.  Vacuous for arity below two.
@@ -189,24 +192,6 @@ def check_skew(table: LiftTable) -> VerificationReport:
     )
 
 
-def _quotients(
-    blocks: set[MultiIndex], index: Mapping[MultiIndex, int]
-) -> dict[MultiIndex, list[int]]:
-    """Every exponent ``v`` at most some block entrywise, mapped to the
-    ascending basis positions of the differences ``m - v`` over the blocks
-    ``m`` where they lie in the basis."""
-    out: dict[MultiIndex, list[int]] = {}
-    for m in blocks:
-        for v in product(*(range(x + 1) for x in m)):
-            ds = out.setdefault(v, [])
-            d = index.get(tuple(x - y for x, y in zip(m, v)))
-            if d is not None:
-                ds.append(d)
-    for ds in out.values():
-        ds.sort()
-    return out
-
-
 def check_leibniz_basis(
     table: LiftTable,
     *,
@@ -222,82 +207,52 @@ def check_leibniz_basis(
     Checking the last slot covers every slot once skew-symmetry holds;
     ``all_slots=True`` sweeps the rest as redundancy.  ``cases`` counts all
     B^(s+2) basis tuples per slot; only the instances that can read a cell
-    are evaluated (see the module docstring).  With ``blocks``, a set of
-    multidegrees, only the instances whose arguments and target sum to one
-    of them are evaluated; ``None`` sweeps every block.
+    are evaluated, block by block (see the module docstring).  With
+    ``blocks``, a set of multidegrees, only the instances whose arguments
+    and target sum to one of them are evaluated; ``None`` sweeps every
+    block.  Failures come in the order of (slot, other arguments, b, c, d)
+    by basis position.
     """
     p = table.params
-    s = p.s
+    s, alg = p.s, p.algebra
     rep = VerificationReport(cases={"leibniz": 0})
     if s == 0:
         return rep
-    ev = evaluator or TableEvaluator(table)
-    alg = p.algebra
-    basis = alg.basis
-    degrees = alg.degrees
-    cap = alg.r + s
-    prod_idx = alg.product_index
-    mono = ev.monomials_by_index
     slots = range(s) if all_slots else [s - 1]
-    zero = Fraction(0)
-    # The exponent each level has used up must lie below a block; the
-    # target is then the rest of a block.
-    below = None if blocks is None else _quotients(blocks, alg.basis_index)
-    for t in slots:
-        # b and c take at least one degree each, d may be constant.
-        for others, deg_others in _nonconstant_tuples(s - 1, cap - 2, degrees):
-            if below is not None:
-                used = (0,) * alg.k
-                for x in others:
-                    used = add(used, basis[x])
-                if used not in below:
-                    continue
-            pre, post = others[:t], others[t:]
-            room = cap - deg_others
-            for b in range(1, bisect_right(degrees, room - 1)):
-                if below is not None:
-                    used_b = add(used, basis[b])
-                    if used_b not in below:
-                        continue
-                row_b = prod_idx[b]
-                args_b = pre + (b,) + post
-                room_b = room - degrees[b]
-                for c in range(1, bisect_right(degrees, room_b)):
-                    if below is None:
-                        ds = range(bisect_right(degrees, room_b - degrees[c]))
-                    else:
-                        ds = below.get(add(used_b, basis[c]))
-                        if not ds:
-                            continue
-                    bc = row_b[c]
-                    args_bc = pre + (bc,) + post if bc is not None else None
-                    args_c = pre + (c,) + post
-                    row_c = prod_idx[c]
-                    for d in ds:
-                        lhs = mono(args_bc, d) if args_bc is not None else zero
-                        cd = row_c[d]
-                        bd = row_b[d]
-                        rhs = zero
-                        if cd is not None:
-                            rhs = mono(args_b, cd)
+    rep.cases["leibniz"] = len(slots) * alg.dim ** (s + 2)
+    # At r = 0 no basis monomial is nonconstant, so no instance reads a cell.
+    if alg.r == 0 or blocks is not None and not blocks:
+        return rep
+    if blocks is None:
+        blocks = enumerate_degree_at_most(alg.k, alg.r + s)
+    mono = (evaluator or TableEvaluator(table)).monomials_by_index
+    codes, prod, basis, zero = p.codes, alg.product_index, alg.basis, Fraction(0)
+    failed = []
+    for m in blocks:
+        size = sum(m)
+        if size > alg.r + s:  # every instance sums past r + s
+            continue
+        # b, c and d take the rest of the leading tuple, of degree at most 3r.
+        for lead, rest, left in codes.picks([((), codes.code(m), size)], s - 1, 3 * alg.r):
+            if 0 in lead:
+                continue
+            pairs = codes.factors(rest, left)
+            triples = pairs + [(c, b, d) for b, c, d in pairs if b != c]
+            for others in permutations(lead):
+                for t in slots:
+                    pre, post = others[:t], others[t:]
+                    for b, c, d in triples:
+                        bc, cd, bd = prod[b][c], prod[c][d], prod[b][d]
+                        lhs = mono(pre + (bc,) + post, d) if bc is not None else zero
+                        rhs = mono(pre + (b,) + post, cd) if cd is not None else zero
                         if bd is not None:
-                            rhs = rhs + mono(args_c, bd)
+                            rhs = rhs + mono(pre + (c,) + post, bd)
                         if lhs != rhs:
-                            rep.failures.append(
-                                Failure(
-                                    "leibniz",
-                                    (
-                                        tuple(basis[x] for x in others),
-                                        basis[b],
-                                        basis[c],
-                                        basis[d],
-                                        t + 1,
-                                    ),
-                                    rhs,
-                                    lhs,
-                                )
-                            )
-    rep.cases["leibniz"] = len(slots) * len(basis) ** (s + 2)
+                            failed.append(((t, others, b, c, d), rhs, lhs))
+    failed.sort(key=itemgetter(0))
+    for (t, others, b, c, d), rhs, lhs in failed:
+        witness = (tuple(basis[x] for x in others), basis[b], basis[c], basis[d], t + 1)
+        rep.failures.append(Failure("leibniz", witness, rhs, lhs))
     return rep
 
 

@@ -103,6 +103,19 @@ def test_oracle_answers_at_r_zero_with_a_hundred_thousand_variables(capsys):
     assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
 
 
+def test_commands_answer_without_variables_at_a_huge_order(capsys):
+    # With k = 0 only degree 0 exists, so no loop may run over the degrees up to r.
+    huge = ["-r", str(2**70), "-k", "0"]
+    assert main(["oracle", *huge, "-s", "1"]) == 0
+    assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
+    assert main(["oracle", *huge, "-s", "0", "--compare"]) == 0
+    capsys.readouterr()
+    assert main(["zset", *huge, "-s", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == [{"i": [], "alpha": []}]
+    assert main(["dim", "--check-z", *huge, "-s", "0"]) == 0
+    assert capsys.readouterr().out == "1 (free cells: 1)\n"
+
+
 def test_dim_without_check_z_does_not_enumerate(capsys):
     assert main(["dim", "-r", "0", "-k", "100000", "-s", "2"]) == 0
     assert capsys.readouterr().out == "0\n"

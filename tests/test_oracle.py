@@ -317,12 +317,12 @@ def test_presolve_and_early_stop_keep_each_representatives_rows_and_basis(r, k, 
 )
 def test_guard_bits_decide_division_and_the_difference_is_the_quotient(r, k, s, below, data):
     # Exponents up to (s + 1) r fit below the guard bit of their field.
-    system = ConstraintSystem(lift_params(r, k, s), ())
+    codes = lift_params(r, k, s).codes
     vec = st.tuples(*[st.integers(0, (s + 1) * r)] * k)
     m, g = data.draw(vec), data.draw(vec)
     if below:
         g = tuple(map(min, g, m))
-    code, guard, w = system._code, system._guard, system._stride
+    code, guard, w = codes.code, codes.guard, codes.stride
     divides = ((code(m) | guard) - code(g)) & guard == guard
     assert divides == all(a >= b for a, b in zip(m, g))
     if divides:

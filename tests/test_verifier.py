@@ -244,19 +244,23 @@ def test_the_table_layout_makes_every_table_skew_symmetric(r, k, s):
 
 
 class NoSymmetryEvaluator:
-    """Stands in for ``TableEvaluator`` with only the two zeros the pruned
-    product-rule sweep relies on: a constant argument, or argument and
-    target degrees summing past r + s.  Every other value is a positive
-    number that depends on the argument order, so every instance the
-    sweeps reach fails, and the failure lists show exactly which instances
-    were reached and in what order."""
+    """Stands in for ``TableEvaluator`` with only the three zeros the pruned
+    product-rule sweep relies on: a constant argument, a repeated argument,
+    or argument and target degrees summing past r + s.  Every other value
+    is a positive number that depends on the argument order, so every
+    instance the sweeps reach fails, and the failure lists show exactly
+    which instances were reached and in what order."""
 
     def __init__(self, params: LiftParams):
         self.degrees = params.algebra.degrees
         self.cap = params.algebra.r + params.s
 
     def monomials_by_index(self, gammas, delta):
-        if 0 in gammas or sum(self.degrees[g] for g in gammas + (delta,)) > self.cap:
+        if (
+            0 in gammas
+            or len(set(gammas)) < len(gammas)
+            or sum(self.degrees[g] for g in gammas + (delta,)) > self.cap
+        ):
             return Fraction(0)
         return Fraction(1 + sum(7**i * x for i, x in enumerate(gammas + (delta,))) % 101)
 
@@ -310,6 +314,15 @@ def perturbed(point, seed, bumps):
 @given(st.sampled_from(SMALL_POINTS), st.integers(0, 10**6), cell_bumps(5))
 def test_pruned_sweeps_match_the_reference_on_perturbed_tables(point, seed, bumps):
     assert_sweeps_match_reference(perturbed(point, seed, bumps))
+
+
+# Random cells fail every block, so the sweep's failures from many blocks
+# must merge into the reference's global order.
+@pytest.mark.parametrize("r,k,s", SMALL_POINTS + [(2, 3, 2), (3, 2, 2)])
+def test_run_all_checks_matches_the_reference_on_random_cell_tables(r, k, s):
+    table = random_cells_table(lift_params(r, k, s), seed=3000 + 100 * r + 10 * k + s)
+    assert not run_all_checks(table).passed
+    assert_run_matches_reference(table)
 
 
 # -- the product rule and truncation decide alike ----------------------------
