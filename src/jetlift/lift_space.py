@@ -205,18 +205,22 @@ class MonomialCodes:
         return found
 
     def factors(self, m: int, size: int) -> list[tuple[int, int, int]]:
-        """The factorisations ``x^m = x^b x^c x^d`` into basis monomials
-        with ``1 <= b <= c``, for the code ``m`` of degree ``size``, as
-        basis positions ``(b, c, d)``."""
+        """The live factorisations ``x^m = x^b x^c x^d`` into basis
+        monomials with ``1 <= b <= c``, for the code ``m`` of degree
+        ``size``, as basis positions ``(b, c, d)``: those with ``bc``,
+        ``bd`` or ``cd`` in the basis, the others giving no term.  Positions
+        are graded, so ``deg b <= deg c`` and that holds exactly when
+        ``deg b + min(deg c, deg d) <= r``; past ``size = 2r`` none does."""
         alg = self.params.algebra
         deg, r, at, divisors = alg.degrees, alg.r, self.positions, self.divisors
         out = []
         for b, after_b in divisors(m, size)[1:]:
-            left = size - deg[b]
+            left, low = size - deg[b], r - deg[b]
             cs = divisors(after_b, left)
-            # c >= b, and x^d has degree at most r
+            # c >= b, and x^d has degree at most r; then deg c <= low or
+            # deg d = left - deg c <= low.
             start = bisect_left(cs, (max(b, bisect_left(deg, left - r)),))
-            out.extend([(b, c, at[dc]) for c, dc in cs[start:]])
+            out.extend([(b, c, at[dc]) for c, dc in cs[start:] if not low < deg[c] < left - low])
         return out
 
     @cached_property

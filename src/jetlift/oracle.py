@@ -103,18 +103,33 @@ free columns to free columns, nor keep the column order.
 
 The generator and the transport code an exponent vector as one integer,
 and list divisors and picks, with ``lift_space.MonomialCodes``, which the
-verifier's product-rule sweep walks too.  Before a representative block
-is eliminated, a row left with one entry once the known zeros are dropped
-makes its column a known zero too, until no row does, as a null vector is
-zero at the known zeros.  Elimination stops once the rank equals the
-number of other (live) columns: the nullspace is then 0.  Neither step
-changes the nullspace, which alone fixes the basis; the row count is
-taken before both.
+verifier's product-rule sweep walks too.  Only live instances are listed.
+Each term of ``R(pre; b, c, d)`` needs the product of two of ``b, c, d``
+to lie in the basis, so a leading tuple whose rest has degree above
+``2r`` has no instance with a term.  With ``b <= c`` graded, a
+factorisation gives a term exactly when
+``deg b + min(deg c, deg d) <= r``, that is, when ``bc``, ``bd`` or
+``cd`` lies in the basis.
+
+One listing of a block serves both the representative pass and
+``block``: its unknowns, its single-entry columns, and per leading tuple
+the slot map with the instances left with two or more terms.  The
+single-entry columns are the unknowns holding the monomial 1, the
+instances with one term, and those left with one once the terms on an
+entry of ``pre`` drop.  ``block`` forms every row.  The representative
+pass forms each row with only its entries off those known zeros, so a
+row wholly on them comes out empty and is dropped.  A row left with one
+entry makes its column a known zero too, and the rows are scanned again
+until none does, as a null vector is zero at the known zeros.
+Elimination stops once the rank equals the number of other (live)
+columns: the nullspace is then 0.  Neither step changes the nullspace,
+which alone fixes the basis, and the row count, one per single-entry
+column and one per instance left with two or more terms, is taken from
+the listing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -218,11 +233,17 @@ class ConstraintSystem:
         return sum(orbit.size * orbit.rows for orbit in self._orbits)
 
     def block(self, m: MultiIndex) -> Block:
-        """Block ``m``, generated once and kept."""
+        """Block ``m``, generated once and kept: every row, normalised."""
         blk = self._blocks.get(m)
         if blk is None:
-            cells, zeros, rows = self._generate(m)
-            rows.extend(((col, 1),) for col in zeros)
+            cells, zeros, groups = self._list(m)
+            rows = [((col, 1),) for col in zeros]
+            for at, multis in groups:
+                for terms in multis:
+                    row = [(at[x][0] + to, v * at[x][1]) for x, to, v in terms]
+                    if row[0][1] < 0:
+                        row = [(c, -v) for c, v in row]
+                    rows.append(tuple(row))
             blk = self._blocks[m] = Block(cells, tuple(sorted(rows)))
         return blk
 
@@ -234,10 +255,10 @@ class ConstraintSystem:
     def _orbits(self) -> list[_Orbit]:
         """One entry per orbit of blocks that hold an unknown, with the
         representative block generated, eliminated and dropped: only its
-        row count and null basis are kept.  The known zeros are dropped
-        from the other rows instead of pivoted on, with the presolve and
-        the early stop of the module docstring, and the rows with two
-        entries go in first.
+        row count and null basis are kept.  Each row is formed without
+        its entries on the known zeros, which are never pivoted on, with
+        the presolve and the early stop of the module docstring, and the
+        rows with two entries go in first.
 
         The representatives are the non-increasing ``m`` whose block holds
         an unknown.  An unknown's multidegree is a sum of ``s + 1`` basis
@@ -250,11 +271,24 @@ class ConstraintSystem:
         parts = (part for n in degrees for part in _partitions(n, alg.k, top))
         out = []
         for rep in (part + pad[len(part) :] for part in parts):
-            cells, zeros, rows = self._generate(rep)
+            cells, zeros, groups = self._list(rep)
             if not cells:
                 continue
-            count = len(rows) + len(zeros)
-            while True:  # a row left with one entry makes its column a known zero
+            known = len(zeros)
+            count = known + sum(len(multis) for _, multis in groups)
+            rows = []
+            for at, multis in groups:
+                for terms in multis:
+                    row = [
+                        (c, v * t[1])
+                        for x, to, v in terms
+                        if (c := (t := at[x])[0] + to) not in zeros
+                    ]
+                    if len(row) > 1:
+                        rows.append(row)
+                    elif row:
+                        zeros.add(row[0][0])
+            while len(zeros) > known:  # a row left with one entry makes its column a known zero
                 known, live = len(zeros), []
                 for row in rows:
                     row = [e for e in row if e[0] not in zeros]
@@ -263,8 +297,6 @@ class ConstraintSystem:
                     elif row:
                         zeros.add(row[0][0])
                 rows = live
-                if len(zeros) == known:
-                    break
             cols = [col for col in cells if col not in zeros]
             ech = _Echelon()
             for row in sorted(rows, key=len):
@@ -282,10 +314,11 @@ class ConstraintSystem:
 
     # -- the block generator ---------------------------------------------------
 
-    def _generate(self, m: MultiIndex) -> tuple[dict[int, Cell], set[int], list[Row]]:
+    def _list(self, m: MultiIndex) -> tuple[dict[int, Cell], set[int], list[tuple[list, list]]]:
         """Block ``m``: its unknowns by ascending column, the columns of
-        its single-entry rows, and its rows with two or more entries, as
-        the module docstring sets out."""
+        its single-entry rows, and per leading tuple its slot map
+        (``_slot``) with the terms of each instance left with two or more,
+        as the module docstring sets out."""
         alg, s, r = self.params.algebra, self.params.s, self.params.algebra.r
         codes = self.params.codes
         B, rank, pos = alg.dim, self.combo_rank, codes.positions
@@ -294,12 +327,13 @@ class ConstraintSystem:
             return {}, set(), []
         whole = [((), codes.code(m), size)]
         if s:
-            # The leading tuples: b, c and d take the rest of m, of degree
-            # at most 3r.  An unknown's combination is a leading tuple
-            # whose rest has degree at most 2r, and one more pick that
-            # leaves the target.
-            pres = codes.picks(whole, s - 1, 3 * r)
-            combos = codes.picks([p for p in pres if p[2] <= 2 * r], 1, r)
+            # The leading tuples: b, c and d take the rest of m, and a term
+            # needs two of them to multiply inside the basis, so the rest
+            # has degree at most 2r.
+            # An unknown's combination is a leading tuple and one more pick
+            # that leaves the target.
+            pres = codes.picks(whole, s - 1, 2 * r)
+            combos = codes.picks(pres, 1, r)
         else:
             pres, combos = [], [w for w in whole if w[2] <= r]
         cells = dict(
@@ -309,50 +343,53 @@ class ConstraintSystem:
             return cells, set(), []
         # F(pre, 1)(x): every unknown whose combination holds position 0.
         zeros = {col for col, (combo, _) in cells.items() if combo[0] == 0}
-        rows = []
+        groups = []
         for pre, rest, size in pres:
             at = self._slot(pre)
-            singles, multis = self._instances(rest, size)
+            singles, multis, on = self._instances(rest, size)
             zeros.update([t[0] + to for x, to in singles if (t := at[x]) is not None])
-            for terms in multis:
-                row = []
-                for x, to, v in terms:
-                    t = at[x]
-                    if t is not None:
-                        row.append((t[0] + to, v * t[1]))
-                if len(row) > 1:
-                    if row[0][1] < 0:
-                        row = [(c, -v) for c, v in row]
-                    rows.append(tuple(row))
-                elif row:
-                    zeros.add(row[0][0])
-        return cells, zeros, rows
+            hit = {i for x in pre for i in on.get(x, ())}
+            if hit:  # the terms on an entry of pre drop
+                kept = [terms for i, terms in enumerate(multis) if i not in hit]
+                for i in hit:
+                    terms = [e for e in multis[i] if at[e[0]] is not None]
+                    if len(terms) > 1:
+                        kept.append(terms)
+                    elif terms:
+                        zeros.add(at[terms[0][0]][0] + terms[0][1])
+                multis = kept
+            groups.append((at, multis))
+        return cells, zeros, groups
 
-    def _instances(self, m: int, size: int) -> tuple[list[tuple[int, int]], list[tuple]]:
+    def _instances(self, m: int, size: int) -> tuple[set, list[tuple], dict[int, list[int]]]:
         """The product-rule instances of the factorisations
         ``x^m = x^b x^c x^d`` into basis monomials with ``1 <= b <= c``,
         for the code ``m`` of degree ``size``, by their terms:
         ``F(pre, b)(cd)`` when ``b != c``, ``F(pre, c)(bd)`` and
         ``F(pre, bc)(d)``, each kept when its product is in the basis, as
-        (slot argument, target, coefficient), in column order.  Those with
-        one term, as (slot argument, target), and those with more."""
+        (slot argument, target, coefficient), in column order.  The set of
+        the (slot argument, target) of those with one term, those with
+        more, and by slot argument the indices of the latter that hold
+        it."""
         found = self._instance_cache.get(m)
         if found is None:
             prod = self.params.algebra.product_index
-            singles, multis = [], []
+            singles, multis, on = set(), [], {}
             for b, c, d in self.params.codes.factors(m, size):
-                terms = []
-                if b != c and prod[c][d] is not None:
-                    terms.append((b, prod[c][d], -1))
-                if prod[b][d] is not None:
-                    terms.append((c, prod[b][d], -2 if b == c else -1))
-                if prod[b][c] is not None:
-                    terms.append((prod[b][c], d, 1))
+                bc, bd, cd, terms = prod[b][c], prod[b][d], prod[c][d], []
+                if b != c and cd is not None:
+                    terms.append((b, cd, -1))
+                if bd is not None:
+                    terms.append((c, bd, -2 if b == c else -1))
+                if bc is not None:
+                    terms.append((bc, d, 1))
                 if len(terms) == 1:
-                    singles.append(terms[0][:2])
-                elif terms:
+                    singles.add(terms[0][:2])
+                else:
+                    for x, _, _ in terms:
+                        on.setdefault(x, []).append(len(multis))
                     multis.append(tuple(terms))
-            found = self._instance_cache[m] = (singles, multis)
+            found = self._instance_cache[m] = (singles, multis, on)
         return found
 
     def _slot(self, pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
@@ -363,13 +400,12 @@ class ConstraintSystem:
         found = self._slot_cache.get(pre)
         if found is None:
             B, rank, n = self.params.algebra.dim, self.combo_rank, len(pre)
-            found = []
-            for x in range(B):
-                i = bisect_left(pre, x)
-                if pre[i : i + 1] == (x,):
-                    found.append(None)
-                else:
-                    found.append((rank[pre[:i] + (x,) + pre[i:]] * B, (-1) ** (n - i)))
+            found, x = [None] * B, 0
+            for i, stop in enumerate(pre + (B,)):
+                head, tail, sign = pre[:i], pre[i:], (-1) ** (n - i)
+                for x in range(x, stop):
+                    found[x] = (rank[head + (x,) + tail] * B, sign)
+                x = stop + 1
             self._slot_cache[pre] = found
         return found
 
@@ -390,7 +426,8 @@ def _partitions(n: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:
         return
     if parts == 0:
         return
-    for first in range(min(n, top), 0, -1):
+    # With at most ``parts`` parts, the largest is at least ceil(n / parts).
+    for first in range(min(n, top), -(-n // parts) - 1, -1):
         for rest in _partitions(n - first, parts - 1, first):
             yield (first,) + rest
 
@@ -717,9 +754,9 @@ def compare_with_construction(
         block = block_cells(params, m)
         values = complete({c: Fraction(int(c == one)) for c in block if c in free}, block)
         vec = expand_table(system, {c: v for c, v in zip(block, values) if v})
-        expanded.append(vec)
-        rep.cases["constraint-rows"] += n_rows
         ints, scale = _integer_row(vec)
+        expanded.append(ints)
+        rep.cases["constraint-rows"] += n_rows
         for row in system.block(m).rows:
             total = 0
             for col, coeff in row:
@@ -730,9 +767,15 @@ def compare_with_construction(
                 rep.failures.append(
                     Failure("constraint-rows", (one, row), Fraction(0), Fraction(total, scale))
                 )
-    r_null = rank_of(nullbasis)
-    r_exp = rank_of(expanded)
-    r_union = rank_of([*nullbasis, *expanded])
+    # The null basis is eliminated once; the union adds the expanded rows.
+    union, exp = _Echelon(), _Echelon()
+    for vec in nullbasis:
+        union.add(_integer_row(vec)[0])
+    r_null = union.rank
+    for ints in expanded:
+        exp.add(ints)
+        union.add(ints)
+    r_exp, r_union = exp.rank, union.rank
     rep.cases["span"] = 1
     if not (r_null == r_exp == r_union == len(nullbasis) == len(expanded)):
         rep.failures.append(

@@ -232,8 +232,10 @@ def check_leibniz_basis(
         size = sum(m)
         if size > alg.r + s:  # every instance sums past r + s
             continue
-        # b, c and d take the rest of the leading tuple, of degree at most 3r.
-        for lead, rest, left in codes.picks([((), codes.code(m), size)], s - 1, 3 * alg.r):
+        # b, c and d take the rest of the leading tuple, and a term needs
+        # two of them to multiply inside the basis, so the rest has degree
+        # at most 2r.
+        for lead, rest, left in codes.picks([((), codes.code(m), size)], s - 1, 2 * alg.r):
             if 0 in lead:
                 continue
             pairs = codes.factors(rest, left)

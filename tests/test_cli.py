@@ -116,6 +116,13 @@ def test_commands_answer_without_variables_at_a_huge_order(capsys):
     assert capsys.readouterr().out == "1 (free cells: 1)\n"
 
 
+def test_oracle_answers_at_one_variable_with_a_large_order(capsys):
+    # At k = 1 the orbits are listed for every degree up to (s + 1) r; each
+    # degree has one partition, and its listing must not try the others.
+    assert main(["oracle", "-r", "19999", "-k", "1", "-s", "0"]) == 0
+    assert capsys.readouterr() == ("nullspace=20000 formula=20000 iso=ok\n", "")
+
+
 def test_dim_without_check_z_does_not_enumerate(capsys):
     assert main(["dim", "-r", "0", "-k", "100000", "-s", "2"]) == 0
     assert capsys.readouterr().out == "0\n"

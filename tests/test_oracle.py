@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,7 @@ from jetlift.oracle import (
     DEFAULT_MAX_UNKNOWNS,
     ConstraintSystem,
     OracleSizeError,
+    _partitions,
     build_constraints,
     check_iso,
     compare_with_construction,
@@ -329,6 +331,42 @@ def test_guard_bits_decide_division_and_the_difference_is_the_quotient(r, k, s, 
         rest = code(m) - code(g)
         field = (1 << w) - 1
         assert [rest >> i * w & field for i in range(k)] == [a - b for a, b in zip(m, g)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_factors_lists_exactly_the_live_factorisations(r, k, data):
+    # Brute force over every (b, c, d): the product is x^m, 1 <= b <= c,
+    # and bc, bd or cd lies in the basis; by (b, c) ascending.
+    alg = AlgebraParams(r, k)
+    codes, basis, prod = LiftParams(alg, 2).codes, alg.basis, alg.product_index
+    picks = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=3, max_size=3))
+    m = tuple(map(sum, zip(*(basis[g] for g in picks))))
+    live = [
+        (b, c, d)
+        for b in range(1, alg.dim)
+        for c in range(b, alg.dim)
+        for d in range(alg.dim)
+        if tuple(map(sum, zip(basis[b], basis[c], basis[d]))) == m
+        and (prod[b][c], prod[b][d], prod[c][d]) != (None, None, None)
+    ]
+    found = codes.factors(codes.code(m), sum(m))
+    assert found == live
+    if sum(m) > 2 * r:
+        assert found == []
+
+
+def test_partitions_match_a_brute_enumeration():
+    for n in range(11):
+        for parts in range(5):
+            for top in range(7):
+                brute = [
+                    t
+                    for size in range(parts + 1)
+                    for t in combinations_with_replacement(range(top, 0, -1), size)
+                    if sum(t) == n
+                ]
+                assert list(_partitions(n, parts, top)) == sorted(brute, reverse=True)
 
 
 CAPPED_GRID = [
