@@ -193,6 +193,8 @@ class MonomialCodes:
         alg = self.params.algebra
         deg, r, divisors = alg.degrees, alg.r, self.divisors
         for left in range(t - 1, -1, -1):
+            if not found:
+                break
             grown = []
             for combo, rest, size in found:
                 divs = divisors(rest, size)

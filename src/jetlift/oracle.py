@@ -126,6 +126,29 @@ columns: the nullspace is then 0.  Neither step changes the nullspace,
 which alone fixes the basis, and the row count, one per single-entry
 column and one per instance left with two or more terms, is taken from
 the listing.
+
+Peeling lemma: a block ``m`` with ``|m| > r + s`` has nullity 0, so the
+representative pass neither lists nor eliminates it.  Proof.  The
+unknowns whose combination holds the monomial 1 are known zeros.  Take
+any other unknown ``F(combo)(d)`` of the block.  Its ``s`` arguments have
+degree at least 1 and ``d`` at most ``r``, so their degrees sum to
+``|m| - deg d > s``, and some argument ``g`` has degree at least 2.  Write
+``g = x_j c`` with ``c`` a basis monomial of degree ``deg g - 1 >= 1``,
+and ``pre`` the other arguments, sorted.  ``pre + (g,)`` lists distinct
+basis monomials, and the rest ``x_j c d`` has degree at most ``2r``, so
+``R(pre; x_j, c, d)`` is a row of the system, up to sign.  Its term
+``F(pre, x_j c)(d)`` is the unknown, with coefficient +-1.  Its other two
+terms, ``F(pre, x_j)(cd)`` and ``F(pre, c)(x_j d)``, have total argument
+degree ``deg pre + 1`` and ``deg pre + deg c``, both below
+``deg pre + deg g``.  Each vanishes (a truncated product or a repeated
+argument) or is an unknown of the block without the monomial 1, since
+``pre``, ``x_j`` and ``c`` all have degree at least 1.  Order these
+unknowns by total argument degree: each is then the only entry of its
+peeling row off the known zeros and the unknowns before it.  These rows
+are triangular with +-1 on the diagonal, so every null vector of the
+block is 0 there, and the other rows cannot make it nonzero.  The proof
+uses only rows of the system, not the construction or the formula; the
+test-suite checks every peeling row on a grid of points.
 """
 
 from __future__ import annotations
@@ -221,7 +244,8 @@ class ConstraintSystem:
     @cached_property
     def multidegrees(self) -> tuple[MultiIndex, ...]:
         """Every block that holds an unknown, orbit by orbit."""
-        return tuple(m for orbit in self._orbits for m, _ in _orbit(orbit.rep))
+        reps = self._reps(range(self._top + 1))
+        return tuple(m for rep in reps if self.block(rep).cells for m, _ in _orbit(rep))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
@@ -229,8 +253,13 @@ class ConstraintSystem:
 
     @cached_property
     def row_count(self) -> int:
-        """``len(rows)``, counted one block per orbit."""
-        return sum(orbit.size * orbit.rows for orbit in self._orbits)
+        """``len(rows)``, counted one block per orbit; the blocks past
+        ``r + s``, which the representative pass skips, are listed here
+        to count their rows, and no row is formed."""
+        past = self._reps(range(self.params.algebra.r + self.params.s + 1, self._top + 1))
+        return sum(orbit.size * orbit.rows for orbit in self._orbits) + sum(
+            _orbit_size(rep) * _count(*self._list(rep)[1:]) for rep in past
+        )
 
     def block(self, m: MultiIndex) -> Block:
         """Block ``m``, generated once and kept: every row, normalised."""
@@ -252,30 +281,36 @@ class ConstraintSystem:
         return {}
 
     @cached_property
-    def _orbits(self) -> list[_Orbit]:
-        """One entry per orbit of blocks that hold an unknown, with the
-        representative block generated, eliminated and dropped: only its
-        row count and null basis are kept.  Each row is formed without
-        its entries on the known zeros, which are never pivoted on, with
-        the presolve and the early stop of the module docstring, and the
-        rows with two entries go in first.
+    def _top(self) -> int:
+        """The largest degree of an unknown's multidegree, a sum of
+        ``s + 1`` basis monomials: ``(s + 1) r``, and 0 without
+        variables."""
+        return (self.params.s + 1) * self.params.algebra.r if self.params.algebra.k else 0
 
-        The representatives are the non-increasing ``m`` whose block holds
-        an unknown.  An unknown's multidegree is a sum of ``s + 1`` basis
-        monomials, so its degree is at most ``(s + 1) * r``."""
-        alg = self.params.algebra
-        top = (self.params.s + 1) * alg.r
-        pad = (0,) * alg.k
-        # Without variables every multidegree has degree 0.
-        degrees = range(top + 1 if alg.k else 1)
-        parts = (part for n in degrees for part in _partitions(n, alg.k, top))
+    def _reps(self, degrees: range) -> Iterator[MultiIndex]:
+        """The non-increasing multidegrees of the given degrees, one per
+        orbit of blocks; none when the system has no unknown."""
+        k = self.params.algebra.k
+        if unknown_count(self.params):
+            for n in degrees:
+                yield from (part + (0,) * (k - len(part)) for part in _partitions(n, k, n))
+
+    @cached_property
+    def _orbits(self) -> list[_Orbit]:
+        """One entry per orbit of blocks of degree at most ``r + s`` that
+        hold an unknown, with the representative block generated,
+        eliminated and dropped: only its row count and null basis are
+        kept.  Each row is formed without its entries on the known zeros,
+        which are never pivoted on, with the presolve and the early stop of
+        the module docstring, and the rows with two entries go in first.
+        The blocks past ``r + s`` have nullity 0 by the peeling lemma, so
+        they are never listed here."""
         out = []
-        for rep in (part + pad[len(part) :] for part in parts):
+        for rep in self._reps(range(min(self.params.algebra.r + self.params.s, self._top) + 1)):
             cells, zeros, groups = self._list(rep)
             if not cells:
                 continue
-            known = len(zeros)
-            count = known + sum(len(multis) for _, multis in groups)
+            known, count = len(zeros), _count(zeros, groups)
             rows = []
             for at, multis in groups:
                 for terms in multis:
@@ -416,6 +451,12 @@ class ConstraintSystem:
     @cached_property
     def _slot_cache(self) -> dict:
         return {}
+
+
+def _count(zeros: set[int], groups: list[tuple[list, list]]) -> int:
+    """The row count of a block's listing: one row per single-entry column
+    and one per instance left with two or more terms."""
+    return len(zeros) + sum(len(multis) for _, multis in groups)
 
 
 def _partitions(n: int, parts: int, top: int) -> Iterator[tuple[int, ...]]:

@@ -20,14 +20,17 @@ eliminates the whole system at once, and ``reference_blockwise_nullspace``
 every block from its own rows, where the oracle eliminates one block per
 orbit of variable permutations and transports its basis to the others.
 ``reference_orbit_blocks`` eliminates each orbit's representative block
-from all of its rows, where the oracle first drops the columns its
-single-entry rows fix at zero and stops once the rank is full.
+of degree at most ``r + s`` from all of its rows, where the oracle first
+drops the columns its single-entry rows fix at zero and stops once the
+rank is full.  ``peeling_certificate`` checks, from first principles,
+the peeling rows by which the oracle skips every block past ``r + s``.
 ``truncation_kernel_failures`` is a fourth route to the lift space: the
 kernel of the truncation sums on the table cells, block by block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -49,6 +52,7 @@ from jetlift.multiindex import (
     enumerate_degree_exactly,
     sub_unit,
     support,
+    unit,
 )
 from jetlift.oracle import DEFAULT_MAX_UNKNOWNS, ConstraintSystem, _Echelon, unknown_count
 from jetlift.verifier import Failure, VerificationReport
@@ -474,13 +478,18 @@ def reference_blockwise_nullspace(system: ConstraintSystem):
 
 
 def reference_orbit_blocks(system: ConstraintSystem) -> list:
-    """Each orbit representative with its block's row count and null basis,
-    keyed by unknown, from one plain elimination of all of the block's
-    rows, single-entry rows included, with no known-zero presolve and no
-    early stop: what the oracle keeps of each representative."""
+    """Each orbit representative of degree at most ``r + s`` whose block
+    holds an unknown, with the block's row count and null basis, keyed by
+    unknown, from one plain elimination of all of the block's rows,
+    single-entry rows included, with no known-zero presolve and no early
+    stop: what the oracle keeps of each representative.  The blocks past
+    ``r + s`` are ``peeling_certificate``'s."""
+    top = system.params.algebra.r + system.params.s
     out = []
-    for orbit in system._orbits:
-        block = system.block(orbit.rep)
+    for rep in system.multidegrees:
+        if list(rep) != sorted(rep, reverse=True) or degree(rep) > top:
+            continue
+        block = system.block(rep)
         ech = _Echelon()
         for row in block.rows:
             ech.add(row)
@@ -488,8 +497,69 @@ def reference_orbit_blocks(system: ConstraintSystem) -> list:
             {block.cells[c]: v for c, v in vec.items()}
             for vec in ech.nullspace_basis(block.cells).values()
         ]
-        out.append((orbit.rep, len(block.rows), basis))
+        out.append((rep, len(block.rows), basis))
     return out
+
+
+def peeling_certificate(system: ConstraintSystem, m: MultiIndex) -> list:
+    """The peeling lemma of the oracle's docstring, checked on block ``m``
+    of degree above ``r + s`` with the rows of ``system.block(m)``.
+
+    Every unknown whose combination holds the monomial 1 must have a
+    single-entry row.  The other unknowns are taken in order of total
+    argument degree.  For each, an argument ``g`` of degree at least 2 is
+    split as ``x_j c`` at its first axis, and the row
+    ``R(pre; x_j, c, d) = F(pre, g)(d) - F(pre, x_j)(cd) - F(pre, c)(x_j d)``
+    is formed in a dict of coefficients, each term's tuple sorted with its
+    sign.  It must be a row of the block up to sign, be +-1 at the unknown,
+    and have its other entries on the unknowns already settled.  Returns
+    ``(cell, what)`` for each unknown that fails; none means the rows are
+    triangular on the block's unknowns, so its nullity is 0.
+    """
+    alg = system.params.algebra
+    basis, bi, deg = alg.basis, alg.basis_index, alg.degrees
+    block = system.block(m)
+    settled, failures = set(), []
+
+    def is_row(row) -> bool:  # the block's rows are sorted
+        i = bisect_left(block.rows, row)
+        return i < len(block.rows) and block.rows[i] == row
+
+    def argument_degree(item) -> int:
+        return sum(deg[g] for g in item[1][0])
+
+    for col, cell in sorted(block.cells.items(), key=argument_degree):
+        combo, d = cell
+        if 0 in combo:
+            if not is_row(((col, 1),)):
+                failures.append((cell, "no single-entry row"))
+            settled.add(col)
+            continue
+        g = next((g for g in combo if deg[g] >= 2), None)
+        if g is None:
+            failures.append((cell, "no argument of degree 2"))
+            continue
+        j = next(i for i, e in enumerate(basis[g], start=1) if e)
+        xj, c = unit(alg.k, j), sub_unit(basis[g], j)
+        pre = tuple(x for x in combo if x != g)
+        row = {}
+        for coeff, arg, target in (
+            (1, basis[g], basis[d]),
+            (-1, xj, multiply_monomials(alg, c, basis[d])),
+            (-1, c, multiply_monomials(alg, xj, basis[d])),
+        ):
+            res = sort_with_sign(pre + (bi[arg],))
+            if target is not None and res is not None:
+                at = system.column(res[0], bi[target])
+                row[at] = row.get(at, 0) + coeff * res[1]
+        if row.get(col) not in (1, -1):
+            failures.append((cell, "not +-1 at the unknown"))
+        elif not is_row(_canonical_row(row)):
+            failures.append((cell, "not a row of the block"))
+        elif any(at not in settled for at, v in row.items() if v and at != col):
+            failures.append((cell, "an entry not settled before"))
+        settled.add(col)
+    return failures
 
 
 def truncation_kernel_failures(params: LiftParams) -> list:

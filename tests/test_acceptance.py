@@ -9,7 +9,9 @@ linear system would exceed the CLI's unknown-count guard (exactly one point,
 product-rule instances there.  The oracle criteria 1, 4 and 8 build
 (3,3,3) with the guard lifted to its unknown count; criteria 1 and 4 also
 build (4,3,3), (3,4,3) and (4,4,2), with 169,050 to 229,075 unknowns each.
-Criterion 9 checks the truncation kernel on its own, larger grid.
+Criterion 1 also checks the peeling rows by which the oracle skips the
+blocks past r + s.  Criterion 9 checks the truncation kernel on its own,
+larger grid.
 """
 
 import random
@@ -39,6 +41,7 @@ from jetlift.oracle import (
 )
 from support import (
     detectable_cells,
+    peeling_certificate,
     reference_build_all_slots,
     reference_nullspace,
     truncation_kernel_failures,
@@ -95,9 +98,14 @@ def test_criterion_1_dimension_cross_check(oracle_cache):
     if set(FULL_GRID) - set(CAPPED_GRID) != {(3, 3, 3)}:
         failures.append(("guard", sorted(set(FULL_GRID) - set(CAPPED_GRID))))
     for point in FULL_GRID + REACH_POINTS:
-        params, _, nullity, _ = oracle_cache[point]
+        params, system, nullity, _ = oracle_cache[point]
         if nullity != dimension(params):
             failures.append((point, "nullspace", nullity, dimension(params)))
+        # The oracle skips the blocks past r + s by the peeling lemma; check
+        # its rows on each orbit's representative (the orbits are symmetric).
+        for m in system.multidegrees:
+            if sum(m) > point[0] + point[2] and list(m) == sorted(m, reverse=True):
+                failures.extend((point, m, *f) for f in peeling_certificate(system, m))
     for point, expected in SPOT_DIMENSIONS.items():
         if dimension(lift(point)) != expected:
             failures.append((point, "spot", expected))
@@ -106,7 +114,8 @@ def test_criterion_1_dimension_cross_check(oracle_cache):
     finish(
         1,
         "oracle nullspace dimension equals the closed form on the full grid "
-        "and at (4,3,3), (3,4,3), (4,4,2)",
+        "and at (4,3,3), (3,4,3), (4,4,2), and the peeling rows settle the "
+        "blocks past r + s",
         failures,
     )
 

@@ -123,6 +123,19 @@ def test_oracle_answers_at_one_variable_with_a_large_order(capsys):
     assert capsys.readouterr() == ("nullspace=20000 formula=20000 iso=ok\n", "")
 
 
+def test_oracle_answers_at_once_with_no_unknowns_at_a_large_arity(capsys):
+    # s > C(r + k, r): no combination of s distinct monomials exists, so no
+    # block is listed, although multidegrees reach degree (s + 1) r.
+    assert main(["oracle", "-r", "3", "-k", "1", "-s", "10000"]) == 0
+    assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
+
+
+def test_oracle_answers_at_once_with_no_unknowns_at_two_variables(capsys):
+    # At k = 2 the orbits up to degree (s + 1) r number about ((s + 1) r)^2 / 4.
+    assert main(["oracle", "-r", "1", "-k", "2", "-s", "3000"]) == 0
+    assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
+
+
 def test_dim_without_check_z_does_not_enumerate(capsys):
     assert main(["dim", "-r", "0", "-k", "100000", "-s", "2"]) == 0
     assert capsys.readouterr().out == "0\n"

@@ -45,6 +45,7 @@ from jetlift.oracle import (
 from jetlift.verifier import Failure
 from support import (
     PRUNING_POINTS,
+    peeling_certificate,
     reference_blockwise_nullspace,
     reference_build_all_slots,
     reference_build_rows,
@@ -304,9 +305,37 @@ def test_graded_nullspace_gives_the_whole_system_basis(r, k, s):
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_presolve_and_early_stop_keep_each_representatives_rows_and_basis(r, k, s):
+    # The representatives the pass keeps, those of degree at most r + s;
+    # the peeling test below settles the rest.
     system = default_system(r, k, s)
     orbits = [(orbit.rep, orbit.rows, orbit.basis) for orbit in system._orbits]
     assert orbits == reference_orbit_blocks(system)
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_peeling_rows_settle_every_block_past_r_plus_s(r, k, s):
+    # The lemma by which the representative pass skips these blocks.
+    system = default_system(r, k, s)
+    past = [m for m in system.multidegrees if sum(m) > r + s]
+    assert [(m, f) for m in past for f in peeling_certificate(system, m)] == []
+
+
+@pytest.mark.parametrize("point", [(2, 4, 3), (3, 3, 2), (2, 2, 3), (4, 1, 2)])
+def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
+    r, k, s = point
+    listed, listing = [], ConstraintSystem._list
+
+    def checked(self, m):
+        assert sum(m) <= r + s, m
+        listed.append(m)
+        return listing(self, m)
+
+    monkeypatch.setattr(ConstraintSystem, "_list", checked)
+    params = lift_params(*point)
+    system = build_constraints(params, max_unknowns=unknown_count(params))
+    _, basis = nullspace(system)
+    assert check_iso(system, basis)
+    assert listed
 
 
 @settings(max_examples=100, deadline=None)
