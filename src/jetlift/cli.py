@@ -270,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "witnesses", 0) < 0:
             raise CliError(f"--witnesses must be non-negative, got {args.witnesses}")
+        if getattr(args, "max_unknowns", 0) < 0:
+            raise CliError(f"--max-unknowns must be non-negative, got {args.max_unknowns}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,26 +80,12 @@ to sign, single-entry rows to single-entry rows.  So every block of an
 orbit has the same row count, and the nullspace of block ``sigma(m)`` is
 the image of that of block ``m``.  ``nullspace`` therefore eliminates one
 block per orbit, its representative: ``m`` sorted into non-increasing
-order.  It transports that block's basis to every other block of the
-orbit and then re-reduces it.
-
-The re-reduction recovers the basis a whole-system elimination gives.
-That elimination takes pivots at the lowest column of each row.  Its
-pivot columns are the leading columns of the row space, and the free
-columns ``F`` are the rest.  The basis vector ``v_f`` of a free column
-``f`` is the null vector that is 1 at ``f`` and 0 on the rest of ``F``.
-It is unique, because reading a null vector at ``F`` is bijective.
-Back-substitution writes each pivot entry through larger columns only, so
-``v_f`` is zero above ``f``: ``f`` is the largest column of ``v_f``.  A
-null vector ``v = sum c_f v_f`` then has as largest column the largest
-``f`` with ``c_f != 0``.  So ``F`` is exactly the set of largest columns
-of the null vectors.  Now eliminate any basis of the nullspace with
-pivots at the largest column of each vector.  Reduce fully and scale each
-vector to 1 at its pivot.  The pivots are then ``F``, and each vector is
-1 at its own pivot and 0 at the others, which is ``v_f``.  This step is
-needed because the free cells are not symmetric under ``sigma``: the
-predicate singles out the top axis of a row.  So ``sigma`` need not carry
-free columns to free columns, nor keep the column order.
+order.  It carries that block's basis to every other block of the orbit,
+where it is a basis of that block's nullspace as it stands.  The free
+cells are not symmetric under ``sigma`` (the predicate singles out the top
+axis of a row), so a carried vector need not be 1 at a free column of its
+block; nothing reads it there: the nullity, ``check_iso`` and the span
+ranks of ``compare_with_construction`` are the same for any basis.
 
 The generator and the transport code an exponent vector as one integer,
 and list divisors and picks, with ``lift_space.MonomialCodes``, which the
@@ -204,11 +190,10 @@ class Block(NamedTuple):
 
 class _Orbit(NamedTuple):
     """The blocks ``m`` that permuting the variables gives from ``rep``:
-    how many there are, the row count of each, and the null basis of the
-    block ``rep``, keyed by unknown."""
+    the row count of each, and the null basis of the block ``rep``, keyed
+    by unknown."""
 
     rep: MultiIndex
-    size: int
     rows: int
     basis: list[dict[Cell, Fraction]]
 
@@ -257,7 +242,7 @@ class ConstraintSystem:
         ``r + s``, which the representative pass skips, are listed here
         to count their rows, and no row is formed."""
         past = self._reps(range(self.params.algebra.r + self.params.s + 1, self._top + 1))
-        return sum(orbit.size * orbit.rows for orbit in self._orbits) + sum(
+        return sum(_orbit_size(orbit.rep) * orbit.rows for orbit in self._orbits) + sum(
             _orbit_size(rep) * _count(*self._list(rep)[1:]) for rep in past
         )
 
@@ -344,7 +329,7 @@ class ConstraintSystem:
                     {cells[col]: v for col, v in vec.items()}
                     for vec in ech.nullspace_basis(cols).values()
                 ]
-            out.append(_Orbit(rep, _orbit_size(rep), count, basis))
+            out.append(_Orbit(rep, count, basis))
         return out
 
     # -- the block generator ---------------------------------------------------
@@ -639,58 +624,23 @@ def _transport(
     return out
 
 
-def _reduce_at_largest(vectors: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """The basis of the span of the independent ``vectors`` in which each
-    vector is 1 at its largest column and 0 at the others' largest
-    columns, keyed by that column."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for vec in vectors:
-        # Each pivot vector is 1 at its own pivot and 0 at the others, so
-        # one pass clears every pivot column of ``vec``.
-        vec = dict(vec)
-        for lead, p in pivots.items():
-            _subtract(vec, vec.get(lead), p)
-        lead = max(vec)
-        inv = 1 / vec[lead]
-        vec = {c: v * inv for c, v in vec.items()}
-        for p in pivots.values():
-            _subtract(p, p.get(lead), vec)
-        pivots[lead] = vec
-    return pivots
-
-
-def _subtract(vec: dict[int, Fraction], f: Fraction | None, p: Mapping[int, Fraction]) -> None:
-    """``vec -= f * p`` in place, dropping the entries that vanish."""
-    if f:
-        for c, v in p.items():
-            w = vec.get(c, 0) - f * v
-            if w:
-                vec[c] = w
-            else:
-                del vec[c]
-
-
 def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]:
-    """Exact nullspace dimension and an explicit rational basis, one vector
-    per free column, in column order, each a dict of its nonzero entries.
+    """Exact nullspace dimension and an explicit rational basis of the
+    nullspace, orbit by orbit, each vector a dict of its nonzero entries
+    inside one block.
 
-    One block per orbit of variable permutations is eliminated; its basis
-    is carried to every other block of the orbit and re-reduced there, as
-    the module docstring sets out.  Each basis vector is the null vector
-    that is 1 at its free column and 0 at the others, and the free columns
-    are fixed by the nullspace, so the basis is the one whole-system
-    elimination gives.
+    One block per orbit of variable permutations is eliminated, and its
+    basis is carried to every other block of the orbit, as the module
+    docstring sets out.
     """
-    by_free: dict[int, dict[int, Fraction]] = {}
-    for orbit in system._orbits:
-        if orbit.basis:
-            for m, placed in _orbit(orbit.rep):
-                vectors = _transport(system, orbit.basis, placed)
-                if m == orbit.rep:  # eliminated here: each vector ends at its free column
-                    by_free.update((max(vec), vec) for vec in vectors)
-                else:
-                    by_free.update(_reduce_at_largest(vectors))
-    return len(by_free), [by_free[f] for f in sorted(by_free)]
+    basis = [
+        vec
+        for orbit in system._orbits
+        if orbit.basis
+        for _, placed in _orbit(orbit.rep)
+        for vec in _transport(system, orbit.basis, placed)
+    ]
+    return len(basis), basis
 
 
 def _integer_row(vec: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:

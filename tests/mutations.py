@@ -1,0 +1,132 @@
+"""Standing mutation check: each listed mutant of ``src/`` must fail its tests.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python3 tests/mutations.py
+
+Each mutation replaces one text, which must occur exactly once in its
+module, in a fresh copy of ``src/`` under a temporary directory.  Each of
+its named tests is then run against that copy, with ``-x``, and must fail.
+The named tests must first pass on an unmutated copy, so a failure is the
+mutant's.  A refactor that moves a mutated text must update its entry
+here.  The script prints one line per mutation and exits 1 if any text
+does not occur exactly once, any named test passes on its mutant, or the
+unmutated copy fails.  Pytest does not collect this file: its name does not
+start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ORACLE = "tests/test_oracle.py::"
+VERIFIER = "tests/test_verifier.py::"
+
+MUTATIONS = [
+    Mutation(
+        "drop the transport sign",
+        "jetlift/oracle.py",
+        "v if sign > 0 else -v",
+        "v",
+        (ORACLE + "test_transported_basis_is_every_block_eliminated_directly",),
+    ),
+    Mutation(
+        "skip the representatives of degree r + s",
+        "jetlift/oracle.py",
+        "min(self.params.algebra.r + self.params.s, self._top)",
+        "min(self.params.algebra.r + self.params.s - 1, self._top)",
+        (
+            ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",
+            ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
+        ),
+    ),
+    Mutation(
+        "stop the elimination one row early",
+        "jetlift/oracle.py",
+        "if ech.rank == len(cols):",
+        "if ech.rank == len(cols) - 1:",
+        (
+            ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",
+            ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
+        ),
+    ),
+    Mutation(
+        "drop the verifier's failure sort",
+        "jetlift/verifier.py",
+        "    failed.sort(key=itemgetter(0))\n",
+        "",
+        (
+            VERIFIER + "test_pruned_sweeps_reach_the_same_instances_as_the_reference",
+            VERIFIER + "test_run_all_checks_matches_the_reference_on_random_cell_tables",
+        ),
+    ),
+    Mutation(
+        "flip the free-cell predicate",
+        "jetlift/lift_space.py",
+        "axes[-1] < sup[-1]",
+        "axes[-1] <= sup[-1]",
+        (
+            "tests/test_lift_space.py::test_free_cells_match_direct_definition_on_grid",
+            ORACLE + "test_nullity_matches_formula_and_basis_satisfies_rows",
+        ),
+    ),
+]
+
+
+def copy_src(into: Path) -> Path:
+    src = into / "src"
+    shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def pytest(src: Path, tests: list[str] | tuple[str, ...]) -> int:
+    """The exit code of pytest on ``tests`` with ``src`` first on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(argv, cwd=REPO, env=env, capture_output=True, text=True)
+    return done.returncode
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        named = sorted({t for mut in MUTATIONS for t in mut.tests})
+        code = pytest(copy_src(Path(tmp)), named)
+        print(f"unmutated: pytest exit {code}, {'ok' if code == 0 else 'FAIL'}")
+        bad += code != 0
+    for mut in MUTATIONS:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(Path(tmp))
+            path = src / mut.module
+            text = path.read_text(encoding="utf-8")
+            if text.count(mut.old) != 1:
+                print(f"{mut.name}: FAIL, the text occurs {text.count(mut.old)} times")
+                bad += 1
+                continue
+            path.write_text(text.replace(mut.old, mut.new), encoding="utf-8")
+            survived = [t for t in mut.tests if pytest(src, [t]) != 1]
+        status = f"FAIL, did not fail: {', '.join(survived)}" if survived else "caught"
+        print(f"{mut.name}: {status}")
+        bad += bool(survived)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

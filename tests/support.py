@@ -18,7 +18,8 @@ coefficients and dividing out its content (``_add_rows_at``), so it
 shares no code with the builder it checks.  ``reference_nullspace``
 eliminates the whole system at once, and ``reference_blockwise_nullspace``
 every block from its own rows, where the oracle eliminates one block per
-orbit of variable permutations and transports its basis to the others.
+orbit of variable permutations and transports its basis to the others;
+``same_span`` compares the bases by the spaces they span.
 ``reference_orbit_blocks`` eliminates each orbit's representative block
 of degree at most ``r + s`` from all of its rows, where the oracle first
 drops the columns its single-entry rows fix at zero and stops once the
@@ -54,7 +55,7 @@ from jetlift.multiindex import (
     support,
     unit,
 )
-from jetlift.oracle import DEFAULT_MAX_UNKNOWNS, ConstraintSystem, _Echelon, unknown_count
+from jetlift.oracle import DEFAULT_MAX_UNKNOWNS, ConstraintSystem, _Echelon, rank_of, unknown_count
 from jetlift.verifier import Failure, VerificationReport
 from jetlift.weil_algebra import AlgebraParams
 
@@ -466,7 +467,8 @@ def reference_nullspace(system: ConstraintSystem | ReferenceSystem):
 def reference_blockwise_nullspace(system: ConstraintSystem):
     """The oracle's nullspace with every block eliminated directly from its
     own generated rows, single-entry rows included, and no block's basis
-    carried to another: what transporting one block per orbit must give."""
+    carried to another: each block's basis must span what transporting one
+    block per orbit gives there."""
     by_free = {}
     for m in system.multidegrees:
         block = system.block(m)
@@ -475,6 +477,12 @@ def reference_blockwise_nullspace(system: ConstraintSystem):
             ech.add(row)
         by_free.update(ech.nullspace_basis(block.cells))
     return len(by_free), [by_free[f] for f in sorted(by_free)]
+
+
+def same_span(a: list, b: list) -> bool:
+    """Are the sparse rational vectors ``a`` a basis of the span of the
+    basis ``b``?"""
+    return len(a) == len(b) == rank_of(a) == rank_of(a + b)
 
 
 def reference_orbit_blocks(system: ConstraintSystem) -> list:

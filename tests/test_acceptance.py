@@ -277,9 +277,8 @@ def test_criterion_7_corruption_detection():
 
 
 def test_criterion_8_graded_agreement(oracle_cache):
-    # Every oracle basis vector lies in one multidegree block, the block of
-    # its free column; the closed form, the free cells and the oracle must
-    # then agree block by block.
+    # Every oracle basis vector lies in one multidegree block; the closed
+    # form, the free cells and the oracle must then agree block by block.
     failures = []
     for point in FULL_GRID:
         params, system, _, basis = oracle_cache[point]

@@ -581,6 +581,15 @@ def test_negative_witness_counts_are_refused(tmp_path, capsys, argv):
     assert capsys.readouterr() == ("", "error: --witnesses must be non-negative, got -1\n")
 
 
+def test_negative_unknown_limits_are_refused(capsys):
+    argv = ["oracle", "-r", "0", "-k", "0", "-s", "0", "--max-unknowns"]
+    assert main([*argv, "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --max-unknowns must be non-negative, got -1\n")
+    # A limit of 0 stays valid: it refuses the one unknown of this system.
+    assert main([*argv, "0"]) == 2
+    assert capsys.readouterr().err == "error: system would have 1 unknowns, above the limit of 0\n"
+
+
 def test_witness_count_limits_the_printed_witnesses(tmp_path, capsys):
     # The (1,2,1) table with one corrupted bound cell has three witnesses:
     # 0 prints none of them, 2 the first two, the default all three.
