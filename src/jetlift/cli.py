@@ -40,6 +40,10 @@ from .weil_algebra import AlgebraParams
 # table cell, C(k, s) rows of C(r + k, r) monomials; larger tables are
 # refused before enumerating.
 MAX_TABLE_CELLS = 1_000_000
+# Every listed monomial is a k-long exponent list: the basis, listed once
+# with the cells, and one per cell in the JSON that ``zset``, ``construct``
+# and ``verify`` write or read.  Longer listings are refused the same way.
+MAX_LISTED_ENTRIES = 10_000_000
 
 
 class CliError(Exception):
@@ -53,11 +57,18 @@ def _params(args) -> LiftParams:
         raise CliError(str(exc)) from exc
 
 
-def _check_enumerable(params: LiftParams, doing: str = "listing the free cells") -> None:
+def _check_enumerable(
+    params: LiftParams, doing: str = "listing the free cells", as_json: bool = False
+) -> None:
     r, k, s = params.algebra.r, params.algebra.k, params.s
     cap = MAX_TABLE_CELLS
-    if capped_binomial(k, s, cap) * capped_binomial(r + k, r, cap) > cap:
+    B = capped_binomial(r + k, r, cap)
+    cells = capped_binomial(k, s, cap) * B
+    if cells > cap:
         raise CliError(f"{doing} would visit more than {cap} table cells")
+    # Without a cell no monomial is listed; with one, B is exact.
+    if (cells if as_json else B * bool(cells)) * k > MAX_LISTED_ENTRIES:
+        raise CliError(f"{doing} would visit more than {MAX_LISTED_ENTRIES} monomial exponents")
 
 
 def _check_dimension(params: LiftParams) -> None:
@@ -74,7 +85,7 @@ def _read_input(path: str, cls, what: str, field: str):
     enumeration when the table is too large."""
     try:
         data = _load_json(path)
-        _check_enumerable(read_params(data, what, field), f"reading the {what}")
+        _check_enumerable(read_params(data, what, field), f"reading the {what}", as_json=True)
         return cls.from_json_dict(data)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -150,7 +161,7 @@ def cmd_dim(args) -> int:
 
 def cmd_zset(args) -> int:
     params = _params(args)
-    _check_enumerable(params)
+    _check_enumerable(params, as_json=True)
     _emit(
         [{"i": list(c.axes), "alpha": list(c.alpha)} for c in free_cells(params)],
         args.out,
@@ -165,7 +176,7 @@ def cmd_construct(args) -> int:
         if args.r is None or args.k is None or args.s is None:
             raise CliError("--random needs -r, -k and -s")
         params = _params(args)
-        _check_enumerable(params, "completing the table")
+        _check_enumerable(params, "completing the table", as_json=True)
         seed = DEFAULT_SEED if args.seed is None else args.seed
         assignment = CoefficientAssignment.random(params, seed=seed)
     # Looked up on the module so a wrapper installed on lift_space.construct

@@ -559,9 +559,9 @@ class TableEvaluator:
     the axis tuple and the rest of the argument into the target, so a tuple
     of multidegree ``m`` reads only cells ``(I, alpha)`` with
     ``e_I + alpha = m``.  The oracle's product-rule rows also lie in one
-    multidegree each, so ``expand_table`` skips the unknowns of every
-    multidegree where the table has no nonzero cell, and ``nullspace``
-    eliminates one multidegree block at a time.
+    multidegree each, so ``compare_with_construction`` evaluates each unit
+    table, with ``expand_table``, only at the unknowns of its own block,
+    and ``nullspace`` eliminates one multidegree block at a time.
     """
 
     def __init__(self, table: LiftTable):

@@ -102,16 +102,21 @@ One listing of a block serves both the representative pass and
 the slot map with the instances left with two or more terms.  The
 single-entry columns are the unknowns holding the monomial 1, the
 instances with one term, and those left with one once the terms on an
-entry of ``pre`` drop.  ``block`` forms every row.  The representative
-pass forms each row with only its entries off those known zeros, so a
-row wholly on them comes out empty and is dropped.  A row left with one
-entry makes its column a known zero too, and the rows are scanned again
-until none does, as a null vector is zero at the known zeros.
-Elimination stops once the rank equals the number of other (live)
-columns: the nullspace is then 0.  Neither step changes the nullspace,
-which alone fixes the basis, and the row count, one per single-entry
-column and one per instance left with two or more terms, is taken from
-the listing.
+entry of ``pre`` drop.  One generator, ``_rows``, forms the row of each
+instance left with two or more terms, without its entries on a given set
+of columns.  ``block`` gives it none, forms every row and keeps nothing,
+so each call lists the block again; ``compare_with_construction`` reads
+each block once.  The representative pass gives it the known zeros, as a
+null vector is zero there, so a row wholly on them comes out empty and
+adds nothing.  While some row is left with one entry, its column is a
+known zero too and drops from every row.  Each column so added is forced
+by those before it, so the loop ends at the least set of columns closed
+under this rule, whichever row goes first, and every null vector is zero
+there.  Elimination stops once the rank equals the number of other
+(live) columns: the nullspace is then 0.  Neither step changes the
+nullspace, which alone fixes the basis, and the row count, one per
+single-entry column and one per instance left with two or more terms, is
+taken from the listing.
 
 Peeling lemma: a block ``m`` with ``|m| > r + s`` has nullity 0, so the
 representative pass neither lists nor eliminates it.  Proof.  The
@@ -144,8 +149,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby
 from math import comb, gcd, lcm
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
     FreeCell,
@@ -230,7 +236,7 @@ class ConstraintSystem:
     def multidegrees(self) -> tuple[MultiIndex, ...]:
         """Every block that holds an unknown, orbit by orbit."""
         reps = self._reps(range(self._top + 1))
-        return tuple(m for rep in reps if self.block(rep).cells for m, _ in _orbit(rep))
+        return tuple(m for rep in reps if self._list(rep)[0] for m, _ in _orbit(rep))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
@@ -247,23 +253,12 @@ class ConstraintSystem:
         )
 
     def block(self, m: MultiIndex) -> Block:
-        """Block ``m``, generated once and kept: every row, normalised."""
-        blk = self._blocks.get(m)
-        if blk is None:
-            cells, zeros, groups = self._list(m)
-            rows = [((col, 1),) for col in zeros]
-            for at, multis in groups:
-                for terms in multis:
-                    row = [(at[x][0] + to, v * at[x][1]) for x, to, v in terms]
-                    if row[0][1] < 0:
-                        row = [(c, -v) for c, v in row]
-                    rows.append(tuple(row))
-            blk = self._blocks[m] = Block(cells, tuple(sorted(rows)))
-        return blk
-
-    @cached_property
-    def _blocks(self) -> dict[MultiIndex, Block]:
-        return {}
+        """Block ``m``, listed on every call: every row, normalised."""
+        cells, zeros, groups = self._list(m)
+        rows = [((col, 1),) for col in zeros]
+        for row in _rows(groups, ()):
+            rows.append(tuple(row) if row[0][1] > 0 else tuple((c, -v) for c, v in row))
+        return Block(cells, tuple(sorted(rows)))
 
     @cached_property
     def _top(self) -> int:
@@ -295,28 +290,11 @@ class ConstraintSystem:
             cells, zeros, groups = self._list(rep)
             if not cells:
                 continue
-            known, count = len(zeros), _count(zeros, groups)
-            rows = []
-            for at, multis in groups:
-                for terms in multis:
-                    row = [
-                        (c, v * t[1])
-                        for x, to, v in terms
-                        if (c := (t := at[x])[0] + to) not in zeros
-                    ]
-                    if len(row) > 1:
-                        rows.append(row)
-                    elif row:
-                        zeros.add(row[0][0])
-            while len(zeros) > known:  # a row left with one entry makes its column a known zero
-                known, live = len(zeros), []
-                for row in rows:
-                    row = [e for e in row if e[0] not in zeros]
-                    if len(row) > 1:
-                        live.append(row)
-                    elif row:
-                        zeros.add(row[0][0])
-                rows = live
+            count = _count(zeros, groups)
+            rows = list(_rows(groups, zeros))
+            while ones := {row[0][0] for row in rows if len(row) == 1}:
+                zeros |= ones  # a row left with one entry makes its column a known zero
+                rows = [[e for e in row if e[0] not in zeros] for row in rows]
             cols = [col for col in cells if col not in zeros]
             ech = _Echelon()
             for row in sorted(rows, key=len):
@@ -436,6 +414,16 @@ class ConstraintSystem:
     @cached_property
     def _slot_cache(self) -> dict:
         return {}
+
+
+def _rows(groups: list[tuple[list, list]], zeros: Container[int]) -> Iterator[list]:
+    """The row of each instance of a block's listing left with two or more
+    terms, in column order, without its entries on ``zeros``."""
+    for at, multis in groups:
+        for terms in multis:
+            yield [
+                (c, v * t[1]) for x, to, v in terms if (c := (t := at[x])[0] + to) not in zeros
+            ]
 
 
 def _count(zeros: set[int], groups: list[tuple[list, list]]) -> int:
@@ -695,12 +683,11 @@ class _Table(NamedTuple):
 
 
 def expand_table(
-    system: ConstraintSystem, cells: Mapping[FreeCell, Fraction]
+    system: ConstraintSystem, cells: Mapping[FreeCell, Fraction], unknowns: Mapping[int, Cell]
 ) -> dict[int, Fraction]:
     """The table with the given nonzero cells, zero elsewhere, evaluated at
-    every unknown of the system, as a dict of its nonzero entries.  Only
-    the blocks of the given cells are evaluated: ``TableEvaluator`` reads
-    at an unknown only cells of its multidegree, so the others are zero."""
+    the given unknowns, column -> (combination, target), as a dict of its
+    nonzero entries."""
     p = system.params
     bi, ri = p.algebra.basis_index, p.row_index
     zero = (Fraction(0),) * p.algebra.dim
@@ -711,13 +698,7 @@ def expand_table(
             rows[i] = list(zero)
         rows[i][bi[alpha]] = v
     ev = TableEvaluator(_Table(p, rows))
-    vec = {}
-    for m in {multidegree(*cell) for cell in cells}:
-        for col, (combo, target) in system.block(m).cells.items():
-            v = ev.monomials_by_index(combo, target)
-            if v:
-                vec[col] = v
-    return vec
+    return {c: v for c, u in unknowns.items() if (v := ev.monomials_by_index(*u))}
 
 
 def compare_with_construction(
@@ -731,33 +712,37 @@ def compare_with_construction(
     oracle nullspace (mutual containment by rank).  The unit table's
     nonzero cells, and so its vector, lie in the block of its free cell:
     only that block is completed, from its own free cells, and evaluated,
-    and only that block's rows, in row order, can be nonzero on it.  Every
-    row still counts as a case.
+    and only that block's rows, in row order, can be nonzero on it.  The
+    units are visited block by block, each block listed once and dropped
+    after its units, and the failures sorted back into free-cell order.
+    Every row still counts as a case.
     """
     params = system.params
-    cells = free_cells(params)
     free = params.free_cell_set
-    n_rows = system.row_count
-    rep = VerificationReport(cases={"constraint-rows": 0, "span": 0})
-    expanded = []
-    for one in cells:
-        m = multidegree(*one)
-        block = block_cells(params, m)
-        values = complete({c: Fraction(int(c == one)) for c in block if c in free}, block)
-        vec = expand_table(system, {c: v for c, v in zip(block, values) if v})
-        ints, scale = _integer_row(vec)
-        expanded.append(ints)
-        rep.cases["constraint-rows"] += n_rows
-        for row in system.block(m).rows:
-            total = 0
-            for col, coeff in row:
-                x = ints.get(col)
-                if x:
-                    total += coeff * x
-            if total:
-                rep.failures.append(
-                    Failure("constraint-rows", (one, row), Fraction(0), Fraction(total, scale))
-                )
+    units: dict[MultiIndex, list[tuple[int, FreeCell]]] = {}
+    for i, one in enumerate(free_cells(params)):
+        units.setdefault(multidegree(*one), []).append((i, one))
+    expanded, failed = [], []
+    for m, ones in units.items():
+        cells = block_cells(params, m)
+        block = system.block(m)
+        for i, one in ones:
+            values = complete({c: Fraction(int(c == one)) for c in cells if c in free}, cells)
+            vec = expand_table(system, {c: v for c, v in zip(cells, values) if v}, block.cells)
+            ints, scale = _integer_row(vec)
+            expanded.append(ints)
+            for row in block.rows:
+                total = 0
+                for col, coeff in row:
+                    x = ints.get(col)
+                    if x:
+                        total += coeff * x
+                if total:
+                    witness, got = (one, row), Fraction(total, scale)
+                    failed.append((i, Failure("constraint-rows", witness, Fraction(0), got)))
+    failed.sort(key=itemgetter(0))
+    cases = {"constraint-rows": system.row_count * len(expanded), "span": 1}
+    rep = VerificationReport(cases, [f for _, f in failed])
     # The null basis is eliminated once; the union adds the expanded rows.
     union, exp = _Echelon(), _Echelon()
     for vec in nullbasis:
@@ -767,7 +752,6 @@ def compare_with_construction(
         exp.add(ints)
         union.add(ints)
     r_exp, r_union = exp.rank, union.rank
-    rep.cases["span"] = 1
     if not (r_null == r_exp == r_union == len(nullbasis) == len(expanded)):
         rep.failures.append(
             Failure(

@@ -78,6 +78,23 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        "drop compare's failure re-sort",
+        "jetlift/oracle.py",
+        "    failed.sort(key=itemgetter(0))\n",
+        "",
+        (ORACLE + "test_compare_reports_failures_in_free_cell_order_across_blocks",),
+    ),
+    Mutation(
+        "form the representative's rows on the known zeros too",
+        "jetlift/oracle.py",
+        "if (c := (t := at[x])[0] + to) not in zeros",
+        "if (c := (t := at[x])[0] + to) is not None",
+        (
+            ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",
+            ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
+        ),
+    ),
+    Mutation(
         "flip the free-cell predicate",
         "jetlift/lift_space.py",
         "axes[-1] < sup[-1]",

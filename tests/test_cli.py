@@ -26,7 +26,7 @@ from jetlift import (
     dimension,
     free_cells,
 )
-from jetlift.cli import MAX_TABLE_CELLS, CliError, _print_report, main
+from jetlift.cli import MAX_LISTED_ENTRIES, MAX_TABLE_CELLS, CliError, _print_report, main
 from jetlift.multiindex import MAX_COUNT_DIGITS
 from jetlift.oracle import DEFAULT_MAX_UNKNOWNS
 from jetlift.rationals import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_DIGITS
@@ -560,6 +560,60 @@ def test_oracle_guard_answers_without_listing_the_basis(capsys, no_basis_listing
         f"error: system would have at least 10**{MAX_COUNT_DIGITS} unknowns, "
         f"above the limit of {DEFAULT_MAX_UNKNOWNS}\n"
     )
+
+
+# Under the cell cap, but each listed monomial is a k-long exponent list:
+# B·k entries for the basis, cells·k for the JSON a command writes.  Each
+# ran for tens of seconds, or out of memory, before the entry cap.
+LONG_LISTINGS = [
+    (["zset", "-r", "1", "-k", "4000", "-s", "0", "--out", "OUT"], "listing the free cells"),
+    (["construct", "--random", "-r", "0", "-k", "400", "-s", "2"], "completing the table"),
+    (["construct", "--random", "-r", "0", "-k", "1000", "-s", "2"], "completing the table"),
+    (["construct", "--random", "-r", "1", "-k", "400", "-s", "1"], "completing the table"),
+    (["oracle", "-r", "1", "-k", "19999", "-s", "0"], "listing the free cells"),
+    (["dim", "--check-z", "-r", "1", "-k", "19999", "-s", "0"], "listing the free cells"),
+]
+
+
+@pytest.mark.parametrize("argv,doing", LONG_LISTINGS, ids=[" ".join(a) for a, _ in LONG_LISTINGS])
+def test_long_exponent_listings_are_refused_before_listing(
+    tmp_path, capsys, no_basis_listing, argv, doing
+):
+    out = tmp_path / "out.json"
+    assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: {doing} would visit more than {MAX_LISTED_ENTRIES} monomial exponents\n",
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,field,doing",
+    [("construct", "values", "reading the assignment"), ("verify", "cells", "reading the table")],
+)
+def test_input_files_with_long_exponent_lists_are_refused(
+    tmp_path, capsys, no_basis_listing, command, field, doing
+):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"r": 1, "k": 4000, "s": 0, field: []}))
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {doing} would visit more than {MAX_LISTED_ENTRIES} monomial exponents\n"
+    )
+
+
+def test_the_exponent_cap_counts_the_cells_only_where_json_lists_them(capsys):
+    # 124,750 cells of the one monomial at r = 0.  The oracle and dim list
+    # the basis once, B·k = 500 entries; zset, like the cell cap, counts
+    # every cell of the table, 62,375,000 entries, though none is free here.
+    argv = ["-r", "0", "-k", "500", "-s", "2"]
+    assert main(["oracle", *argv]) == 0
+    assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
+    assert main(["dim", "--check-z", *argv]) == 0
+    assert capsys.readouterr() == ("0 (free cells: 0)\n", "")
+    assert main(["zset", *argv]) == 2
+    assert capsys.readouterr().err.endswith(f"{MAX_LISTED_ENTRIES} monomial exponents\n")
 
 
 # -- witness counts ----------------------------------------------------------

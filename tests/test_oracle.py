@@ -5,7 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import pytest
 from hypothesis import assume, given, settings
@@ -472,7 +472,11 @@ def test_expansion_skips_only_columns_that_are_zero(r, k, s):
         table = construct(assignment)
         ev = TableEvaluator(table)
         full = [ev.monomials_by_index(combo, d) for combo, d in system.unknowns]
-        assert expand_table(system, nonzero_cells(table)) == {
+        # Evaluated only at the blocks of its nonzero cells, as compare does.
+        nonzero = nonzero_cells(table)
+        blocks = {multidegree(*cell) for cell in nonzero}
+        unknowns = {c: u for m in blocks for c, u in system.block(m).cells.items()}
+        assert expand_table(system, nonzero, unknowns) == {
             col: v for col, v in enumerate(full) if v
         }
 
@@ -507,7 +511,8 @@ def test_expanded_unit_tables_satisfy_the_rows():
     system = build_constraints(params)
     for cell in free_cells(params):
         table = construct(CoefficientAssignment.unit(params, cell))
-        assert satisfies(system.rows, expand_table(system, nonzero_cells(table)))
+        vec = expand_table(system, nonzero_cells(table), dict(enumerate(system.unknowns)))
+        assert satisfies(system.rows, vec)
 
 
 @pytest.mark.parametrize(
@@ -529,8 +534,11 @@ def test_compare_reports_violated_rows_in_row_order(monkeypatch):
     params = lift_params(2, 2, 2)
     system = build_constraints(params)
     cells = free_cells(params)
+    unknowns = dict(enumerate(system.unknowns))
     vecs = [
-        expand_table(system, nonzero_cells(construct(CoefficientAssignment.unit(params, c))))
+        expand_table(
+            system, nonzero_cells(construct(CoefficientAssignment.unit(params, c))), unknowns
+        )
         for c in cells
     ]
     rows = system.rows
@@ -554,6 +562,57 @@ def test_compare_reports_violated_rows_in_row_order(monkeypatch):
     assert len(expected) >= 2
     assert [f.witness for f in rep.failures if f.check == "constraint-rows"] == expected
     assert rep.cases["constraint-rows"] == len(cells) * len(rows)
+
+
+def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
+    # At (2,2,1) block (1,1) holds the free cells (x1; x2) and (x2; x1),
+    # with cells of other blocks between them.  compare visits the units
+    # block by block, so its witnesses must be sorted back into free-cell
+    # order, then row order, as a dense check of every row gives them.
+    params = lift_params(2, 2, 1)
+    system = build_constraints(params)
+    cells = free_cells(params)
+    unknowns = dict(enumerate(system.unknowns))
+    vecs = [
+        expand_table(
+            system, nonzero_cells(construct(CoefficientAssignment.unit(params, c))), unknowns
+        )
+        for c in cells
+    ]
+    extra = {}  # per block, a single-entry row on each unit's first column
+    for cell, vec in zip(cells, vecs):
+        extra.setdefault(multidegree(*cell), set()).add(((min(vec), 1),))
+    block_of = ConstraintSystem.block
+
+    def doctored(self, m):
+        block = block_of(self, m)
+        return block._replace(rows=tuple(sorted(set(block.rows) | extra.get(m, set()))))
+
+    rows = sorted(set(system.rows).union(*extra.values()))
+    monkeypatch.setattr(ConstraintSystem, "block", doctored)
+    _, basis = nullspace(system)
+    rep = compare_with_construction(system, basis)
+    expected = [
+        (cell, row) for cell, vec in zip(cells, vecs) for row in rows if not satisfies([row], vec)
+    ]
+    runs = [m for m, _ in groupby(multidegree(*cell) for cell, _ in expected)]
+    assert len(runs) > len(set(runs))  # some block's witnesses are not adjacent
+    assert [f.witness for f in rep.failures if f.check == "constraint-rows"] == expected
+
+
+@pytest.mark.parametrize("point", [(3, 3, 2), (2, 2, 2)])
+def test_compare_lists_each_compared_block_once(monkeypatch, point):
+    params = lift_params(*point)
+    system = build_constraints(params, max_unknowns=unknown_count(params))
+    _, basis = nullspace(system)
+    assert system.row_count  # lists the blocks past r + s to count their rows, once
+    listed, listing = [], ConstraintSystem._list
+    monkeypatch.setattr(
+        ConstraintSystem, "_list", lambda self, m: listed.append(m) or listing(self, m)
+    )
+    assert compare_with_construction(system, basis).passed
+    assert Counter(listed) == Counter({multidegree(*cell) for cell in free_cells(params)})
+    assert not hasattr(system, "_blocks")
 
 
 def test_default_path_lists_no_whole_system(monkeypatch):
