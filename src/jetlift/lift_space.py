@@ -559,9 +559,11 @@ class TableEvaluator:
     the axis tuple and the rest of the argument into the target, so a tuple
     of multidegree ``m`` reads only cells ``(I, alpha)`` with
     ``e_I + alpha = m``.  The oracle's product-rule rows also lie in one
-    multidegree each, so ``compare_with_construction`` evaluates each unit
-    table, with ``expand_table``, only at the unknowns of its own block,
-    and ``nullspace`` eliminates one multidegree block at a time.
+    multidegree each, so ``nullspace`` eliminates one multidegree block at
+    a time, and ``compare_with_construction`` reads each unit table only on
+    its own block, through this sum transposed into one integer linear
+    form per cell of an orbit's representative block; the oracle's
+    ``expand_table``, which calls this evaluator, is the tests' reference.
     """
 
     def __init__(self, table: LiftTable):

@@ -87,6 +87,35 @@ axis of a row), so a carried vector need not be 1 at a free column of its
 block; nothing reads it there: the nullity, ``check_iso`` and the span
 ranks of ``compare_with_construction`` are the same for any basis.
 
+Table expansion commutes with permuting the variables, so
+``compare_with_construction`` also expands one block per orbit.
+``TableEvaluator`` reads a table ``T`` at the unknown ``F(g_1, ..., g_s)(d)``
+of block ``m`` as a sum over the peelings ``j = (j_1, ..., j_s)``, one
+supported axis ``j_t`` of each ``g_t``, all distinct:
+``sum_j eps(j) * prod_t g_t[j_t] * T(sort j, m - e_j)``, with ``eps(j)``
+the sign of the sort.  Let ``sigma T`` be the table with the value
+``eta(I) * T(I, alpha)`` at the cell ``(sort sigma I, sigma alpha)``,
+``eta(I)`` the sign of sorting ``sigma I``.  The peelings of
+``F(sigma g_1, ..., sigma g_s)(sigma d)`` are the ``sigma j``, with the
+same exponents, ``(sigma g_t)[sigma j_t] = g_t[j_t]``, and sorting
+``sigma j`` is sorting ``j`` to ``I`` and then ``sigma I``, so
+``eps(sigma j) = eps(j) eta(I)``.  The two factors ``eta(I)`` cancel: the
+sum is symmetric in the variable labels, and ``sigma T`` at the image
+unknown is ``T`` at the unknown.  Sorting the arguments on both sides
+multiplies both values by one sign, as the sum is skew in the argument
+order.  So the vector of ``sigma T`` is the signed permutation of the
+unknowns above applied to the vector of ``T``.  Hence, for a unit table
+``U`` of block ``m = sigma(rep)``: pulling its nonzero cells back to
+``rep`` with the sign of the sort gives ``sigma^-1 U``; the
+representative's peeling, transposed into integer linear forms (one per
+cell, its (column, coefficient) pairs), gives that table's vector; and
+pushing the vector forward gives ``U``'s own.  A row of block ``rep`` and
+its image under ``sigma`` take the same value on the two vectors, since
+each entry's sign appears in both.  The rows of block ``m`` are the
+normalised images of the representative's rows, so the rows of ``m``
+that ``U`` violates are the images of the representative's rows that
+``sigma^-1 U`` violates, each with the value read off ``U``'s vector.
+
 The generator and the transport code an exponent vector as one integer,
 and list divisors and picks, with ``lift_space.MonomialCodes``, which the
 verifier's product-rule sweep walks too.  Only live instances are listed.
@@ -105,14 +134,14 @@ instances with one term, and those left with one once the terms on an
 entry of ``pre`` drop.  One generator, ``_rows``, forms the row of each
 instance left with two or more terms, without its entries on a given set
 of columns.  ``block`` gives it none, forms every row and keeps nothing,
-so each call lists the block again; ``compare_with_construction`` reads
-each block once.  The representative pass gives it the known zeros, as a
-null vector is zero there, so a row wholly on them comes out empty and
-adds nothing.  While some row is left with one entry, its column is a
-known zero too and drops from every row.  Each column so added is forced
-by those before it, so the loop ends at the least set of columns closed
-under this rule, whichever row goes first, and every null vector is zero
-there.  Elimination stops once the rank equals the number of other
+so each call lists the block again; ``compare_with_construction`` lists
+one block per orbit, its representative.  The representative pass gives
+it the known zeros, as a null vector is zero there, so a row wholly on
+them comes out empty and adds nothing.  While some row is left with one
+entry, its column is a known zero too and drops from every row.  Each
+column so added is forced by those before it, so the loop ends at the
+least set of columns closed under this rule, whichever row goes first,
+and every null vector is zero there.  Elimination stops once the rank equals the number of other
 (live) columns: the nullspace is then 0.  Neither step changes the
 nullspace, which alone fixes the basis, and the row count, one per
 single-entry column and one per instance left with two or more terms, is
@@ -147,11 +176,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 from math import comb, gcd, lcm
 from operator import itemgetter
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
     FreeCell,
@@ -164,7 +193,7 @@ from .lift_space import (
     multidegree,
     sort_with_sign,
 )
-from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial, unit
+from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial, support, unit
 from .verifier import Failure, VerificationReport
 
 DEFAULT_MAX_UNKNOWNS = 20_000
@@ -582,12 +611,13 @@ class _Echelon:
         return basis
 
 
-def _transport(
-    system: ConstraintSystem, basis: list[dict[Cell, Fraction]], placed: tuple[int, ...]
-) -> list[dict[int, Fraction]]:
-    """The representative's null basis carried to the block where its
-    ``i``-th supported axis sits at ``placed[i]``: each combination
-    re-sorted, with the sign of the sort."""
+def _mover(
+    system: ConstraintSystem, placed: tuple[int, ...]
+) -> Callable[[Cell], tuple[int, int]]:
+    """For an unknown of a representative's block, its column in the block
+    where the representative's ``i``-th supported axis sits at
+    ``placed[i]``, and the sign of the signed permutation there: each basis
+    monomial moved, the combination re-sorted, with the sign of the sort."""
     B, rank, codes = system.params.algebra.dim, system.combo_rank, system.params.codes
     w = codes.stride
     field = (1 << w) - 1
@@ -602,12 +632,25 @@ def _transport(
             ]
         return h
 
+    def move_cell(cell: Cell) -> tuple[int, int]:
+        combo, sign = sort_with_sign(tuple(map(move, cell[0])))
+        return rank[combo] * B + move(cell[1]), sign
+
+    return move_cell
+
+
+def _transport(
+    system: ConstraintSystem, basis: list[dict[Cell, Fraction]], placed: tuple[int, ...]
+) -> list[dict[int, Fraction]]:
+    """The representative's null basis carried to the block where its
+    ``i``-th supported axis sits at ``placed[i]``."""
+    move = _mover(system, placed)
     out = []
     for vec in basis:
         image = {}
-        for (combo, target), v in vec.items():
-            combo, sign = sort_with_sign(tuple(map(move, combo)))
-            image[rank[combo] * B + move(target)] = v if sign > 0 else -v
+        for cell, v in vec.items():
+            col, sign = move(cell)
+            image[col] = v if sign > 0 else -v
         out.append(image)
     return out
 
@@ -701,6 +744,90 @@ def expand_table(
     return {c: v for c, u in unknowns.items() if (v := ev.monomials_by_index(*u))}
 
 
+def _peeling(params: LiftParams, unknowns: Mapping[int, Cell]) -> dict[tuple[int, ...], list]:
+    """``TableEvaluator`` on one block, transposed: for the axis tuple ``I``
+    of each cell ``(I, alpha)`` of the block, the (column, integer
+    coefficient) pairs of the given unknowns that the cell feeds.  The
+    value of a table at an unknown is then the sum, over the cells, of the
+    cell's value times its coefficient there."""
+    basis, sup = params.algebra.basis, params.algebra.supports
+    forms: dict[tuple[int, ...], dict[int, int]] = {}
+    for col, (combo, _) in unknowns.items():
+        # A constant argument has no supported axis, so it feeds nothing.
+        for peeled in product(*(sup[g] for g in combo)):
+            if (res := sort_with_sign(peeled)) is None:
+                continue
+            axes, coeff = res
+            for g, j in zip(combo, peeled):
+                coeff *= basis[g][j - 1]
+            form = forms.setdefault(axes, {})
+            form[col] = form.get(col, 0) + coeff
+    return {axes: [(c, v) for c, v in form.items() if v] for axes, form in forms.items()}
+
+
+def _expand_units(system: ConstraintSystem) -> Iterator[tuple[int, FreeCell, dict, int, list]]:
+    """Each unit table of ``compare_with_construction``, orbit by orbit: the
+    index and free cell of its 1, its vector on its own block's columns
+    times ``scale``, ``scale``, and the rows of its block that the vector
+    violates, in row order.
+
+    The representative's block is listed once per orbit, with its
+    transposed peeling.  A unit table is completed in its own block ``m``,
+    its nonzero cells are pulled back to the representative with the sign
+    of the sort, the peeling is applied there in integers, and the vector
+    is checked against the representative's rows; the vector and the
+    violated rows are then pushed forward to ``m``, as the module
+    docstring sets out.
+    """
+    params = system.params
+    free = params.free_cell_set
+    units: dict[MultiIndex, list[tuple[int, FreeCell]]] = {}
+    for i, one in enumerate(free_cells(params)):
+        units.setdefault(multidegree(*one), []).append((i, one))
+    orbits: dict[MultiIndex, list] = {}
+    for m, ones in units.items():
+        # The representative's i-th supported axis goes to placed[i].
+        placed = tuple(sorted((j - 1 for j in support(m)), key=lambda p: -m[p]))
+        rep = tuple(m[p] for p in placed) + (0,) * (len(m) - len(placed))
+        orbits.setdefault(rep, []).append((m, placed, ones))
+    for rep, blocks in orbits.items():
+        block = system.block(rep)
+        forms = _peeling(params, block.cells)
+        for m, placed, ones in blocks:
+            move = _mover(system, placed)
+            back = {p + 1: i + 1 for i, p in enumerate(placed)}
+            cells = block_cells(params, m)
+            for i, one in ones:
+                values = complete({c: Fraction(int(c == one)) for c in cells if c in free}, cells)
+                nonzero = [(c, v) for c, v in zip(cells, values) if v]
+                scale = lcm(*(v.denominator for _, v in nonzero))
+                acc: dict[int, int] = {}
+                for (axes, _), v in nonzero:
+                    axes, sign = sort_with_sign(tuple(back[j] for j in axes))
+                    x = v.numerator * (scale // v.denominator)
+                    x = x if sign > 0 else -x
+                    for col, coeff in forms[axes]:
+                        acc[col] = acc.get(col, 0) + coeff * x
+                vec, bad = {}, []
+                for col, x in acc.items():
+                    if x:
+                        col, sign = move(block.cells[col])
+                        vec[col] = x if sign > 0 else -x
+                for row in block.rows:
+                    total = 0
+                    for col, coeff in row:
+                        x = acc.get(col)
+                        if x:
+                            total += coeff * x
+                    if total:
+                        image = sorted(
+                            (c, v * sign) for col, v in row for c, sign in [move(block.cells[col])]
+                        )
+                        lead = 1 if image[0][1] > 0 else -1
+                        bad.append(tuple((c, v * lead) for c, v in image))
+                yield i, one, vec, scale, sorted(bad)
+
+
 def compare_with_construction(
     system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]
 ) -> VerificationReport:
@@ -711,35 +838,18 @@ def compare_with_construction(
     every constraint row; and the expanded vectors must span exactly the
     oracle nullspace (mutual containment by rank).  The unit table's
     nonzero cells, and so its vector, lie in the block of its free cell:
-    only that block is completed, from its own free cells, and evaluated,
-    and only that block's rows, in row order, can be nonzero on it.  The
-    units are visited block by block, each block listed once and dropped
-    after its units, and the failures sorted back into free-cell order.
-    Every row still counts as a case.
+    only that block is completed, from its own free cells, and only that
+    block's rows, in row order, can be nonzero on it.  The units are
+    expanded and checked one orbit of blocks at a time (``_expand_units``),
+    and the failures sorted back into free-cell order.  Every row still
+    counts as a case.
     """
-    params = system.params
-    free = params.free_cell_set
-    units: dict[MultiIndex, list[tuple[int, FreeCell]]] = {}
-    for i, one in enumerate(free_cells(params)):
-        units.setdefault(multidegree(*one), []).append((i, one))
     expanded, failed = [], []
-    for m, ones in units.items():
-        cells = block_cells(params, m)
-        block = system.block(m)
-        for i, one in ones:
-            values = complete({c: Fraction(int(c == one)) for c in cells if c in free}, cells)
-            vec = expand_table(system, {c: v for c, v in zip(cells, values) if v}, block.cells)
-            ints, scale = _integer_row(vec)
-            expanded.append(ints)
-            for row in block.rows:
-                total = 0
-                for col, coeff in row:
-                    x = ints.get(col)
-                    if x:
-                        total += coeff * x
-                if total:
-                    witness, got = (one, row), Fraction(total, scale)
-                    failed.append((i, Failure("constraint-rows", witness, Fraction(0), got)))
+    for i, one, vec, scale, bad in _expand_units(system):
+        expanded.append(vec)
+        for row in bad:
+            got = Fraction(sum(coeff * vec.get(col, 0) for col, coeff in row), scale)
+            failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
     failed.sort(key=itemgetter(0))
     cases = {"constraint-rows": system.row_count * len(expanded), "span": 1}
     rep = VerificationReport(cases, [f for _, f in failed])

@@ -48,6 +48,26 @@ MUTATIONS = [
         (ORACLE + "test_transported_basis_is_every_block_eliminated_directly",),
     ),
     Mutation(
+        "drop the pull-back sign",
+        "jetlift/oracle.py",
+        "x = x if sign > 0 else -x",
+        "x = x",
+        (
+            ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
+            ORACLE + "test_compare_completes_only_each_units_block",
+        ),
+    ),
+    Mutation(
+        "drop the push-forward sign",
+        "jetlift/oracle.py",
+        "vec[col] = x if sign > 0 else -x",
+        "vec[col] = x",
+        (
+            ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
+            ORACLE + "test_compare_with_construction_passes",
+        ),
+    ),
+    Mutation(
         "skip the representatives of degree r + s",
         "jetlift/oracle.py",
         "min(self.params.algebra.r + self.params.s, self._top)",
@@ -82,7 +102,10 @@ MUTATIONS = [
         "jetlift/oracle.py",
         "    failed.sort(key=itemgetter(0))\n",
         "",
-        (ORACLE + "test_compare_reports_failures_in_free_cell_order_across_blocks",),
+        (
+            ORACLE + "test_compare_reports_violated_rows_in_row_order",
+            ORACLE + "test_compare_reports_failures_in_free_cell_order_across_blocks",
+        ),
     ),
     Mutation(
         "form the representative's rows on the known zeros too",

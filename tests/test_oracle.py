@@ -2,6 +2,7 @@
 agreement with the closed-form side."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ from jetlift import (
 from jetlift import lift_space
 from jetlift.lift_space import (
     FreeCell,
+    LiftTable,
     TableEvaluator,
     block_cells,
     graded_dimension,
@@ -32,7 +34,9 @@ from jetlift.oracle import (
     DEFAULT_MAX_UNKNOWNS,
     ConstraintSystem,
     OracleSizeError,
+    _expand_units,
     _partitions,
+    _peeling,
     build_constraints,
     check_iso,
     compare_with_construction,
@@ -481,6 +485,65 @@ def test_expansion_skips_only_columns_that_are_zero(r, k, s):
         }
 
 
+def representative(m):
+    return tuple(sorted(m, reverse=True))
+
+
+# s = 0, k = 1, and orbits of more than one block, each with several units.
+ORBIT_POINTS = [
+    (2, 2, 0), (3, 2, 0), (3, 1, 1), (2, 1, 2), (2, 2, 1), (2, 3, 1), (3, 3, 2), (2, 4, 3)
+]
+
+
+@pytest.mark.parametrize("r,k,s", ORBIT_POINTS)
+def test_orbit_path_expands_every_unit_table_as_the_evaluator_does(r, k, s):
+    # compare pulls each unit table back to its orbit's representative,
+    # applies the transposed peeling there and pushes the vector forward:
+    # it must be the constructed table evaluated at its block's unknowns.
+    params = lift_params(r, k, s)
+    system = build_constraints(params, max_unknowns=unknown_count(params))
+    cells = free_cells(params)
+    seen = []
+    for i, one, vec, scale, bad in _expand_units(system):
+        assert one == cells[i] and bad == []
+        table = construct(CoefficientAssignment.unit(params, one))
+        unknowns = system.block(multidegree(*one)).cells
+        assert {c: Fraction(x, scale) for c, x in vec.items()} == expand_table(
+            system, nonzero_cells(table), unknowns
+        ), one
+        seen.append(i)
+    assert sorted(seen) == list(range(len(cells)))
+    # Past k = 1 some unit sits in a block other than its representative.
+    moved = [c for c in cells if multidegree(*c) != representative(multidegree(*c))]
+    assert bool(moved) == (k > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_transposed_peeling_is_the_evaluator_on_every_block(r, k, s, data):
+    params = lift_params(r, k, s)
+    assume(unknown_count(params) <= 5000)
+    system = build_constraints(params)
+    assume(system.multidegrees)
+    m = data.draw(st.sampled_from(system.multidegrees))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    values = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in params.algebra.basis]
+        for _ in params.rows
+    ]
+    table = LiftTable(params, values)  # random at every cell, not only block m's
+    block = system.block(m)
+    forms = _peeling(params, block.cells)
+    got = Counter()
+    for axes, alpha in block_cells(params, m):
+        for col, coeff in forms[axes]:
+            got[col] += coeff * table.cell(axes, alpha)
+    ev = TableEvaluator(table)
+    assert {c: v for c, v in got.items() if v} == {
+        c: v for c, u in block.cells.items() if (v := ev.monomials_by_index(*u))
+    }
+
+
 # -- isomorphism check ----------------------------------------------------------------
 
 
@@ -526,82 +589,133 @@ def test_compare_with_construction_passes(r, k, s):
     assert rep.cases["span"] == 1
 
 
-def test_compare_reports_violated_rows_in_row_order(monkeypatch):
-    # Extra rows in the block of the first unit, which its vector violates:
-    # each vector is checked only on the rows of its own block, so the
-    # report must still match a dense check of every row of every block,
-    # in row order, with every row of the system counted as a case.
-    params = lift_params(2, 2, 2)
-    system = build_constraints(params)
-    cells = free_cells(params)
+def unit_vectors(system, cells) -> list[dict]:
+    """Each unit table of ``cells`` constructed in full and evaluated at
+    every unknown: the reference for what compare checks."""
     unknowns = dict(enumerate(system.unknowns))
-    vecs = [
-        expand_table(
-            system, nonzero_cells(construct(CoefficientAssignment.unit(params, c))), unknowns
-        )
-        for c in cells
-    ]
-    rows = system.rows
-    m = multidegree(*cells[0])
-    block = system.block(m)
-    support = sorted(vecs[0])
-    extra = {((support[0], 1),), ((support[0], 1), (support[-1], 2))}
-    doctored = block._replace(rows=tuple(sorted(set(block.rows) | extra)))
-    block_of = ConstraintSystem.block
-    monkeypatch.setattr(
-        ConstraintSystem, "block", lambda self, b: doctored if b == m else block_of(self, b)
-    )
-    _, basis = nullspace(system)
-    rep = compare_with_construction(system, basis)
-    expected = [
-        (cell, row)
+    tables = [construct(CoefficientAssignment.unit(system.params, c)) for c in cells]
+    return [expand_table(system, nonzero_cells(table), unknowns) for table in tables]
+
+
+def carry(system, m):
+    """Column -> (column, sign) from block ``representative(m)`` to block
+    ``m``, by the permutation of the variables that compare uses: the
+    representative's ``i``-th supported axis goes to the ``i``-th axis of
+    ``m`` by exponent, largest first, ties in axis order.  Written from the
+    basis exponents, not from the oracle's integer codes."""
+    alg = system.params.algebra
+    placed = sorted((j for j in range(alg.k) if m[j]), key=lambda j: -m[j])
+
+    def move(g):
+        e = [0] * alg.k
+        for i, p in enumerate(placed):
+            e[p] = alg.basis[g][i]
+        return alg.basis_index[tuple(e)]
+
+    def carried(col):
+        combo, target = system.unknowns[col]
+        moved, sign = lift_space.sort_with_sign(tuple(map(move, combo)))
+        return system.column(moved, move(target)), sign
+
+    return carried
+
+
+def carry_row(system, m, row):
+    """The normalised image in block ``m`` of a row of its representative."""
+    move = carry(system, m)
+    image = sorted((c, v * sign) for col, v in row for c, sign in [move(col)])
+    return tuple(image if image[0][1] > 0 else [(c, -v) for c, v in image])
+
+
+def pull_back(system, m, col):
+    """The column of block ``representative(m)`` that ``carry`` takes to
+    ``col``."""
+    move = carry(system, m)
+    (back,) = [c for c in system.block(representative(m)).cells if move(c)[0] == col]
+    return back
+
+
+def dense_failures(system, cells, vecs, extra: dict) -> list:
+    """(witness, got) of every row of every block that a unit vector
+    violates, in free-cell order then row order, with the rows ``extra``
+    adds to each representative's block carried to every block of its
+    orbit that holds a unit."""
+    blocks = {multidegree(*cell) for cell in cells}
+    images = {
+        carry_row(system, m, row) for m in blocks for row in extra.get(representative(m), ())
+    }
+    rows = sorted(set(system.rows) | images)
+    return [
+        ((cell, row), sum((v * vec.get(c, 0) for c, v in row), Fraction(0)))
         for cell, vec in zip(cells, vecs)
-        for row in sorted(set(rows) | extra)
+        for row in rows
         if not satisfies([row], vec)
     ]
-    assert len(expected) >= 2
-    assert [f.witness for f in rep.failures if f.check == "constraint-rows"] == expected
-    assert rep.cases["constraint-rows"] == len(cells) * len(rows)
 
 
-def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
-    # At (2,2,1) block (1,1) holds the free cells (x1; x2) and (x2; x1),
-    # with cells of other blocks between them.  compare visits the units
-    # block by block, so its witnesses must be sorted back into free-cell
-    # order, then row order, as a dense check of every row gives them.
-    params = lift_params(2, 2, 1)
-    system = build_constraints(params)
-    cells = free_cells(params)
-    unknowns = dict(enumerate(system.unknowns))
-    vecs = [
-        expand_table(
-            system, nonzero_cells(construct(CoefficientAssignment.unit(params, c))), unknowns
-        )
-        for c in cells
-    ]
-    extra = {}  # per block, a single-entry row on each unit's first column
-    for cell, vec in zip(cells, vecs):
-        extra.setdefault(multidegree(*cell), set()).add(((min(vec), 1),))
+def doctor_representatives(monkeypatch, extra: dict) -> None:
+    """Add the rows ``extra[rep]`` to ``ConstraintSystem.block(rep)``."""
     block_of = ConstraintSystem.block
 
     def doctored(self, m):
         block = block_of(self, m)
         return block._replace(rows=tuple(sorted(set(block.rows) | extra.get(m, set()))))
 
-    rows = sorted(set(system.rows).union(*extra.values()))
     monkeypatch.setattr(ConstraintSystem, "block", doctored)
+
+
+def test_compare_reports_violated_rows_in_row_order(monkeypatch):
+    # Extra rows in the representative's block of a unit of the orbit of
+    # (2,1), which that unit's vector violates.  compare checks each vector
+    # only on the rows of its representative's block and reports their
+    # images in its own block, so the report must still match a dense
+    # check of every row of every block, the extra rows carried to each
+    # block of the orbit, in free-cell order then row order, with every row
+    # of the system counted as a case.  At (3,2,1) compare visits the
+    # orbit's units out of free-cell order.
+    params = lift_params(3, 2, 1)
+    system = build_constraints(params)
+    cells = free_cells(params)
+    vecs = unit_vectors(system, cells)
+    i = next(i for i, c in enumerate(cells) if representative(multidegree(*c)) == (2, 1))
+    m = multidegree(*cells[i])
+    support = sorted(pull_back(system, m, c) for c in vecs[i])
+    extra = {(2, 1): {((support[0], 1),), ((support[0], 1), (support[-1], 2))}}
+    expected = dense_failures(system, cells, vecs, extra)  # before the rows are doctored
+    doctor_representatives(monkeypatch, extra)
     _, basis = nullspace(system)
     rep = compare_with_construction(system, basis)
-    expected = [
-        (cell, row) for cell, vec in zip(cells, vecs) for row in rows if not satisfies([row], vec)
-    ]
-    runs = [m for m, _ in groupby(multidegree(*cell) for cell, _ in expected)]
+    assert len({cell for (cell, _), _ in expected}) >= 3
+    got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
+    assert got == expected
+    assert rep.cases["constraint-rows"] == len(cells) * len(system.rows)
+
+
+def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
+    # At (2,2,1) block (1,1) holds the free cells (x1; x2) and (x2; x1),
+    # with cells of other blocks between them, and compare visits the units
+    # orbit by orbit, so its witnesses must be sorted back into free-cell
+    # order, then row order, as a dense check of every row gives them.
+    params = lift_params(2, 2, 1)
+    system = build_constraints(params)
+    cells = free_cells(params)
+    vecs = unit_vectors(system, cells)
+    extra = {}  # per representative, a single-entry row on each unit's first column
+    for cell, vec in zip(cells, vecs):
+        m = multidegree(*cell)
+        extra.setdefault(representative(m), set()).add(((pull_back(system, m, min(vec)), 1),))
+    expected = dense_failures(system, cells, vecs, extra)
+    doctor_representatives(monkeypatch, extra)
+    _, basis = nullspace(system)
+    rep = compare_with_construction(system, basis)
+    runs = [m for m, _ in groupby(multidegree(*cell) for (cell, _), _ in expected)]
     assert len(runs) > len(set(runs))  # some block's witnesses are not adjacent
-    assert [f.witness for f in rep.failures if f.check == "constraint-rows"] == expected
+    got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
+    assert got == expected
 
 
 @pytest.mark.parametrize("point", [(3, 3, 2), (2, 2, 2)])
-def test_compare_lists_each_compared_block_once(monkeypatch, point):
+def test_compare_lists_each_compared_orbits_representative_once(monkeypatch, point):
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
     _, basis = nullspace(system)
@@ -611,7 +725,9 @@ def test_compare_lists_each_compared_block_once(monkeypatch, point):
         ConstraintSystem, "_list", lambda self, m: listed.append(m) or listing(self, m)
     )
     assert compare_with_construction(system, basis).passed
-    assert Counter(listed) == Counter({multidegree(*cell) for cell in free_cells(params)})
+    reps = {representative(multidegree(*cell)) for cell in free_cells(params)}
+    assert Counter(listed) == Counter(reps)
+    assert len(reps) < len({multidegree(*cell) for cell in free_cells(params)})
     assert not hasattr(system, "_blocks")
 
 
