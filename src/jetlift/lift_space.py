@@ -189,9 +189,10 @@ class MonomialCodes:
         ``found`` extended by ``t`` picks of basis positions past its last,
         each dividing what is left, the last leaving a rest of degree at
         most ``top``.  A basis monomial has degree at most ``r``, so a pick
-        must leave at most ``top`` plus ``r`` per pick still to come."""
+        must leave at most ``top`` plus ``r`` per pick still to come, and
+        a basis position for each of those past its own."""
         alg = self.params.algebra
-        deg, r, divisors = alg.degrees, alg.r, self.divisors
+        deg, r, B, divisors = alg.degrees, alg.r, alg.dim, self.divisors
         for left in range(t - 1, -1, -1):
             if not found:
                 break
@@ -202,7 +203,8 @@ class MonomialCodes:
                 # at bisect_left(deg, d).
                 low = bisect_left(deg, size - top - left * r)
                 start = bisect_left(divs, (max(low, combo[-1] + 1 if combo else 0),))
-                grown.extend([(combo + (g,), q, size - deg[g]) for g, q in divs[start:]])
+                stop = bisect_left(divs, (B - left,))
+                grown.extend([(combo + (g,), q, size - deg[g]) for g, q in divs[start:stop]])
             found = grown
         return found
 

@@ -81,11 +81,14 @@ orbit has the same row count, and the nullspace of block ``sigma(m)`` is
 the image of that of block ``m``.  ``nullspace`` therefore eliminates one
 block per orbit, its representative: ``m`` sorted into non-increasing
 order.  It carries that block's basis to every other block of the orbit,
-where it is a basis of that block's nullspace as it stands.  The free
-cells are not symmetric under ``sigma`` (the predicate singles out the top
-axis of a row), so a carried vector need not be 1 at a free column of its
-block; nothing reads it there: the nullity, ``check_iso`` and the span
-ranks of ``compare_with_construction`` are the same for any basis.
+where it is a basis of that block's nullspace as it stands: ``_orbit``
+walks the orbit, and one signed move, ``_push``, takes a vector keyed by
+unknown to the columns of a block, each entry times the sign of its
+sort.  The free cells are not symmetric under ``sigma`` (the predicate
+singles out the top axis of a row), so a carried vector need not be 1 at
+a free column of its block; nothing reads it there: the nullity,
+``check_iso`` and the span ranks of ``compare_with_construction`` are the
+same for any basis.
 
 Table expansion commutes with permuting the variables, so
 ``compare_with_construction`` also expands one block per orbit.
@@ -109,19 +112,22 @@ unknowns above applied to the vector of ``T``.  Hence, for a unit table
 ``rep`` with the sign of the sort gives ``sigma^-1 U``; the
 representative's peeling, transposed into integer linear forms (one per
 cell, its (column, coefficient) pairs), gives that table's vector; and
-pushing the vector forward gives ``U``'s own.  A row of block ``rep`` and
-its image under ``sigma`` take the same value on the two vectors, since
-each entry's sign appears in both.  The rows of block ``m`` are the
-normalised images of the representative's rows, so the rows of ``m``
-that ``U`` violates are the images of the representative's rows that
-``sigma^-1 U`` violates, each with the value read off ``U``'s vector.
+pushing the vector forward gives ``U``'s own.  The units are visited by
+the same orbit walk as the null basis, and pushed forward by the same
+``_push``.  A row of block ``rep`` and its image under ``sigma`` take the
+same value on the two vectors, since each entry's sign appears in both.
+The rows of block ``m`` are the normalised images of the representative's
+rows, so the rows of ``m`` that ``U`` violates are the images of the
+representative's rows that ``sigma^-1 U`` violates, each with the value
+read off ``U``'s vector.
 
-The generator and the transport code an exponent vector as one integer,
-and list divisors and picks, with ``lift_space.MonomialCodes``, which the
-verifier's product-rule sweep walks too.  Only live instances are listed.
-Each term of ``R(pre; b, c, d)`` needs the product of two of ``b, c, d``
-to lie in the basis, so a leading tuple whose rest has degree above
-``2r`` has no instance with a term.  With ``b <= c`` graded, a
+The generator and the moves between blocks code an exponent vector as
+one integer, and list divisors and picks, with
+``lift_space.MonomialCodes``, which the verifier's product-rule sweep
+walks too.  Only live instances are listed.  Each term of
+``R(pre; b, c, d)`` needs the product of two of ``b, c, d`` to lie in the
+basis, so a leading tuple whose rest has degree above ``2r`` has no
+instance with a term.  With ``b <= c`` graded, a
 factorisation gives a term exactly when
 ``deg b + min(deg c, deg d) <= r``, that is, when ``bc``, ``bd`` or
 ``cd`` lies in the basis.
@@ -185,6 +191,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple,
 from .lift_space import (
     FreeCell,
     LiftParams,
+    LiftTable,
     TableEvaluator,
     block_cells,
     complete,
@@ -193,7 +200,7 @@ from .lift_space import (
     multidegree,
     sort_with_sign,
 )
-from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial, support, unit
+from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial, unit
 from .verifier import Failure, VerificationReport
 
 DEFAULT_MAX_UNKNOWNS = 20_000
@@ -284,9 +291,7 @@ class ConstraintSystem:
     def block(self, m: MultiIndex) -> Block:
         """Block ``m``, listed on every call: every row, normalised."""
         cells, zeros, groups = self._list(m)
-        rows = [((col, 1),) for col in zeros]
-        for row in _rows(groups, ()):
-            rows.append(tuple(row) if row[0][1] > 0 else tuple((c, -v) for c, v in row))
+        rows = [((col, 1),) for col in zeros] + list(map(_signed, _rows(groups, ())))
         return Block(cells, tuple(sorted(rows)))
 
     @cached_property
@@ -297,12 +302,20 @@ class ConstraintSystem:
         return (self.params.s + 1) * self.params.algebra.r if self.params.algebra.k else 0
 
     def _reps(self, degrees: range) -> Iterator[MultiIndex]:
-        """The non-increasing multidegrees of the given degrees, one per
-        orbit of blocks; none when the system has no unknown."""
-        k = self.params.algebra.k
+        """The non-increasing multidegrees of the given degrees that can
+        hold an unknown, one per orbit of blocks; none when the system has
+        no unknown.  An unknown's ``s`` arguments are distinct basis
+        monomials, so its degree is at least the sum of the ``s`` least
+        basis degrees, and its exponent of one variable at most ``r``, for
+        the target, plus the ``s`` largest exponents of that variable over
+        the basis."""
+        alg, s = self.params.algebra, self.params.s
         if unknown_count(self.params):
-            for n in degrees:
-                yield from (part + (0,) * (k - len(part)) for part in _partitions(n, k, n))
+            low = sum(alg.degrees[:s])
+            top = alg.r + sum(sorted((e[0] for e in alg.basis if e), reverse=True)[:s])
+            for n in range(max(degrees.start, low), degrees.stop):
+                for part in _partitions(n, alg.k, top):
+                    yield part + (0,) * (alg.k - len(part))
 
     @cached_property
     def _orbits(self) -> list[_Orbit]:
@@ -453,6 +466,11 @@ def _rows(groups: list[tuple[list, list]], zeros: Container[int]) -> Iterator[li
             yield [
                 (c, v * t[1]) for x, to, v in terms if (c := (t := at[x])[0] + to) not in zeros
             ]
+
+
+def _signed(row: Sequence[tuple[int, int]]) -> Row:
+    """``row`` with its leading entry made positive, as rows are stored."""
+    return tuple(row) if row[0][1] > 0 else tuple((c, -v) for c, v in row)
 
 
 def _count(zeros: set[int], groups: list[tuple[list, list]]) -> int:
@@ -639,19 +657,13 @@ def _mover(
     return move_cell
 
 
-def _transport(
-    system: ConstraintSystem, basis: list[dict[Cell, Fraction]], placed: tuple[int, ...]
-) -> list[dict[int, Fraction]]:
-    """The representative's null basis carried to the block where its
-    ``i``-th supported axis sits at ``placed[i]``."""
-    move = _mover(system, placed)
-    out = []
-    for vec in basis:
-        image = {}
-        for cell, v in vec.items():
-            col, sign = move(cell)
-            image[col] = v if sign > 0 else -v
-        out.append(image)
+def _push(move: Callable[[Cell], tuple[int, int]], vec: Mapping[Cell, int | Fraction]) -> dict:
+    """``vec``, keyed by unknown, moved by ``move`` (``_mover``) into a
+    dict keyed by column, each entry times the sign of its move."""
+    out = {}
+    for cell, v in vec.items():
+        col, sign = move(cell)
+        out[col] = v if sign > 0 else -v
     return out
 
 
@@ -665,11 +677,12 @@ def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]
     docstring sets out.
     """
     basis = [
-        vec
+        _push(move, vec)
         for orbit in system._orbits
         if orbit.basis
         for _, placed in _orbit(orbit.rep)
-        for vec in _transport(system, orbit.basis, placed)
+        for move in [_mover(system, placed)]
+        for vec in orbit.basis
     ]
     return len(basis), basis
 
@@ -717,14 +730,6 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fractio
     return rank_of(rows) == len(cells)
 
 
-class _Table(NamedTuple):
-    """What ``TableEvaluator`` reads of a ``LiftTable``, built without
-    validating every cell."""
-
-    params: LiftParams
-    cells: list
-
-
 def expand_table(
     system: ConstraintSystem, cells: Mapping[FreeCell, Fraction], unknowns: Mapping[int, Cell]
 ) -> dict[int, Fraction]:
@@ -733,14 +738,10 @@ def expand_table(
     nonzero entries."""
     p = system.params
     bi, ri = p.algebra.basis_index, p.row_index
-    zero = (Fraction(0),) * p.algebra.dim
-    rows: list = [zero] * len(p.rows)
+    rows = [[Fraction(0)] * p.algebra.dim for _ in p.rows]
     for (axes, alpha), v in cells.items():
-        i = ri[axes]
-        if rows[i] is zero:
-            rows[i] = list(zero)
-        rows[i][bi[alpha]] = v
-    ev = TableEvaluator(_Table(p, rows))
+        rows[ri[axes]][bi[alpha]] = v
+    ev = TableEvaluator(LiftTable(p, rows))
     return {c: v for c, u in unknowns.items() if (v := ev.monomials_by_index(*u))}
 
 
@@ -772,11 +773,13 @@ def _expand_units(system: ConstraintSystem) -> Iterator[tuple[int, FreeCell, dic
     violates, in row order.
 
     The representative's block is listed once per orbit, with its
-    transposed peeling.  A unit table is completed in its own block ``m``,
-    its nonzero cells are pulled back to the representative with the sign
-    of the sort, the peeling is applied there in integers, and the vector
-    is checked against the representative's rows; the vector and the
-    violated rows are then pushed forward to ``m``, as the module
+    transposed peeling, and the orbit is walked with ``_orbit``, as
+    ``nullspace`` walks it, skipping the blocks that hold no unit.  A unit
+    table is completed in its own block ``m``, its nonzero cells are
+    pulled back to the representative with the sign of the sort, the
+    peeling is applied there in integers, and the vector is checked
+    against the representative's rows; the vector and the violated rows
+    are then pushed forward to ``m`` with ``_push``, as the module
     docstring sets out.
     """
     params = system.params
@@ -784,35 +787,25 @@ def _expand_units(system: ConstraintSystem) -> Iterator[tuple[int, FreeCell, dic
     units: dict[MultiIndex, list[tuple[int, FreeCell]]] = {}
     for i, one in enumerate(free_cells(params)):
         units.setdefault(multidegree(*one), []).append((i, one))
-    orbits: dict[MultiIndex, list] = {}
-    for m, ones in units.items():
-        # The representative's i-th supported axis goes to placed[i].
-        placed = tuple(sorted((j - 1 for j in support(m)), key=lambda p: -m[p]))
-        rep = tuple(m[p] for p in placed) + (0,) * (len(m) - len(placed))
-        orbits.setdefault(rep, []).append((m, placed, ones))
-    for rep, blocks in orbits.items():
+    for rep in dict.fromkeys(tuple(sorted(m, reverse=True)) for m in units):
         block = system.block(rep)
         forms = _peeling(params, block.cells)
-        for m, placed, ones in blocks:
+        for m, placed in _orbit(rep):
+            if m not in units:
+                continue
             move = _mover(system, placed)
             back = {p + 1: i + 1 for i, p in enumerate(placed)}
             cells = block_cells(params, m)
-            for i, one in ones:
+            for i, one in units[m]:
                 values = complete({c: Fraction(int(c == one)) for c in cells if c in free}, cells)
-                nonzero = [(c, v) for c, v in zip(cells, values) if v]
-                scale = lcm(*(v.denominator for _, v in nonzero))
+                ints, scale = _integer_row(dict(zip(cells, values)))
                 acc: dict[int, int] = {}
-                for (axes, _), v in nonzero:
+                for (axes, _), x in ints.items():
                     axes, sign = sort_with_sign(tuple(back[j] for j in axes))
-                    x = v.numerator * (scale // v.denominator)
                     x = x if sign > 0 else -x
                     for col, coeff in forms[axes]:
                         acc[col] = acc.get(col, 0) + coeff * x
-                vec, bad = {}, []
-                for col, x in acc.items():
-                    if x:
-                        col, sign = move(block.cells[col])
-                        vec[col] = x if sign > 0 else -x
+                bad = []
                 for row in block.rows:
                     total = 0
                     for col, coeff in row:
@@ -820,11 +813,9 @@ def _expand_units(system: ConstraintSystem) -> Iterator[tuple[int, FreeCell, dic
                         if x:
                             total += coeff * x
                     if total:
-                        image = sorted(
-                            (c, v * sign) for col, v in row for c, sign in [move(block.cells[col])]
-                        )
-                        lead = 1 if image[0][1] > 0 else -1
-                        bad.append(tuple((c, v * lead) for c, v in image))
+                        image = _push(move, {block.cells[col]: v for col, v in row})
+                        bad.append(_signed(sorted(image.items())))
+                vec = _push(move, {block.cells[col]: x for col, x in acc.items() if x})
                 yield i, one, vec, scale, sorted(bad)
 
 

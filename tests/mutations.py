@@ -41,11 +41,14 @@ VERIFIER = "tests/test_verifier.py::"
 
 MUTATIONS = [
     Mutation(
-        "drop the transport sign",
+        "drop the push sign",
         "jetlift/oracle.py",
-        "v if sign > 0 else -v",
-        "v",
-        (ORACLE + "test_transported_basis_is_every_block_eliminated_directly",),
+        "out[col] = v if sign > 0 else -v",
+        "out[col] = v",
+        (
+            ORACLE + "test_transported_basis_is_every_block_eliminated_directly",
+            ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
+        ),
     ),
     Mutation(
         "drop the pull-back sign",
@@ -58,16 +61,6 @@ MUTATIONS = [
         ),
     ),
     Mutation(
-        "drop the push-forward sign",
-        "jetlift/oracle.py",
-        "vec[col] = x if sign > 0 else -x",
-        "vec[col] = x",
-        (
-            ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
-            ORACLE + "test_compare_with_construction_passes",
-        ),
-    ),
-    Mutation(
         "skip the representatives of degree r + s",
         "jetlift/oracle.py",
         "min(self.params.algebra.r + self.params.s, self._top)",
@@ -76,6 +69,20 @@ MUTATIONS = [
             ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",
             ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
         ),
+    ),
+    Mutation(
+        "raise the degree floor by one",
+        "jetlift/oracle.py",
+        "low = sum(alg.degrees[:s])",
+        "low = sum(alg.degrees[:s]) + 1",
+        (ORACLE + "test_block_rows_give_the_every_slot_rows",),
+    ),
+    Mutation(
+        "lower the part cap by one",
+        "jetlift/oracle.py",
+        "top = alg.r + sum(",
+        "top = alg.r - 1 + sum(",
+        (ORACLE + "test_block_rows_give_the_every_slot_rows",),
     ),
     Mutation(
         "stop the elimination one row early",

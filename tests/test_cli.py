@@ -136,6 +136,14 @@ def test_oracle_answers_at_once_with_no_unknowns_at_two_variables(capsys):
     assert capsys.readouterr() == ("nullspace=0 formula=0 iso=ok\n", "")
 
 
+def test_oracle_answers_at_once_with_every_monomial_in_the_combination(capsys):
+    # s = C(r + k, r): one combination, the whole basis, so every unknown's
+    # degree is at least k and each exponent at most 2; neither the listing
+    # of partial combinations nor that of multidegrees may run past that.
+    assert main(["oracle", "-r", "1", "-k", "40", "-s", "41"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "nullspace=0 formula=0 iso=ok"
+
+
 def test_dim_without_check_z_does_not_enumerate(capsys):
     assert main(["dim", "-r", "0", "-k", "100000", "-s", "2"]) == 0
     assert capsys.readouterr().out == "0\n"
