@@ -46,6 +46,16 @@ entries comes from one instance only: its columns share exactly ``pre``,
 each adds one of ``b``, ``c``, ``bc``, and a term's target then fixes
 ``d``.  So such rows are listed without a set.
 
+The columns are numbered in closed form, in that lexicographic order.
+Among the increasing ``s``-tuples of basis positions ``0 .. B-1``, those
+after ``c`` are, for each ``i``, the ones that agree with ``c`` before
+position ``i`` and exceed it at ``i``: their entries from ``i`` on are
+any ``s - i`` of the ``B - 1 - c_i`` positions above ``c_i``.  So ``c`` is
+number ``C(B, s) - 1 - sum_i C(B - 1 - c_i, s - i)``, and the unknown
+``(c, d)`` has column ``B`` times that plus ``d``.  These binomials are
+read from one ``s``-by-``B`` table; nothing maps the ``C(B, s)``
+combinations.
+
 Both routes respect the multidegree grading.  The multidegree of an
 unknown is the exponent sum of its combination plus its target,
 ``e(combo) + alpha``, and that of a table cell ``(I, alpha)`` is
@@ -184,7 +194,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby, product
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -246,27 +256,36 @@ class ConstraintSystem:
     at a time.
 
     Column ``i`` is the unknown ``unknowns[i]``, a (monomial-position
-    tuple, target position) pair; rows are sorted tuples of (column,
-    integer coefficient) pairs, normalised by content and leading sign.
-    ``block(m)`` generates the unknowns and rows of one block.  ``rows``,
-    ``unknowns`` and ``multidegrees`` list the whole system; only tests,
-    ``dump_matrix`` and benchmark counters read them.
+    tuple, target position) pair, the tuples in lexicographic order and
+    each with its ``B`` targets.  ``column`` numbers an unknown in closed
+    form, ``(C(B, s) - 1 - sum_i C(B - 1 - c_i, s - i)) B + d``, from the
+    binomial table ``_ranks``, which keeps that order.  Rows are sorted
+    tuples of (column, integer coefficient) pairs, normalised by content
+    and leading sign.  ``block(m)`` generates the unknowns and rows of one
+    block.  ``rows``, ``unknowns`` and ``multidegrees`` list the whole
+    system; only tests, ``dump_matrix`` and benchmark counters read them.
     """
 
     params: LiftParams
     slots: tuple[int, ...]
 
     @cached_property
-    def combo_rank(self) -> Mapping[tuple[int, ...], int]:
-        combos = combinations(range(self.params.algebra.dim), self.params.s)
-        return {c: i for i, c in enumerate(combos)}
+    def _ranks(self) -> tuple[int, list[list[int]]]:
+        """``(top, T)`` with ``top = (C(B, s) - 1) B`` and
+        ``T[i][v] = C(B - 1 - v, s - i) B``, ``i < s``: the column of
+        ``(c, d)`` is ``top - sum_i T[i][c_i] + d``."""
+        B, s = self.params.algebra.dim, self.params.s
+        table = [[comb(B - 1 - v, s - i) * B for v in range(B)] for i in range(s)]
+        return (comb(B, s) - 1) * B, table
 
     def column(self, combo: tuple[int, ...], target: int) -> int:
-        return self.combo_rank[combo] * self.params.algebra.dim + target
+        top, table = self._ranks
+        return top - sum(map(getitem, table, combo)) + target
 
     @cached_property
     def unknowns(self) -> tuple[Cell, ...]:
-        return tuple((c, d) for c in self.combo_rank for d in range(self.params.algebra.dim))
+        B = self.params.algebra.dim
+        return tuple((c, d) for c in combinations(range(B), self.params.s) for d in range(B))
 
     @cached_property
     def multidegrees(self) -> tuple[MultiIndex, ...]:
@@ -359,9 +378,8 @@ class ConstraintSystem:
         its single-entry rows, and per leading tuple its slot map
         (``_slot``) with the terms of each instance left with two or more,
         as the module docstring sets out."""
-        alg, s, r = self.params.algebra, self.params.s, self.params.algebra.r
-        codes = self.params.codes
-        B, rank, pos = alg.dim, self.combo_rank, codes.positions
+        s, r, codes = self.params.s, self.params.algebra.r, self.params.codes
+        (top, table), pos = self._ranks, codes.positions
         size = sum(m)
         if size > (s + 1) * r:  # no unknown; the codes hold exponents up to (s + 1) r
             return {}, set(), []
@@ -377,7 +395,10 @@ class ConstraintSystem:
         else:
             pres, combos = [], [w for w in whole if w[2] <= r]
         cells = dict(
-            sorted((rank[combo] * B + pos[rest], (combo, pos[rest])) for combo, rest, _ in combos)
+            sorted(
+                (top - sum(map(getitem, table, combo)) + pos[rest], (combo, pos[rest]))
+                for combo, rest, _ in combos
+            )
         )
         if not cells or not self.slots:
             return cells, set(), []
@@ -436,15 +457,20 @@ class ConstraintSystem:
         """For every basis position ``x``: the first column of the sorted
         ``pre + (x,)`` and the sign of the sort, ``None`` when ``x`` is in
         ``pre``.  ``pre`` is increasing, so ``x`` moves past the entries
-        after its insertion point, one transposition each."""
+        after its insertion point, one transposition each.  Between two
+        entries of ``pre`` the entries before ``x`` keep their index and
+        those after it move up one, so the column is a constant minus
+        ``T[i][x]`` (``_ranks``), ``i`` the insertion point."""
         found = self._slot_cache.get(pre)
         if found is None:
-            B, rank, n = self.params.algebra.dim, self.combo_rank, len(pre)
+            (top, table), B, n = self._ranks, self.params.algebra.dim, len(pre)
             found, x = [None] * B, 0
+            base = top - sum(map(getitem, table[1:], pre))
             for i, stop in enumerate(pre + (B,)):
-                head, tail, sign = pre[:i], pre[i:], (-1) ** (n - i)
-                for x in range(x, stop):
-                    found[x] = (rank[head + (x,) + tail] * B, sign)
+                sign = (-1) ** (n - i)
+                found[x:stop] = [(base - t, sign) for t in table[i][x:stop]]
+                if i < n:
+                    base += table[i + 1][stop] - table[i][stop]
                 x = stop + 1
             self._slot_cache[pre] = found
         return found
@@ -636,7 +662,7 @@ def _mover(
     where the representative's ``i``-th supported axis sits at
     ``placed[i]``, and the sign of the signed permutation there: each basis
     monomial moved, the combination re-sorted, with the sign of the sort."""
-    B, rank, codes = system.params.algebra.dim, system.combo_rank, system.params.codes
+    (top, table), codes = system._ranks, system.params.codes
     w = codes.stride
     field = (1 << w) - 1
     moved: dict[int, int] = {}
@@ -652,7 +678,7 @@ def _mover(
 
     def move_cell(cell: Cell) -> tuple[int, int]:
         combo, sign = sort_with_sign(tuple(map(move, cell[0])))
-        return rank[combo] * B + move(cell[1]), sign
+        return top - sum(map(getitem, table, combo)) + move(cell[1]), sign
 
     return move_cell
 
@@ -707,9 +733,9 @@ def rank_of(vectors: Iterable[Mapping[int, Fraction]]) -> int:
 def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]) -> bool:
     """Is reading a nullspace vector off at the free cells bijective?
 
-    Builds the free-cell-by-basis-vector matrix, from the basis inverted
-    by column, and tests squareness plus invertibility; a dimension
-    mismatch reports False rather than raising.
+    It is when there are as many basis vectors as free cells and the
+    vectors restricted to the free cells' columns have full rank; a
+    dimension mismatch reports False rather than raising.
     """
     params = system.params
     cells = free_cells(params)
@@ -717,17 +743,9 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fractio
         return False
     alg = params.algebra
     bi = alg.basis_index
-    at_column: dict[int, dict[int, Fraction]] = {}
-    for b, vec in enumerate(nullbasis):
-        for col, v in vec.items():
-            if v:
-                at_column.setdefault(col, {})[b] = v
     axis = {i: bi[unit(alg.k, i)] for i in {i for cell in cells for i in cell.axes}}
-    rows = [
-        at_column.get(system.column(tuple(map(axis.get, cell.axes)), bi[cell.alpha]), {})
-        for cell in cells
-    ]
-    return rank_of(rows) == len(cells)
+    free = {system.column(tuple(map(axis.get, cell.axes)), bi[cell.alpha]) for cell in cells}
+    return rank_of({c: v for c, v in vec.items() if c in free} for vec in nullbasis) == len(cells)
 
 
 def expand_table(
@@ -870,7 +888,8 @@ def dump_matrix(system: ConstraintSystem, path) -> None:
     ``row col value`` triple per nonzero, 1-based."""
     lines = ["%%matrix coordinate rational general"]
     nnz = sum(len(r) for r in system.rows)
-    lines.append(f"{len(system.rows)} {len(system.unknowns)} {nnz}")
+    B = system.params.algebra.dim
+    lines.append(f"{len(system.rows)} {comb(B, system.params.s) * B} {nnz}")
     for i, row in enumerate(system.rows, start=1):
         for col, v in row:
             lines.append(f"{i} {col + 1} {v}")

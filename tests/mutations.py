@@ -95,6 +95,23 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        "number the combinations one place off",
+        "jetlift/oracle.py",
+        "comb(B - 1 - v, s - i)",
+        "comb(B - v, s - i)",
+        (
+            ORACLE + "test_closed_form_columns_are_the_positions_of_the_unknowns",
+            ORACLE + "test_block_rows_give_the_every_slot_rows",
+        ),
+    ),
+    Mutation(
+        "drop c = b",
+        "jetlift/oracle.py",
+        "-2 if b == c else -1",
+        "-1",
+        (ORACLE + "test_block_rows_give_the_every_slot_rows",),
+    ),
+    Mutation(
         "drop the verifier's failure sort",
         "jetlift/verifier.py",
         "    failed.sort(key=itemgetter(0))\n",

@@ -141,6 +141,42 @@ def test_column_indexing_is_block_by_combination():
     assert system.column((1,), 0) == 2
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closed_form_columns_are_the_positions_of_the_unknowns(data):
+    # The columns depend only on B and s, and k = 1 gives every B = r + 1.
+    # Where there are few unknowns each column is checked against its
+    # position in the listing; elsewhere a random combination's successor
+    # in lexicographic order is the next block of B columns.  The slot map
+    # of a random leading tuple is its splice and sort.
+    B = data.draw(st.integers(1, 25), label="B")
+    s = data.draw(st.integers(0, B + 1), label="s")
+    params = lift_params(B - 1, 1, s)
+    system = build_constraints(params, max_unknowns=unknown_count(params))
+    n = math.comb(B, s)
+    if n * B <= 3000:
+        unknowns = system.unknowns
+        assert len(unknowns) == n * B
+        assert [system.column(c, d) for c, d in unknowns] == list(range(n * B))
+    else:
+        combo = sorted(data.draw(st.permutations(range(B)))[:s])
+        assert system.column(tuple(range(s)), 0) == 0
+        assert system.column(tuple(range(B - s, B)), B - 1) == n * B - 1
+        i = max((i for i in range(s) if combo[i] < B - s + i), default=None)
+        if i is not None:
+            after = combo[:i] + list(range(combo[i] + 1, combo[i] + 1 + s - i))
+            assert system.column(tuple(after), 0) == system.column(tuple(combo), 0) + B
+    if s:
+        pre = tuple(sorted(data.draw(st.permutations(range(B)))[: s - 1]))
+        spliced = [
+            (system.column(tuple(sorted(pre + (x,))), 0), (-1) ** sum(p > x for p in pre))
+            if x not in pre
+            else None
+            for x in range(B)
+        ]
+        assert system._slot(pre) == spliced
+
+
 # -- degenerate shapes -------------------------------------------------------------
 
 
