@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import lift_space
@@ -126,15 +127,21 @@ def _emit(data: dict | list, out: str | None) -> None:
 
 
 def _print_report(rep, witnesses: int, stream) -> None:
+    """One line per check, by name, then the first ``witnesses`` failures.
+    Every line is formed before any is written."""
+    failed = Counter(dict.fromkeys(rep.cases, 0))
+    failed.update(f.check for f in rep.failures)
     try:
-        doc = rep.to_json_dict(witness_limit=witnesses)
+        lines = [
+            f"{name}: {'FAIL' if n else 'ok'} ({rep.cases.get(name, 0)} cases, {n} failed)"
+            for name, n in sorted(failed.items())
+        ] + [
+            f"  witness {f.check}: {f.witness!r} expected {f.expected} got {f.actual}"
+            for f in rep.failures[:witnesses]
+        ]
     except ValueError as exc:
         raise _too_long() from exc
-    for name, counts in doc["checks"].items():
-        status = "ok" if counts["failed"] == 0 else "FAIL"
-        print(f"{name}: {status} ({counts['cases']} cases, {counts['failed']} failed)", file=stream)
-    for w in doc["witnesses"]:
-        print(f"  witness {w['check']}: {w['witness']} expected {w['expected']} got {w['actual']}", file=stream)
+    stream.writelines(line + "\n" for line in lines)
 
 
 def cmd_dim(args) -> int:

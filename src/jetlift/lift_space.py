@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from struct import Struct
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -285,6 +285,34 @@ def sort_with_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     return tuple(sorted(t)), (-1 if inv & 1 else 1)
 
 
+def _cells_json(params: LiftParams, field: str, key: str, items) -> dict:
+    """The JSON object of ``params`` whose ``field`` lists one entry
+    ``{"i": axes, "alpha": alpha, key: value}`` per ``((axes, alpha),
+    value)`` of ``items``."""
+    return {
+        "r": params.algebra.r,
+        "k": params.algebra.k,
+        "s": params.s,
+        field: [
+            {"i": list(axes), "alpha": list(alpha), key: format_rational(v)}
+            for (axes, alpha), v in items
+        ],
+    }
+
+
+def _read_cells(data, what: str, field: str, entry: str, key: str) -> tuple[LiftParams, dict]:
+    """The parameters of a JSON ``what`` object that ``_cells_json`` wrote,
+    and its values by ``(axes, alpha)``; a cell listed twice is refused."""
+    params = read_params(data, what, field)
+    values: dict[tuple[tuple[int, ...], MultiIndex], Fraction] = {}
+    for obj in parse_objects(data[field], entry, "i", "alpha", key):
+        cell = (parse_int_list(obj["i"], "i"), parse_int_list(obj["alpha"], "alpha"))
+        if cell in values:
+            raise ValueError(f"duplicate cell {cell}")
+        values[cell] = parse_rational(obj[key])
+    return params, values
+
+
 @dataclass(frozen=True)
 class CoefficientAssignment:
     """One exact rational per free cell; the coordinates of a lift map."""
@@ -337,33 +365,12 @@ class CoefficientAssignment:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        p = self.params
-        return {
-            "r": p.algebra.r,
-            "k": p.algebra.k,
-            "s": p.s,
-            "values": [
-                {
-                    "i": list(c.axes),
-                    "alpha": list(c.alpha),
-                    "c": format_rational(self.values[c]),
-                }
-                for c in free_cells(p)
-            ],
-        }
+        cells = free_cells(self.params)
+        return _cells_json(self.params, "values", "c", ((c, self.values[c]) for c in cells))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoefficientAssignment":
-        params = read_params(data, "assignment", "values")
-        vals: dict[FreeCell, Fraction] = {}
-        for entry in parse_objects(data["values"], "value", "i", "alpha", "c"):
-            cell = FreeCell(
-                parse_int_list(entry["i"], "i"), parse_int_list(entry["alpha"], "alpha")
-            )
-            if cell in vals:
-                raise ValueError(f"duplicate cell {cell}")
-            vals[cell] = parse_rational(entry["c"])
-        return cls(params, vals)
+        return cls(*_read_cells(data, "assignment", "values", "value", "c"))
 
 
 @dataclass(frozen=True)
@@ -403,30 +410,12 @@ class LiftTable:
 
     def to_json_dict(self) -> dict:
         p = self.params
-        return {
-            "r": p.algebra.r,
-            "k": p.algebra.k,
-            "s": p.s,
-            "cells": [
-                {
-                    "i": list(axes),
-                    "alpha": list(alpha),
-                    "v": format_rational(self.cells[ri][ci]),
-                }
-                for ri, axes in enumerate(p.rows)
-                for ci, alpha in enumerate(p.algebra.basis)
-            ],
-        }
+        cells = product(p.rows, p.algebra.basis)
+        return _cells_json(p, "cells", "v", zip(cells, chain.from_iterable(self.cells)))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftTable":
-        params = read_params(data, "table", "cells")
-        seen: dict[tuple[tuple[int, ...], MultiIndex], Fraction] = {}
-        for entry in parse_objects(data["cells"], "cell", "i", "alpha", "v"):
-            key = (parse_int_list(entry["i"], "i"), parse_int_list(entry["alpha"], "alpha"))
-            if key in seen:
-                raise ValueError(f"duplicate cell {key}")
-            seen[key] = parse_rational(entry["v"])
+        params, seen = _read_cells(data, "table", "cells", "cell", "v")
         rows = []
         for axes in params.rows:
             row = []

@@ -129,36 +129,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def merged(self, other: "VerificationReport") -> "VerificationReport":
-        cases = dict(self.cases)
-        for name, n in other.cases.items():
-            cases[name] = cases.get(name, 0) + n
-        return VerificationReport(cases, self.failures + other.failures)
-
-    def to_json_dict(self, witness_limit: int = 10) -> dict:
-        fail_counts: dict[str, int] = {name: 0 for name in self.cases}
-        for f in self.failures:
-            fail_counts[f.check] = fail_counts.get(f.check, 0) + 1
-        return {
-            "passed": self.passed,
-            "checks": {
-                name: {
-                    "cases": self.cases.get(name, 0),
-                    "failed": fail_counts.get(name, 0),
-                }
-                for name in sorted(set(self.cases) | set(fail_counts))
-            },
-            "witnesses": [
-                {
-                    "check": f.check,
-                    "witness": repr(f.witness),
-                    "expected": str(f.expected),
-                    "actual": str(f.actual),
-                }
-                for f in self.failures[:witness_limit]
-            ],
-        }
-
 
 def check_skew(table: LiftTable) -> VerificationReport:
     """Exchanging two argument slots must negate the value, and a repeated
@@ -299,10 +269,11 @@ def check_truncation(table: LiftTable) -> VerificationReport:
 def run_all_checks(table: LiftTable, *, all_slots: bool = False) -> VerificationReport:
     """Run the three table checks.  The product-rule sweep visits only the
     multidegree blocks where a truncation sum fails, which finds every
-    failure it would find on all of them (module docstring)."""
+    failure it would find on all of them (module docstring).  The three
+    checks have distinct case names, so one report holds them all."""
     trunc = check_truncation(table)
     # The sum at (J, eps) reads the cells of multidegree e_J + eps.
     blocks = {multidegree(*f.witness) for f in trunc.failures}
-    rep = check_skew(table)
-    rep = rep.merged(check_leibniz_basis(table, blocks=blocks, all_slots=all_slots))
-    return rep.merged(trunc)
+    parts = [check_skew(table), check_leibniz_basis(table, blocks=blocks, all_slots=all_slots), trunc]
+    cases = {name: n for rep in parts for name, n in rep.cases.items()}
+    return VerificationReport(cases, [f for rep in parts for f in rep.failures])

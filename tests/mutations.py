@@ -36,6 +36,7 @@ class Mutation(NamedTuple):
     tests: tuple[str, ...]
 
 
+CLI = "tests/test_cli.py::"
 ORACLE = "tests/test_oracle.py::"
 VERIFIER = "tests/test_verifier.py::"
 
@@ -149,6 +150,44 @@ MUTATIONS = [
         (
             "tests/test_lift_space.py::test_free_cells_match_direct_definition_on_grid",
             ORACLE + "test_nullity_matches_formula_and_basis_satisfies_rows",
+        ),
+    ),
+    Mutation(
+        "tighten the expansion cap",
+        "jetlift/lift_space.py",
+        "self._cap = alg.r + p.s",
+        "self._cap = alg.r + p.s - 1",
+        (ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",),
+    ),
+    Mutation(
+        "drop the F(pre, 1) zeros",
+        "jetlift/oracle.py",
+        "if combo[0] == 0}",
+        "if combo[0] == 1}",
+        (ORACLE + "test_block_rows_give_the_every_slot_rows",),
+    ),
+    Mutation(
+        "drop the top-degree instances",
+        "jetlift/verifier.py",
+        "if size > alg.r + s:",
+        "if size >= alg.r + s:",
+        (VERIFIER + "test_a_corrupted_cell_is_swept_only_in_its_own_block",),
+    ),
+    Mutation(
+        "drop the duplicate-cell check",
+        "jetlift/lift_space.py",
+        '        if cell in values:\n            raise ValueError(f"duplicate cell {cell}")\n',
+        "",
+        (CLI + "test_a_repeated_cell_exits_two",),
+    ),
+    Mutation(
+        "print ok for a failed check",
+        "jetlift/cli.py",
+        "{'FAIL' if n else 'ok'}",
+        "ok",
+        (
+            CLI + "test_report_prints_the_checks_by_name_then_the_first_witnesses",
+            CLI + "test_verify_flags_a_corrupted_table",
         ),
     ),
 ]

@@ -317,9 +317,13 @@ def reference_run_all_checks(
     over every multidegree block, and the truncation check read through
     ``lookup_skew``."""
     ev = TableEvaluator(table)
-    rep = reference_check_skew(table, evaluator=ev)
-    rep = rep.merged(reference_check_leibniz_basis(table, all_slots=all_slots, evaluator=ev))
-    return rep.merged(reference_check_truncation(table))
+    parts = [
+        reference_check_skew(table, evaluator=ev),
+        reference_check_leibniz_basis(table, all_slots=all_slots, evaluator=ev),
+        reference_check_truncation(table),
+    ]
+    cases = {name: n for rep in parts for name, n in rep.cases.items()}
+    return VerificationReport(cases, [f for rep in parts for f in rep.failures])
 
 
 def _canonical_row(coeffs: dict[int, int]) -> tuple[tuple[int, int], ...] | None:

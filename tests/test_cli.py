@@ -518,6 +518,54 @@ def test_report_printing_refuses_before_writing_anything():
     assert stream.getvalue() == ""
 
 
+# Check names in an unsorted order, and a failing check with no cases entry.
+REPORT = VerificationReport(
+    cases={"truncation": 3, "leibniz": 27, "skew": 0},
+    failures=[
+        Failure("leibniz", ((1, 0), 2), Fraction(1, 2), Fraction(-3)),
+        Failure("span", (("union", 4),), Fraction(3), Fraction(4)),
+        Failure("leibniz", ((0, 1), 1), Fraction(0), Fraction(7, 9)),
+    ],
+)
+REPORT_CHECKS = (
+    "leibniz: FAIL (27 cases, 2 failed)\n"
+    "skew: ok (0 cases, 0 failed)\n"
+    "span: FAIL (0 cases, 1 failed)\n"
+    "truncation: ok (3 cases, 0 failed)\n"
+)
+REPORT_WITNESSES = [
+    "  witness leibniz: ((1, 0), 2) expected 1/2 got -3\n",
+    "  witness span: (('union', 4),) expected 3 got 4\n",
+    "  witness leibniz: ((0, 1), 1) expected 0 got 7/9\n",
+]
+
+
+@pytest.mark.parametrize("witnesses", [0, 2, 3, 1000])
+def test_report_prints_the_checks_by_name_then_the_first_witnesses(witnesses):
+    stream = io.StringIO()
+    _print_report(REPORT, witnesses, stream)
+    assert stream.getvalue() == REPORT_CHECKS + "".join(REPORT_WITNESSES[:witnesses])
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_report_printing_refuses_a_long_last_witness_before_writing_anything():
+    long = Fraction(10 ** sys.get_int_max_str_digits())
+    rep = VerificationReport(
+        cases=REPORT.cases, failures=REPORT.failures + [Failure("truncation", (), Fraction(0), long)]
+    )
+    stream = io.StringIO()
+    with pytest.raises(CliError, match="the limit for writing an integer"):
+        _print_report(rep, 1000, stream)
+    assert stream.getvalue() == ""
+    # Past the witness limit the value is never written.
+    _print_report(rep, 3, stream)
+    checks = REPORT_CHECKS.replace("truncation: ok (3 cases, 0", "truncation: FAIL (3 cases, 1")
+    assert stream.getvalue() == checks + "".join(REPORT_WITNESSES)
+
+
 # -- bounded work ------------------------------------------------------------
 
 # C(60, 30) monomials at (30, 30): listing the basis would not finish.
@@ -729,6 +777,20 @@ def test_wrongly_shaped_entry_lists_exit_two(tmp_path, capsys, command, field, v
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,field,entry,cell",
+    [("construct", "values", 1, "((1,), (0, 1))"), ("verify", "cells", 4, "((2,), (1, 0))")],
+)
+def test_a_repeated_cell_exits_two(tmp_path, capsys, command, field, entry, cell):
+    # Both files are read by one reader, so both name the cell alike.
+    doc = copy.deepcopy(UNIT_ASSIGNMENT) if command == "construct" else valid_table_doc()
+    doc[field].append(doc[field][entry])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--in", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: duplicate cell {cell}\n")
 
 
 def json_type(value) -> str:

@@ -621,7 +621,7 @@ def test_compare_with_construction_passes(r, k, s):
     system = build_constraints(lift_params(r, k, s))
     _, basis = nullspace(system)
     rep = compare_with_construction(system, basis)
-    assert rep.passed, rep.to_json_dict()
+    assert rep.passed, rep.failures[:10]
     assert rep.cases["span"] == 1
 
 

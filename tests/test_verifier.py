@@ -58,7 +58,7 @@ def random_table(params: LiftParams, seed: int = 0):
 def test_constructed_tables_pass_all_checks(r, k, s):
     params = lift_params(r, k, s)
     rep = run_all_checks(random_table(params, seed=r + 10 * k + 100 * s))
-    assert rep.passed, rep.to_json_dict()
+    assert rep.passed, rep.failures[:10]
 
 
 def test_case_counts_frozen_example():
@@ -134,29 +134,6 @@ def test_all_slots_counts_scale_with_arity():
     both = check_leibniz_basis(table, all_slots=True)
     assert both.cases["leibniz"] == 2 * last_only.cases["leibniz"]
     assert both.passed
-
-
-def test_report_json_shape_and_witness_limit():
-    table = random_table(P121, seed=8)
-    bad = table.with_cell((2,), (1, 0), table.cell((2,), (1, 0)) + 1)
-    rep = run_all_checks(bad)
-    doc = rep.to_json_dict(witness_limit=2)
-    assert doc["passed"] is False
-    assert set(doc["checks"]) == {"skew", "leibniz", "truncation"}
-    assert doc["checks"]["leibniz"]["cases"] == 27
-    assert len(doc["witnesses"]) <= 2
-    assert all(
-        set(w) == {"check", "witness", "expected", "actual"} for w in doc["witnesses"]
-    )
-
-
-def test_reports_merge_counts_and_failures():
-    table = random_table(P121, seed=9)
-    a = check_skew(table)
-    b = check_truncation(table)
-    merged = a.merged(b)
-    assert merged.cases == {"skew": 0, "truncation": 3}
-    assert merged.passed
 
 
 # -- pruned sweeps against the unpruned references ---------------------------
