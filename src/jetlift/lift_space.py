@@ -285,6 +285,24 @@ def sort_with_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     return tuple(sorted(t)), (-1 if inv & 1 else 1)
 
 
+def peelings(alg: AlgebraParams, combo: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The peelings of the argument monomials at basis positions ``combo``:
+    one supported axis ``j_t`` of each ``g_t``, all distinct, as (the sorted
+    axes, the sign of the sort times ``prod_t g_t[j_t]``), in the order of
+    ``product`` over the supports.  A constant argument has no supported
+    axis, so then there is no peeling."""
+    basis = alg.basis
+    out = []
+    for peeled in product(*(alg.supports[g] for g in combo)):
+        if (res := sort_with_sign(peeled)) is None:
+            continue
+        axes, coeff = res
+        for g, j in zip(combo, peeled):
+            coeff *= basis[g][j - 1]
+        out.append((axes, coeff))
+    return out
+
+
 def _cells_json(params: LiftParams, field: str, key: str, items) -> dict:
     """The JSON object of ``params`` whose ``field`` lists one entry
     ``{"i": axes, "alpha": alpha, key: value}`` per ``((axes, alpha),
@@ -528,20 +546,23 @@ def lookup_skew(table: LiftTable, axes: Sequence[int], alpha: MultiIndex) -> Fra
 class TableEvaluator:
     """Memoising evaluator of a fixed table on tuples of basis monomials.
 
-    Values are computed honestly from the stored cells: each argument
-    monomial is peeled one supported axis at a time, the leftover exponents
-    migrate into the target, and the resulting degree-one tuple is read off
-    the table with the sign of its sorting permutation.  Everything is keyed
-    by basis position; the verifier's product-rule sweep and the oracle's
-    table expansion lean on this.  Signing by sorting makes the values
-    skew-symmetric for every table, which ``check_skew`` relies on.
+    Values are computed honestly from the stored cells, as a sum over the
+    ``peelings`` of the arguments: each argument monomial is peeled at one
+    supported axis, the leftover exponents migrate into the target, and the
+    resulting degree-one tuple is read off the table with the sign of its
+    sorting permutation.  Everything is keyed by basis position; the
+    verifier's product-rule sweep and the oracle's table expansion lean on
+    this.  Signing by sorting makes the values skew-symmetric for every
+    table, which ``check_skew`` relies on.
 
     Three kinds of tuple read zero on every table.  The verifier's
     product-rule sweep decides them without calling the evaluator, so they
     must stay exactly as they are:
 
-    - a constant argument monomial, read before any cell in ``_compute``;
-    - argument and target degrees summing past r + s, likewise;
+    - argument and target degrees summing past r + s, read before any cell
+      in ``_compute``;
+    - a constant argument monomial: it has no supported axis, so there is
+      no peeling and no cell is read;
     - a repeated argument monomial: each peeled axis tuple with a repeated
       axis reads zero and the others cancel in pairs (``check_skew``).
 
@@ -552,34 +573,15 @@ class TableEvaluator:
     ``e_I + alpha = m``.  The oracle's product-rule rows also lie in one
     multidegree each, so ``nullspace`` eliminates one multidegree block at
     a time, and ``compare_with_construction`` reads each unit table only on
-    its own block, through this sum transposed into one integer linear
-    form per cell of an orbit's representative block; the oracle's
-    ``expand_table``, which calls this evaluator, is the tests' reference.
+    its own block, through the same ``peelings`` transposed into one
+    integer linear form per cell of an orbit's representative block; the
+    oracle's ``expand_table``, which calls this evaluator, is the tests'
+    reference.
     """
 
     def __init__(self, table: LiftTable):
         self.table = table
-        p = table.params
-        alg = p.algebra
-        self._s = p.s
-        self._cap = alg.r + p.s
-        self._deg = alg.degrees
-        self._sup = alg.supports
-        self._exps = alg.basis
-        self._index = alg.basis_index
-        self._row_index = p.row_index
-        self._cells = table.cells
-        self._resolved: dict[tuple[int, ...], tuple[tuple[Fraction, ...], int] | None] = {}
         self._memo: dict[tuple[int, ...], Fraction] = {}
-
-    def _resolve(self, axes: tuple[int, ...]):
-        try:
-            return self._resolved[axes]
-        except KeyError:
-            res = sort_with_sign(axes)
-            out = None if res is None else (self._cells[self._row_index[res[0]]], res[1])
-            self._resolved[axes] = out
-            return out
 
     def monomials_by_index(self, gammas: tuple[int, ...], delta: int) -> Fraction:
         key = gammas + (delta,)
@@ -591,38 +593,22 @@ class TableEvaluator:
         return val
 
     def _compute(self, gammas: tuple[int, ...], delta: int) -> Fraction:
-        deg = self._deg
-        total = deg[delta]
-        for g in gammas:
-            total += deg[g]
-        if total > self._cap:
+        p = self.table.params
+        alg = p.algebra
+        deg, exps = alg.degrees, alg.basis
+        if deg[delta] + sum(deg[g] for g in gammas) > alg.r + p.s:
             return Fraction(0)
-        sup = self._sup
-        supports = []
+        m = list(exps[delta])
         for g in gammas:
-            sg = sup[g]
-            if not sg:
-                return Fraction(0)
-            supports.append(sg)
-        exps = self._exps
-        gs = [exps[g] for g in gammas]
-        base = list(exps[delta])
-        for e in gs:
-            for i, x in enumerate(e):
-                base[i] += x
-        index = self._index
+            for i, x in enumerate(exps[g]):
+                m[i] += x
+        cells, rows, index = self.table.cells, p.row_index, alg.basis_index
         acc = Fraction(0)
-        for jt in product(*supports):
-            res = self._resolve(jt)
-            if res is None:
-                continue
-            row, sign = res
-            coeff = sign
-            exp = list(base)
-            for e, j in zip(gs, jt):
-                coeff *= e[j - 1]
-                exp[j - 1] -= 1
-            cell = row[index[tuple(exp)]]
+        for axes, coeff in peelings(alg, gammas):
+            alpha = list(m)
+            for j in axes:
+                alpha[j - 1] -= 1
+            cell = cells[rows[axes]][index[tuple(alpha)]]
             if cell:
                 acc += coeff * cell
         return acc

@@ -192,7 +192,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 from math import comb, gcd, lcm
 from operator import getitem, itemgetter
 from pathlib import Path
@@ -208,9 +208,10 @@ from .lift_space import (
     construct,  # unused here; the benchmark's tracer patches it on this module
     free_cells,
     multidegree,
+    peelings,
     sort_with_sign,
 )
-from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial, unit
+from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial
 from .verifier import Failure, VerificationReport
 
 DEFAULT_MAX_UNKNOWNS = 20_000
@@ -741,10 +742,11 @@ def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fractio
     cells = free_cells(params)
     if len(cells) != len(nullbasis):
         return False
-    alg = params.algebra
-    bi = alg.basis_index
-    axis = {i: bi[unit(alg.k, i)] for i in {i for cell in cells for i in cell.axes}}
-    free = {system.column(tuple(map(axis.get, cell.axes)), bi[cell.alpha]) for cell in cells}
+    bi = params.algebra.basis_index
+    # For r >= 1 the monomial x_i sits at basis position i (degree 0, then
+    # degree 1 in decreasing lexicographic order); at r = 0 no free cell
+    # has an axis.
+    free = {system.column(cell.axes, bi[cell.alpha]) for cell in cells}
     return rank_of({c: v for c, v in vec.items() if c in free} for vec in nullbasis) == len(cells)
 
 
@@ -764,21 +766,15 @@ def expand_table(
 
 
 def _peeling(params: LiftParams, unknowns: Mapping[int, Cell]) -> dict[tuple[int, ...], list]:
-    """``TableEvaluator`` on one block, transposed: for the axis tuple ``I``
-    of each cell ``(I, alpha)`` of the block, the (column, integer
-    coefficient) pairs of the given unknowns that the cell feeds.  The
-    value of a table at an unknown is then the sum, over the cells, of the
-    cell's value times its coefficient there."""
-    basis, sup = params.algebra.basis, params.algebra.supports
+    """``lift_space.peelings``, the sum ``TableEvaluator`` reads, on one
+    block, transposed: for the axis tuple ``I`` of each cell ``(I, alpha)``
+    of the block, the (column, integer coefficient) pairs of the given
+    unknowns that the cell feeds.  The value of a table at an unknown is
+    then the sum, over the cells, of the cell's value times its
+    coefficient there."""
     forms: dict[tuple[int, ...], dict[int, int]] = {}
     for col, (combo, _) in unknowns.items():
-        # A constant argument has no supported axis, so it feeds nothing.
-        for peeled in product(*(sup[g] for g in combo)):
-            if (res := sort_with_sign(peeled)) is None:
-                continue
-            axes, coeff = res
-            for g, j in zip(combo, peeled):
-                coeff *= basis[g][j - 1]
+        for axes, coeff in peelings(params.algebra, combo):
             form = forms.setdefault(axes, {})
             form[col] = form.get(col, 0) + coeff
     return {axes: [(c, v) for c, v in form.items() if v] for axes, form in forms.items()}

@@ -155,9 +155,19 @@ MUTATIONS = [
     Mutation(
         "tighten the expansion cap",
         "jetlift/lift_space.py",
-        "self._cap = alg.r + p.s",
-        "self._cap = alg.r + p.s - 1",
+        "> alg.r + p.s:",
+        "> alg.r + p.s - 1:",
         (ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",),
+    ),
+    Mutation(
+        "flip the peeling sign",
+        "jetlift/lift_space.py",
+        "axes, coeff = res",
+        "axes, coeff = res[0], 1",
+        (
+            "tests/test_lift_space.py::test_evaluation_matches_product_rule_recursion",
+            ORACLE + "test_compare_with_construction_passes",
+        ),
     ),
     Mutation(
         "drop the F(pre, 1) zeros",

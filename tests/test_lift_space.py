@@ -505,7 +505,7 @@ def test_lookup_skew_validation():
             lookup_skew(t, axes, alpha)
 
 
-@pytest.mark.parametrize("r,k,s", [(2, 2, 1), (2, 2, 2), (1, 2, 2), (3, 1, 1)])
+@pytest.mark.parametrize("r,k,s", [(2, 2, 1), (2, 2, 2), (1, 2, 2), (3, 1, 1), (2, 3, 3)])
 def test_evaluation_matches_product_rule_recursion(r, k, s):
     params = lift_params(r, k, s)
     table = construct(CoefficientAssignment.random(params, seed=r * 100 + k * 10 + s))

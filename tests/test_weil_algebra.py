@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetlift import AlgebraElement, AlgebraParams
-from jetlift.multiindex import binomial, support
+from jetlift.multiindex import binomial, support, unit
 from support import multiply_monomials
 
 P22 = AlgebraParams(2, 2)
@@ -59,6 +59,9 @@ def test_dim_matches_binomial_on_grid():
             p = AlgebraParams(r, k)
             assert p.dim == binomial(r + k, k)
             assert len(p.basis) == p.dim
+            if r >= 1:
+                # x_i sits at basis position i, as the oracle's check_iso reads it.
+                assert p.basis[1 : k + 1] == tuple(unit(k, i) for i in range(1, k + 1))
 
 
 def test_scalar_algebras_are_one_dimensional():
