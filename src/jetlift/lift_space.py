@@ -21,10 +21,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .multiindex import MultiIndex, add, binomial, degree, sub_unit, support, unit
 from .rationals import (
+    exact_sum,
     format_rational,
     parse_int,
     parse_int_list,
-    parse_object,
     parse_objects,
     parse_rational,
 )
@@ -70,7 +70,7 @@ class LiftParams:
 def read_params(data, what: str, field: str) -> LiftParams:
     """The parameters of a JSON ``what`` object with keys ``r``, ``k``,
     ``s`` and ``field``, read without enumerating anything."""
-    data = parse_object(data, what, "r", "k", "s", field)
+    data = parse_objects([data], what, "r", "k", "s", field)[0]
     return LiftParams(
         AlgebraParams(parse_int(data["r"], "r"), parse_int(data["k"], "k")),
         parse_int(data["s"], "s"),
@@ -290,17 +290,23 @@ def peelings(alg: AlgebraParams, combo: Sequence[int]) -> list[tuple[tuple[int, 
     one supported axis ``j_t`` of each ``g_t``, all distinct, as (the sorted
     axes, the sign of the sort times ``prod_t g_t[j_t]``), in the order of
     ``product`` over the supports.  A constant argument has no supported
-    axis, so then there is no peeling."""
-    basis = alg.basis
-    out = []
-    for peeled in product(*(alg.supports[g] for g in combo)):
-        if (res := sort_with_sign(peeled)) is None:
-            continue
-        axes, coeff = res
-        for g, j in zip(combo, peeled):
-            coeff *= basis[g][j - 1]
-        out.append((axes, coeff))
-    return out
+    axis, so then there is no peeling.
+
+    The peelings grow one argument at a time, sorted as they grow: the next
+    axis is skipped when already taken, and otherwise goes in at its place
+    among the sorted axes, after the larger axes taken before it, each of
+    which flips the sign once.  No tuple is sorted or discarded whole."""
+    grown = [((), 1)]
+    for g in combo:
+        longer = []
+        for axes, c in grown:
+            for j in alg.supports[g]:
+                i = bisect_left(axes, j)
+                if axes[i : i + 1] != (j,):
+                    x = c * alg.basis[g][j - 1]
+                    longer.append((axes[:i] + (j,) + axes[i:], -x if len(axes) - i & 1 else x))
+        grown = longer
+    return grown
 
 
 def _cells_json(params: LiftParams, field: str, key: str, items) -> dict:
@@ -434,14 +440,11 @@ class LiftTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftTable":
         params, seen = _read_cells(data, "table", "cells", "cell", "v")
-        rows = []
-        for axes in params.rows:
-            row = []
-            for alpha in params.algebra.basis:
-                if (axes, alpha) not in seen:
-                    raise ValueError(f"missing cell ({axes}, {alpha})")
-                row.append(seen.pop((axes, alpha)))
-            rows.append(tuple(row))
+        basis = params.algebra.basis
+        try:
+            rows = [tuple(seen.pop((axes, alpha)) for alpha in basis) for axes in params.rows]
+        except KeyError as exc:
+            raise ValueError("missing cell ({}, {})".format(*exc.args[0])) from None
         if seen:
             raise ValueError(f"unexpected cells {sorted(seen)[:3]}")
         return cls(params, tuple(rows))
@@ -481,17 +484,20 @@ def complete(free: Mapping[FreeCell, Fraction], cells: Iterable[FreeCell]) -> li
 def _bound_cell(
     free: Mapping[FreeCell, Fraction], axes: tuple[int, ...], alpha: MultiIndex
 ) -> Fraction:
-    i_last = axes[-1]
-    lead = axes[:-1]
+    """The bound cell ``(axes, alpha)``: minus the sum, over the supported
+    axes ``j`` of ``alpha`` not in ``axes``, of ``alpha_j`` times
+    the signed free cell at ``lead + (j,)`` and ``alpha + e_last - e_j``,
+    over ``alpha_last + 1``.  The sum is taken by ``exact_sum`` over its
+    own terms only: its common denominator divides the product of those few
+    cells' denominators, where one shared by the row would grow with the
+    row's cell count and make every term a bignum product."""
+    lead, i_last = axes[:-1], axes[-1]
     raised = add(alpha, unit(len(alpha), i_last))
-    acc = Fraction(0)
+    terms = []
     for j in support(alpha):
-        if j == i_last:
+        if j in axes:
             continue
-        res = sort_with_sign(lead + (j,))
-        if res is None:
-            continue
-        tup, sign = res
+        tup, sign = sort_with_sign(lead + (j,))
         cell = FreeCell(tup, sub_unit(raised, j))
         v = free.get(cell)
         if v is None:
@@ -500,9 +506,8 @@ def _bound_cell(
             raise AssertionError(
                 f"bound cell ({axes}, {alpha}) referenced non-free cell {cell}"
             )
-        if v:
-            acc += alpha[j - 1] * sign * v
-    return Fraction(-1, alpha[i_last - 1] + 1) * acc if acc else acc
+        terms.append((alpha[j - 1] * sign, v))
+    return exact_sum(terms) / -(alpha[i_last - 1] + 1)
 
 
 def extract_coefficients(table: LiftTable) -> CoefficientAssignment:
@@ -596,22 +601,17 @@ class TableEvaluator:
         p = self.table.params
         alg = p.algebra
         deg, exps = alg.degrees, alg.basis
-        if deg[delta] + sum(deg[g] for g in gammas) > alg.r + p.s:
+        if deg[delta] + sum(map(deg.__getitem__, gammas)) > alg.r + p.s:
             return Fraction(0)
-        m = list(exps[delta])
-        for g in gammas:
-            for i, x in enumerate(exps[g]):
-                m[i] += x
+        m = list(map(sum, zip(exps[delta], *[exps[g] for g in gammas])))
         cells, rows, index = self.table.cells, p.row_index, alg.basis_index
-        acc = Fraction(0)
+        terms = []
         for axes, coeff in peelings(alg, gammas):
             alpha = list(m)
             for j in axes:
                 alpha[j - 1] -= 1
-            cell = cells[rows[axes]][index[tuple(alpha)]]
-            if cell:
-                acc += coeff * cell
-        return acc
+            terms.append((coeff, cells[rows[axes]][index[tuple(alpha)]]))
+        return exact_sum(terms)
 
 
 def evaluate(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Iterable
 
 # Caps on rational strings, checked before ``Fraction`` sees them: a long
 # exponent makes ``Fraction`` build a huge power of ten, and a long digit
@@ -15,6 +17,29 @@ MAX_RATIONAL_DIGITS = 4000
 MAX_DECIMAL_EXPONENT = 100
 _DIGIT_RUN = re.compile(r"\d+")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
+
+
+_ZERO = Fraction(0)
+
+
+def exact_sum(terms: Iterable[tuple[int, Fraction]]) -> Fraction:
+    """The exact value of ``sum(c * v for c, v in terms)``, in lowest terms.
+
+    The numerators are summed in integers over the least common multiple
+    ``d`` of these terms' denominators, grown term by term, and the result
+    is normalised once, where adding ``Fraction``s normalises after every
+    term.  Scaling is per sum: ``d`` divides the product of this sum's own
+    denominators, so no term grows past them.  A denominator shared by a
+    whole table row could have the row's cell count times
+    ``MAX_RATIONAL_DIGITS`` digits, and would make every term a bignum
+    product.  A zero sum is a shared ``Fraction(0)``; none is built."""
+    n, d = 0, 1
+    for c, v in terms:
+        q = v.denominator
+        if d % q:  # n over d becomes n over lcm(d, q)
+            n, d = n * (q // gcd(d, q)), lcm(d, q)
+        n += c * v.numerator * (d // q)
+    return Fraction(n, d) if n else _ZERO
 
 
 def format_rational(x: Fraction) -> str:
@@ -34,17 +59,20 @@ def parse_rational(value: int | str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        # Digit groups may be split by underscores ("1_000").
-        digits = value.replace("_", "")
-        longest = max((len(run) for run in _DIGIT_RUN.findall(digits)), default=0)
-        if longest > MAX_RATIONAL_DIGITS:
-            raise ValueError(
-                f"a number of {longest} digits in a rational string; "
-                f"at most {MAX_RATIONAL_DIGITS} accepted"
-            )
-        exp = _EXPONENT.search(digits)
-        if exp and int(exp.group(1)) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
+        # Digit groups may be split by underscores ("1_000").  A string of
+        # at most MAX_RATIONAL_DIGITS characters holds no longer digit run,
+        # and only one with an "e" or "E" can hold an exponent.
+        if len(value) > MAX_RATIONAL_DIGITS:
+            longest = max(map(len, _DIGIT_RUN.findall(value.replace("_", ""))), default=0)
+            if longest > MAX_RATIONAL_DIGITS:
+                raise ValueError(
+                    f"a number of {longest} digits in a rational string; "
+                    f"at most {MAX_RATIONAL_DIGITS} accepted"
+                )
+        if "e" in value or "E" in value:
+            exp = _EXPONENT.search(value.replace("_", ""))
+            if exp and int(exp.group(1)) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"decimal exponent exceeds {MAX_DECIMAL_EXPONENT} in magnitude")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -61,22 +89,24 @@ def parse_int(value, what: str) -> int:
 
 
 def parse_int_list(value, what: str) -> tuple[int, ...]:
-    """A list of exact integers, as a tuple."""
+    """A list of exact integers, as a tuple.  A list of plain ``int``s,
+    all that JSON gives, is taken whole; any other is read entry by entry
+    and refused at its first bad entry."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    if set(map(type, value)) <= {int}:
+        return tuple(value)
     return tuple(parse_int(x, what) for x in value)
 
 
-def parse_object(value, what: str, *keys: str) -> dict:
-    """A JSON object with exactly the keys ``keys``."""
-    if not isinstance(value, dict) or set(value) != set(keys):
-        got = sorted(value) if isinstance(value, dict) else repr(value)
-        raise ValueError(f"{what} object needs keys {', '.join(keys)}; got {got}")
-    return value
-
-
 def parse_objects(value, what: str, *keys: str) -> list[dict]:
-    """A JSON list of objects, each with exactly the keys ``keys``."""
+    """A JSON list of objects, each with exactly the keys ``keys``.  One
+    object is read as the list of it."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{what} objects must come in a list, got {value!r}")
-    return [parse_object(entry, what, *keys) for entry in value]
+    want = set(keys)
+    for entry in value:
+        if not isinstance(entry, dict) or entry.keys() != want:
+            got = sorted(entry) if isinstance(entry, dict) else repr(entry)
+            raise ValueError(f"{what} object needs keys {', '.join(keys)}; got {got}")
+    return list(value)

@@ -107,6 +107,7 @@ from .multiindex import (
     sub_unit,
     support,
 )
+from .rationals import exact_sum
 
 
 @dataclass
@@ -232,7 +233,13 @@ def check_truncation(table: LiftTable) -> VerificationReport:
     """Expansions of just-overflowing powers must vanish: for every strictly
     increasing axis (s-1)-tuple and every exponent of total degree r+1, the
     weighted sum of table values with one unit peeled off each supported
-    axis is zero.  Vacuous for arity zero."""
+    axis is zero.  Vacuous for arity zero.
+
+    Each sum is taken by ``exact_sum`` over the denominators of its own at
+    most ``r + 1`` cells; a denominator common to a whole row could have
+    the row's cell count times ``MAX_RATIONAL_DIGITS`` digits, and would
+    make every term of every sum a product of that size.  A ``Fraction``
+    is formed only for a failing sum."""
     p = table.params
     s = p.s
     rep = VerificationReport(cases={"truncation": 0})
@@ -249,18 +256,14 @@ def check_truncation(table: LiftTable) -> VerificationReport:
     ]
     for g in combinations(range(1, k + 1), s - 1):
         # The stored row of g + (h,) and its sorting sign, per axis h not in g.
-        rows = {}
+        rows, signs = {}, {}
         for h in range(1, k + 1):
             res = sort_with_sign(g + (h,))
             if res is not None:
-                rows[h] = (table.cells[p.row_index[res[0]]], res[1])
+                rows[h], signs[h] = table.cells[p.row_index[res[0]]], res[1]
         for eps, terms in powers:
-            acc = Fraction(0)
-            for h, e, ci in terms:
-                if h in rows:
-                    row, sign = rows[h]
-                    acc += sign * e * row[ci]
-            if acc != 0:
+            acc = exact_sum([(signs[h] * e, rows[h][ci]) for h, e, ci in terms if h in rows])
+            if acc:
                 rep.failures.append(Failure("truncation", (g, eps), Fraction(0), acc))
     rep.cases["truncation"] = comb(k, s - 1) * len(powers)
     return rep

@@ -162,8 +162,8 @@ MUTATIONS = [
     Mutation(
         "flip the peeling sign",
         "jetlift/lift_space.py",
-        "axes, coeff = res",
-        "axes, coeff = res[0], 1",
+        "-x if len(axes) - i & 1 else x",
+        "x",
         (
             "tests/test_lift_space.py::test_evaluation_matches_product_rule_recursion",
             ORACLE + "test_compare_with_construction_passes",
@@ -189,6 +189,26 @@ MUTATIONS = [
         '        if cell in values:\n            raise ValueError(f"duplicate cell {cell}")\n',
         "",
         (CLI + "test_a_repeated_cell_exits_two",),
+    ),
+    Mutation(
+        "sum the numerators without rescaling them",
+        "jetlift/rationals.py",
+        "d // q",
+        "1",
+        (
+            "tests/test_rationals.py::test_exact_sum_is_the_sum_of_fractions",
+            VERIFIER + "test_wide_rational_tables_match_the_references",
+        ),
+    ),
+    Mutation(
+        "skip the digit-run scan",
+        "jetlift/rationals.py",
+        "if len(value) > MAX_RATIONAL_DIGITS:",
+        "if False:",
+        (
+            "tests/test_rationals.py::test_parse_refuses_strings_over_the_caps",
+            CLI + "test_verify_refuses_a_bound_cell_construct_wrote_past_the_read_cap",
+        ),
     ),
     Mutation(
         "print ok for a failed check",

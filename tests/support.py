@@ -27,6 +27,8 @@ rank is full.  ``peeling_certificate`` checks, from first principles,
 the peeling rows by which the oracle skips every block past ``r + s``.
 ``truncation_kernel_failures`` is a fourth route to the lift space: the
 kernel of the truncation sums on the table cells, block by block.
+``reference_construct`` completes an assignment adding ``Fraction``s term
+by term, where ``construct`` sums each bound cell's terms in integers.
 """
 
 from __future__ import annotations
@@ -125,6 +127,33 @@ def detectable_cells(params: LiftParams) -> list[tuple[tuple[int, ...], tuple[in
             else:
                 out.append((axes, alpha))
     return out
+
+
+def reference_construct(assignment: CoefficientAssignment) -> LiftTable:
+    """``construct`` with every bound cell summed as ``Fraction``s: the cell
+    at row ``lead + (i,)`` and full-degree ``alpha`` is minus the sum, over
+    the other supported axes ``j`` of ``alpha``, of ``alpha_j`` times the
+    signed free cell at ``lead + (j,)`` and ``alpha + e_i - e_j``, over
+    ``alpha_i + 1``."""
+    p = assignment.params
+    free = assignment.values
+    rows = []
+    for axes in p.rows:
+        row = []
+        for alpha in p.algebra.basis:
+            v = free.get(FreeCell(axes, alpha))
+            if v is None:
+                lead, i = axes[:-1], axes[-1]
+                raised = add(alpha, unit(p.algebra.k, i))
+                v = Fraction(0)
+                for j in support(alpha):
+                    res = sort_with_sign(lead + (j,)) if j != i else None
+                    if res is not None:
+                        v += alpha[j - 1] * res[1] * free[FreeCell(res[0], sub_unit(raised, j))]
+                v = -v / (alpha[i - 1] + 1)
+            row.append(v)
+        rows.append(tuple(row))
+    return LiftTable(p, tuple(rows))
 
 
 def multiply_monomials(params: AlgebraParams, z: MultiIndex, e: MultiIndex) -> MultiIndex | None:

@@ -281,9 +281,21 @@ def test_construct_refuses_values_past_the_digit_limit(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("r", 1.9), ("r", True), ("s", "1"), ("i", [1.7]), ("alpha", [0.2, 1])],
+    [
+        ("r", 1.9),
+        ("r", True),
+        ("s", "1"),
+        ("i", [1.7]),
+        ("alpha", [0.2, 1]),
+        ("i", [True]),
+        ("alpha", [0, 1.0]),
+        ("i", ["1"]),
+    ],
 )
 def test_inputs_with_non_integer_fields_exit_two(tmp_path, capsys, field, value):
+    """Exit 2, naming the field and its first entry that is not an int."""
+    bad = next(x for x in value if type(x) is not int) if isinstance(value, list) else value
+    message = f"error: {field} must be an integer, got {bad!r}\n"
     doc = json.loads(json.dumps(UNIT_ASSIGNMENT))
     if field in doc:
         doc[field] = value
@@ -292,7 +304,7 @@ def test_inputs_with_non_integer_fields_exit_two(tmp_path, capsys, field, value)
     src = tmp_path / "assignment.json"
     src.write_text(json.dumps(doc))
     assert main(["construct", "--in", str(src)]) == 2
-    assert f"error: {field} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
     table = construct(CoefficientAssignment.from_json_dict(UNIT_ASSIGNMENT)).to_json_dict()
     if field in table:
@@ -301,7 +313,7 @@ def test_inputs_with_non_integer_fields_exit_two(tmp_path, capsys, field, value)
         table["cells"][1][field] = value
     src.write_text(json.dumps(table))
     assert main(["verify", "--in", str(src)]) == 2
-    assert f"error: {field} must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == message
 
 
 def test_construct_requires_exactly_one_source(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jetlift.rationals import (
     MAX_DECIMAL_EXPONENT,
     MAX_RATIONAL_DIGITS,
+    exact_sum,
     format_rational,
     parse_rational,
 )
@@ -48,6 +49,8 @@ def test_parse_accepts_exponents_and_digits_up_to_the_caps():
     assert parse_rational("9" * MAX_RATIONAL_DIGITS) == nines
     both = "9" * MAX_RATIONAL_DIGITS + "/" + "9" * (MAX_RATIONAL_DIGITS - 1)
     assert parse_rational(both) == Fraction(nines, nines // 10)
+    # Longer than the cap with short digit runs: read, not refused.
+    assert parse_rational(" " * MAX_RATIONAL_DIGITS + "-2/3") == Fraction(-2, 3)
 
 
 @pytest.mark.parametrize(
@@ -75,3 +78,25 @@ def test_parse_refuses_strings_over_the_caps(text):
 @given(st.fractions(max_denominator=10**6))
 def test_roundtrip_is_identity(q):
     assert parse_rational(format_rational(q)) == q
+
+
+# Most of these denominators share factors, so a sum's common denominator
+# is not the product of its terms' denominators.
+SUM_TERMS = st.lists(
+    st.tuples(
+        st.integers(-10**6, 10**6),
+        st.builds(
+            Fraction,
+            st.integers(-(2**80), 2**80),
+            st.sampled_from([1, 2, 6, 9, 12, 2**40, 3 * 2**39, 10**30 + 7]),
+        ),
+    ),
+    max_size=8,
+)
+
+
+@given(SUM_TERMS)
+def test_exact_sum_is_the_sum_of_fractions(terms):
+    want = sum((c * v for c, v in terms), Fraction(0))
+    got = exact_sum(terms)
+    assert type(got) is Fraction and got == want

@@ -19,13 +19,14 @@ from jetlift import (
     dimension,
     run_all_checks,
 )
-from jetlift.lift_space import TableEvaluator
+from jetlift.lift_space import TableEvaluator, free_cells
 from jetlift.verifier import check_leibniz_basis, check_skew, check_truncation
 from support import (
     detectable_cells,
     reference_check_leibniz_basis,
     reference_check_skew,
     reference_check_truncation,
+    reference_construct,
     reference_run_all_checks,
 )
 
@@ -193,6 +194,46 @@ def test_pruned_sweeps_match_the_unpruned_reference(r, k, s):
         assert not run_all_checks(bad).passed
         assert_sweeps_match_reference(bad)
         assert_run_matches_reference(bad)
+
+
+def wide_assignment(params: LiftParams, seed: int) -> CoefficientAssignment:
+    """Every free value a 40-bit rational, and three of them of about 3,900
+    digits, near the 4,000 the reader accepts; every denominator is a
+    multiple of 6, so the denominators in a sum share factors."""
+    rng = random.Random(seed)
+    cells = free_cells(params)
+    wide = set(rng.sample(range(len(cells)), 3))
+    values = {}
+    for i, cell in enumerate(cells):
+        bits = 13_000 if i in wide else 40
+        num = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << bits - 1)
+        values[cell] = Fraction(num, 6 * (rng.getrandbits(bits) | 1))
+    return CoefficientAssignment(params, values)
+
+
+@pytest.mark.parametrize("r,k,s", [(1, 3, 2), (2, 2, 2), (2, 3, 1), (3, 2, 1), (2, 3, 2)])
+def test_wide_rational_tables_match_the_references(r, k, s):
+    """Integer sums over each sum's own denominators give what adding
+    ``Fraction``s term by term gives: the same completed table, and the
+    same cases, failures and witness values on it and on a copy with one
+    bound cell moved by a 40-bit rational."""
+    params = lift_params(r, k, s)
+    assignment = wide_assignment(params, seed=4000 + 100 * r + 10 * k + s)
+    table = construct(assignment)
+    assert table == reference_construct(assignment)
+    assert run_all_checks(table).passed
+    assert_sweeps_match_reference(table)
+    bound = [
+        (axes, alpha)
+        for axes in params.rows
+        for alpha in params.algebra.basis
+        if (axes, alpha) not in assignment.values
+    ]
+    axes, alpha = random.Random(r + k + s).choice(bound)
+    bad = table.with_cell(axes, alpha, table.cell(axes, alpha) + Fraction(2**40 + 1, 3 * 2**39))
+    assert not run_all_checks(bad).passed
+    assert_sweeps_match_reference(bad)
+    assert_run_matches_reference(bad)
 
 
 def random_cells_table(params: LiftParams, seed: int) -> LiftTable:
