@@ -42,9 +42,10 @@ def exact_sum(terms: Iterable[tuple[int, Fraction]]) -> Fraction:
     return Fraction(n, d) if n else _ZERO
 
 
-def format_rational(x: Fraction) -> str:
-    """Lowest terms, sign on the numerator; integers print bare."""
-    return str(Fraction(x))
+def format_rational(x: Fraction | int) -> str:
+    """Lowest terms, sign on the numerator; integers print bare.  A
+    ``Fraction`` is held in that form already, so it prints as it is."""
+    return str(x)
 
 
 def parse_rational(value: int | str) -> Fraction:

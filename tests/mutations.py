@@ -96,6 +96,24 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        "pivot the representative pass on the lowest column",
+        "jetlift/oracle.py",
+        "ech = _Echelon(max)",
+        "ech = _Echelon()",
+        (ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",),
+    ),
+    Mutation(
+        "count the single-entry rows past r + s per instance",
+        "jetlift/oracle.py",
+        "ones.update(cols)",
+        "count += len(cols)",
+        (
+            ORACLE + "test_count_only_listing_counts_each_block_past_r_plus_s",
+            ORACLE + "test_row_count_is_counted_one_block_per_orbit",
+            ORACLE + "test_default_path_lists_no_block_past_r_plus_s",
+        ),
+    ),
+    Mutation(
         "number the combinations one place off",
         "jetlift/oracle.py",
         "comb(B - 1 - v, s - i)",

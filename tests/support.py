@@ -21,9 +21,9 @@ every block from its own rows, where the oracle eliminates one block per
 orbit of variable permutations and transports its basis to the others;
 ``same_span`` compares the bases by the spaces they span.
 ``reference_orbit_blocks`` eliminates each orbit's representative block
-of degree at most ``r + s`` from all of its rows, where the oracle first
-drops the columns its single-entry rows fix at zero and stops once the
-rank is full.  ``peeling_certificate`` checks, from first principles,
+of degree at most ``r + s`` from all of its rows, pivoting on the highest
+column as the oracle does, where the oracle first drops the columns its
+single-entry rows fix at zero and stops once the rank is full.  ``peeling_certificate`` checks, from first principles,
 the peeling rows by which the oracle skips every block past ``r + s``.
 ``truncation_kernel_failures`` is a fourth route to the lift space: the
 kernel of the truncation sums on the table cells, block by block.
@@ -523,7 +523,9 @@ def reference_orbit_blocks(system: ConstraintSystem) -> list:
     holds an unknown, with the block's row count and null basis, keyed by
     unknown, from one plain elimination of all of the block's rows,
     single-entry rows included, with no known-zero presolve and no early
-    stop: what the oracle keeps of each representative.  The blocks past
+    stop: what the oracle keeps of each representative.  It pivots on the
+    highest column, as the oracle's pass does, since the basis, normalised
+    at the non-pivot columns, depends on the pivot order.  The blocks past
     ``r + s`` are ``peeling_certificate``'s."""
     top = system.params.algebra.r + system.params.s
     out = []
@@ -531,7 +533,7 @@ def reference_orbit_blocks(system: ConstraintSystem) -> list:
         if list(rep) != sorted(rep, reverse=True) or degree(rep) > top:
             continue
         block = system.block(rep)
-        ech = _Echelon()
+        ech = _Echelon(max)
         for row in block.rows:
             ech.add(row)
         basis = [

@@ -34,6 +34,7 @@ from jetlift.oracle import (
     DEFAULT_MAX_UNKNOWNS,
     ConstraintSystem,
     OracleSizeError,
+    _Echelon,
     _expand_units,
     _partitions,
     _peeling,
@@ -336,6 +337,15 @@ def test_row_count_is_counted_one_block_per_orbit(r, k, s):
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_count_only_listing_counts_each_block_past_r_plus_s(r, k, s):
+    # row_count counts these representatives' rows without listing them.
+    system = default_system(r, k, s)
+    past = list(system._reps(range(r + s + 1, system._top + 1)))
+    counts = [(m, system._count_past(m)) for m in past]
+    assert counts == [(m, len(system.block(m).rows)) for m in past]
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_graded_nullspace_gives_the_whole_system_basis(r, k, s):
     # Same nullity and the same span as one elimination of the whole system.
     system = default_system(r, k, s)
@@ -378,6 +388,10 @@ def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
     _, basis = nullspace(system)
     assert check_iso(system, basis)
     assert listed
+    # --compare counts the rows past r + s without listing their blocks.
+    assert compare_with_construction(system, basis).passed
+    monkeypatch.undo()
+    assert system.row_count == len(system.rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -600,6 +614,24 @@ def test_rank_of_examples():
     assert rank_of([{0: 1}, {1: 1}, {0: 1, 1: 1}]) == 2
     assert rank_of([{0: Fraction(1, 2), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(2)}]) == 1
     assert rank_of([{0: Fraction(1)}, {1: Fraction(1, 3)}]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool)), max_size=8))
+def test_highest_column_pivots_give_a_basis_of_the_same_nullspace(rows):
+    # The representative pass pivots on the highest column, and
+    # back-substitutes from the lowest pivot up.
+    low, high = _Echelon(), _Echelon(max)
+    for row in rows:
+        low.add(row)
+        high.add(row)
+    assert low.rank == high.rank
+    assert all(lead == max(row) and row[lead] > 0 for lead, row in high.pivots.items())
+    basis = list(high.nullspace_basis(range(8)).values())
+    assert len(basis) == 8 - high.rank
+    for vec in basis:
+        assert all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0 for row in rows)
+    assert same_span(basis, list(low.nullspace_basis(range(8)).values()))
 
 
 # -- construction vs oracle ------------------------------------------------------------

@@ -22,6 +22,14 @@ def test_format_examples():
     assert format_rational(Fraction(0)) == "0"
 
 
+@pytest.mark.parametrize(
+    "x, text",
+    [(0, "0"), (7, "7"), (-12, "-12"), (Fraction(-4, 6), "-2/3"), (Fraction(9, -3), "-3")],
+)
+def test_format_prints_ints_negatives_and_fractions_as_str_of_a_fraction(x, text):
+    assert format_rational(x) == str(Fraction(x)) == text
+
+
 def test_parse_examples():
     assert parse_rational("2/3") == Fraction(2, 3)
     assert parse_rational("-7") == Fraction(-7)
