@@ -88,17 +88,23 @@ the instantiated ones.  Since ``sigma^-1`` acts alike, ``sigma`` maps the
 normalised rows of block ``m`` one to one onto those of ``sigma(m)``, up
 to sign, single-entry rows to single-entry rows.  So every block of an
 orbit has the same row count, and the nullspace of block ``sigma(m)`` is
-the image of that of block ``m``.  ``nullspace`` therefore eliminates one
-block per orbit, its representative: ``m`` sorted into non-increasing
-order.  It carries that block's basis to every other block of the orbit,
-where it is a basis of that block's nullspace as it stands: ``_orbit``
-walks the orbit, and one signed move, ``_push``, takes a vector keyed by
-unknown to the columns of a block, each entry times the sign of its
-sort.  The free cells are not symmetric under ``sigma`` (the predicate
-singles out the top axis of a row), so a carried vector need not be 1 at
-a free column of its block; nothing reads it there: the nullity,
-``check_iso`` and the span ranks of ``compare_with_construction`` are the
-same for any basis.
+the image of that of block ``m``.  Hence one block per orbit is
+eliminated, its representative: ``m`` sorted into non-increasing order.
+Its basis is kept keyed by unknown, and the nullity is its nullity times
+the size of the orbit.  The checks read the basis in the
+representative's own columns: the rank of vectors on a set of columns
+depends only on the space they span, the signed permutation keeps it,
+and it adds over blocks, whose columns are disjoint.  So ``check_iso``
+pulls each block's free cells back to the representative, with any
+permutation that takes the representative there (``_placed``), and
+``compare_with_construction`` takes its span ranks block by block in the
+representative's columns.  The free cells are not symmetric under
+``sigma`` (the predicate singles out the top axis of a row), so the
+blocks of an orbit pull back different cells.  Only ``nullspace``, for
+the tests, and a failing unit's witnesses carry a vector to another
+block: ``_orbit`` walks the orbit, and one signed move, ``_push``, takes
+a vector keyed by unknown to the columns of a block, each entry times
+the sign of its sort.
 
 Table expansion commutes with permuting the variables, so
 ``compare_with_construction`` also expands one block per orbit.
@@ -121,15 +127,18 @@ unknowns above applied to the vector of ``T``.  Hence, for a unit table
 ``U`` of block ``m = sigma(rep)``: pulling its nonzero cells back to
 ``rep`` with the sign of the sort gives ``sigma^-1 U``; the
 representative's peeling, transposed into integer linear forms (one per
-cell, its (column, coefficient) pairs), gives that table's vector; and
-pushing the vector forward gives ``U``'s own.  The units are visited by
-the same orbit walk as the null basis, and pushed forward by the same
-``_push``.  A row of block ``rep`` and its image under ``sigma`` take the
-same value on the two vectors, since each entry's sign appears in both.
-The rows of block ``m`` are the normalised images of the representative's
-rows, so the rows of ``m`` that ``U`` violates are the images of the
-representative's rows that ``sigma^-1 U`` violates, each with the value
-read off ``U``'s vector.
+cell, its (column, coefficient) pairs), gives that table's vector,
+``sigma^-1`` applied to ``U``'s own.  So the span ranks of block ``m``
+are those of the representative's basis, the pulled-back units and their
+union, in the representative's columns; a block without a unit adds the
+basis's rank to the null and union ranks.  A row of block ``rep`` and
+its image under ``sigma`` take the same value on the two vectors, since
+each entry's sign appears in both, and the rows of block ``m`` are the
+normalised images of the representative's rows.  So the rows of ``m``
+that ``U`` violates are the images of the representative's rows, read
+as listed (``_raw``), that ``sigma^-1 U`` violates; only those rows and
+``U``'s vector are pushed forward, with ``_push``, to name each row and
+its value.
 
 The generator and the moves between blocks code an exponent vector as
 one integer, and list divisors and picks, with
@@ -324,11 +333,22 @@ class ConstraintSystem:
             _orbit_size(rep) * self._count_past(rep) for rep in past
         )
 
+    @cached_property
+    def nullity(self) -> int:
+        """The nullspace dimension: each representative's nullity once per
+        block of its orbit."""
+        return sum(_orbit_size(orbit.rep) * len(orbit.basis) for orbit in self._orbits)
+
     def block(self, m: MultiIndex) -> Block:
         """Block ``m``, listed on every call: every row, normalised."""
+        cells, rows = self._raw(m)
+        return Block(cells, tuple(sorted(map(_signed, rows))))
+
+    def _raw(self, m: MultiIndex) -> tuple[dict[int, Cell], list[Sequence[tuple[int, int]]]]:
+        """Block ``m`` as listed: its unknowns, and its rows in listing
+        order, each with the sign its instance gives it."""
         cells, zeros, groups = self._list(m)
-        rows = [((col, 1),) for col in zeros] + list(map(_signed, _rows(groups, ())))
-        return Block(cells, tuple(sorted(rows)))
+        return cells, [((col, 1),) for col in zeros] + list(_rows(groups, ()))
 
     @cached_property
     def _top(self) -> int:
@@ -592,6 +612,13 @@ def _orbit(rep: MultiIndex) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
     yield from place(0, range(k), ())
 
 
+def _placed(m: MultiIndex) -> list[int]:
+    """The positions the first ``q`` entries of ``m``'s representative
+    move to in ``m``, as ``_orbit`` places them: the supported axes of
+    ``m`` by exponent, largest first, ties in axis order."""
+    return sorted((j for j, e in enumerate(m) if e), key=lambda j: -m[j])
+
+
 def build_constraints(
     params: LiftParams, *, max_unknowns: int = DEFAULT_MAX_UNKNOWNS
 ) -> ConstraintSystem:
@@ -743,7 +770,9 @@ def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]
 
     One block per orbit of variable permutations is eliminated, and its
     basis is carried to every other block of the orbit, as the module
-    docstring sets out.
+    docstring sets out.  Only the tests read these vectors: the CLI reads
+    ``ConstraintSystem.nullity``, and the checks each representative's
+    basis.
     """
     basis = [
         _push(move, vec)
@@ -773,23 +802,38 @@ def rank_of(vectors: Iterable[Mapping[int, Fraction]]) -> int:
     return ech.rank
 
 
-def check_iso(system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]) -> bool:
+def check_iso(system: ConstraintSystem) -> bool:
     """Is reading a nullspace vector off at the free cells bijective?
 
-    It is when there are as many basis vectors as free cells and the
-    vectors restricted to the free cells' columns have full rank; a
+    It is when there are as many free cells as the nullity and, in each
+    block, the null basis has full rank on the block's free cells.  Each
+    block's cells are pulled back to its orbit's representative and read
+    off the representative's basis, as the module docstring sets out; a
     dimension mismatch reports False rather than raising.
     """
     params = system.params
     cells = free_cells(params)
-    if len(cells) != len(nullbasis):
+    if len(cells) != system.nullity:
         return False
-    bi = params.algebra.basis_index
-    # For r >= 1 the monomial x_i sits at basis position i (degree 0, then
-    # degree 1 in decreasing lexicographic order); at r = 0 no free cell
-    # has an axis.
-    free = {system.column(cell.axes, bi[cell.alpha]) for cell in cells}
-    return rank_of({c: v for c, v in vec.items() if c in free} for vec in nullbasis) == len(cells)
+    bi, k = params.algebra.basis_index, params.algebra.k
+    bases = {orbit.rep: orbit.basis for orbit in system._orbits}
+    blocks: dict[MultiIndex, list[FreeCell]] = {}
+    for cell in cells:
+        blocks.setdefault(multidegree(*cell), []).append(cell)
+    for m, held in blocks.items():
+        placed = _placed(m)
+        back, pad = {p + 1: i + 1 for i, p in enumerate(placed)}, (0,) * (k - len(placed))
+        # For r >= 1 the monomial x_i sits at basis position i (degree 0,
+        # then degree 1 in decreasing lexicographic order); at r = 0 no
+        # free cell has an axis.
+        pulled = [
+            (tuple(sorted(back[j] for j in axes)), bi[tuple(alpha[p] for p in placed) + pad])
+            for axes, alpha in held
+        ]
+        basis = bases.get(tuple(sorted(m, reverse=True)), [])
+        if rank_of({c: v for c in pulled if (v := vec.get(c))} for vec in basis) != len(held):
+            return False
+    return True
 
 
 def expand_table(
@@ -822,62 +866,30 @@ def _peeling(params: LiftParams, unknowns: Mapping[int, Cell]) -> dict[tuple[int
     return {axes: [(c, v) for c, v in form.items() if v] for axes, form in forms.items()}
 
 
-def _expand_units(system: ConstraintSystem) -> Iterator[tuple[int, FreeCell, dict, int, list]]:
-    """Each unit table of ``compare_with_construction``, orbit by orbit: the
-    index and free cell of its 1, its vector on its own block's columns
-    times ``scale``, ``scale``, and the rows of its block that the vector
-    violates, in row order.
-
-    The representative's block is listed once per orbit, with its
-    transposed peeling, and the orbit is walked with ``_orbit``, as
-    ``nullspace`` walks it, skipping the blocks that hold no unit.  A unit
-    table is completed in its own block ``m``, its nonzero cells are
-    pulled back to the representative with the sign of the sort, the
-    peeling is applied there in integers, and the vector is checked
-    against the representative's rows; the vector and the violated rows
-    are then pushed forward to ``m`` with ``_push``, as the module
-    docstring sets out.
-    """
-    params = system.params
+def _expand_units(
+    params: LiftParams, forms: Mapping[tuple[int, ...], list], m: MultiIndex, held: list
+) -> Iterator[tuple[int, FreeCell, dict[int, int], int]]:
+    """The unit tables of block ``m``, ``held`` as (index, free cell)
+    pairs: each index and free cell, its vector in the representative's
+    columns times ``scale``, and ``scale``.  Each table is completed in
+    block ``m``, pulled back to the representative with the sign of the
+    sort, and read through its transposed peeling ``forms`` in integers."""
     free = params.free_cell_set
-    units: dict[MultiIndex, list[tuple[int, FreeCell]]] = {}
-    for i, one in enumerate(free_cells(params)):
-        units.setdefault(multidegree(*one), []).append((i, one))
-    for rep in dict.fromkeys(tuple(sorted(m, reverse=True)) for m in units):
-        block = system.block(rep)
-        forms = _peeling(params, block.cells)
-        for m, placed in _orbit(rep):
-            if m not in units:
-                continue
-            move = _mover(system, placed)
-            back = {p + 1: i + 1 for i, p in enumerate(placed)}
-            cells = block_cells(params, m)
-            for i, one in units[m]:
-                values = complete({c: Fraction(int(c == one)) for c in cells if c in free}, cells)
-                ints, scale = _integer_row(dict(zip(cells, values)))
-                acc: dict[int, int] = {}
-                for (axes, _), x in ints.items():
-                    axes, sign = sort_with_sign(tuple(back[j] for j in axes))
-                    x = x if sign > 0 else -x
-                    for col, coeff in forms[axes]:
-                        acc[col] = acc.get(col, 0) + coeff * x
-                bad = []
-                for row in block.rows:
-                    total = 0
-                    for col, coeff in row:
-                        x = acc.get(col)
-                        if x:
-                            total += coeff * x
-                    if total:
-                        image = _push(move, {block.cells[col]: v for col, v in row})
-                        bad.append(_signed(sorted(image.items())))
-                vec = _push(move, {block.cells[col]: x for col, x in acc.items() if x})
-                yield i, one, vec, scale, sorted(bad)
+    back = {p + 1: i + 1 for i, p in enumerate(_placed(m))}
+    block = block_cells(params, m)
+    for i, one in held:
+        values = complete({c: Fraction(int(c == one)) for c in block if c in free}, block)
+        ints, scale = _integer_row(dict(zip(block, values)))
+        acc: dict[int, int] = {}
+        for (axes, _), x in ints.items():
+            axes, sign = sort_with_sign(tuple(back[j] for j in axes))
+            x = x if sign > 0 else -x
+            for col, coeff in forms[axes]:
+                acc[col] = acc.get(col, 0) + coeff * x
+        yield i, one, acc, scale
 
 
-def compare_with_construction(
-    system: ConstraintSystem, nullbasis: Sequence[Mapping[int, Fraction]]
-) -> VerificationReport:
+def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
     """Cross-validate the closed-form construction against the brute force.
 
     For each unit assignment (1 at one free cell, 0 at the others) the
@@ -886,39 +898,71 @@ def compare_with_construction(
     oracle nullspace (mutual containment by rank).  The unit table's
     nonzero cells, and so its vector, lie in the block of its free cell:
     only that block is completed, from its own free cells, and only that
-    block's rows, in row order, can be nonzero on it.  The units are
-    expanded and checked one orbit of blocks at a time (``_expand_units``),
-    and the failures sorted back into free-cell order.  Every row still
-    counts as a case.
+    block's rows can be nonzero on it.  The units are expanded and checked
+    one orbit of blocks at a time, in the representative's columns, as the
+    module docstring sets out, and the failures sorted back into free-cell
+    order.  Every row still counts as a case.
     """
-    expanded, failed = [], []
-    for i, one, vec, scale, bad in _expand_units(system):
-        expanded.append(vec)
-        for row in bad:
-            got = Fraction(sum(coeff * vec.get(col, 0) for col, coeff in row), scale)
-            failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
+    params = system.params
+    ones = free_cells(params)  # the free cell of each unit table's 1
+    units: dict[MultiIndex, dict[MultiIndex, list[tuple[int, FreeCell]]]] = {}
+    for i, one in enumerate(ones):
+        m = multidegree(*one)
+        units.setdefault(tuple(sorted(m, reverse=True)), {}).setdefault(m, []).append((i, one))
+    failed, r_null, r_exp, r_union = [], 0, 0, 0
+    # Each unit's block, of degree <= r + s and holding an unknown, is in an orbit here.
+    for rep, _, basis in system._orbits:
+        null = _Echelon()
+        for vec in basis:
+            null.add(_integer_row(vec)[0])
+        blocks, size = units.get(rep, {}), _orbit_size(rep)
+        r_null += size * null.rank
+        r_union += (size - len(blocks)) * null.rank  # the blocks without a unit
+        if not blocks:
+            continue
+        cells, rows = system._raw(rep)
+        forms = _peeling(params, cells)
+        for m, held in blocks.items():
+            exp, union = _Echelon(), _Echelon()
+            union.pivots = dict(null.pivots)
+            for i, one, acc, scale in _expand_units(params, forms, m, held):
+                vec = {cells[col]: x for col, x in acc.items() if x}
+                exp.add(vec)
+                union.add(vec)
+                bad = []
+                for row in rows:
+                    total = 0
+                    for col, coeff in row:
+                        x = acc.get(col)
+                        if x:
+                            total += coeff * x
+                    if total:
+                        bad.append(row)
+                if bad:  # the witnesses name rows of block m, in its own columns
+                    move = _mover(system, tuple(_placed(m)))
+                    image = _push(move, vec)
+                    for row in sorted(
+                        _signed(sorted(_push(move, {cells[c]: v for c, v in row}).items()))
+                        for row in bad
+                    ):
+                        got = Fraction(sum(coeff * image.get(col, 0) for col, coeff in row), scale)
+                        failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
+            r_exp += exp.rank
+            r_union += union.rank
     failed.sort(key=itemgetter(0))
-    cases = {"constraint-rows": system.row_count * len(expanded), "span": 1}
-    rep = VerificationReport(cases, [f for _, f in failed])
-    # The null basis is eliminated once; the union adds the expanded rows.
-    union, exp = _Echelon(), _Echelon()
-    for vec in nullbasis:
-        union.add(_integer_row(vec)[0])
-    r_null = union.rank
-    for ints in expanded:
-        exp.add(ints)
-        union.add(ints)
-    r_exp, r_union = exp.rank, union.rank
-    if not (r_null == r_exp == r_union == len(nullbasis) == len(expanded)):
-        rep.failures.append(
+    n = len(ones)
+    cases = {"constraint-rows": system.row_count * n, "span": 1}
+    report = VerificationReport(cases, [f for _, f in failed])
+    if not (r_null == r_exp == r_union == system.nullity == n):
+        report.failures.append(
             Failure(
                 "span",
                 (("nullspace", r_null), ("construction", r_exp), ("union", r_union)),
-                Fraction(len(nullbasis)),
+                Fraction(system.nullity),
                 Fraction(r_union),
             )
         )
-    return rep
+    return report
 
 
 def dump_matrix(system: ConstraintSystem, path) -> None:

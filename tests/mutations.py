@@ -48,7 +48,7 @@ MUTATIONS = [
         "out[col] = v",
         (
             ORACLE + "test_transported_basis_is_every_block_eliminated_directly",
-            ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
+            ORACLE + "test_compare_witnesses_carry_the_sign_of_each_entry",
         ),
     ),
     Mutation(
@@ -59,6 +59,26 @@ MUTATIONS = [
         (
             ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
             ORACLE + "test_compare_completes_only_each_units_block",
+        ),
+    ),
+    Mutation(
+        "sum each orbit's span ranks once, not per block",
+        "jetlift/oracle.py",
+        "blocks, size = units.get(rep, {}), _orbit_size(rep)",
+        "blocks, size = units.get(rep, {}), 1",
+        (
+            ORACLE + "test_compare_with_construction_passes",
+            ORACLE + "test_orbit_local_checks_match_the_full_vector_reference[(3, 3, 2)]",
+        ),
+    ),
+    Mutation(
+        "check_iso reads block m's free cells without pulling them back",
+        "jetlift/oracle.py",
+        "(tuple(sorted(back[j] for j in axes)), bi[tuple(alpha[p] for p in placed) + pad])",
+        "(axes, bi[alpha])",
+        (
+            ORACLE + "test_nullity_matches_formula_and_basis_satisfies_rows",
+            ORACLE + "test_orbit_local_checks_match_the_full_vector_reference[(3, 3, 2)]",
         ),
     ),
     Mutation(

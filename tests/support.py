@@ -29,6 +29,11 @@ the peeling rows by which the oracle skips every block past ``r + s``.
 kernel of the truncation sums on the table cells, block by block.
 ``reference_construct`` completes an assignment adding ``Fraction``s term
 by term, where ``construct`` sums each bound cell's terms in integers.
+``reference_check_iso`` and ``reference_compare`` read the full vectors
+``nullspace`` returns, carried to every block, and take one global rank
+each, where ``check_iso`` and ``compare_with_construction`` read each
+representative's basis in its own columns; ``with_basis`` doctors one
+representative's basis for both.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from jetlift.lift_space import (
     block_cells,
     graded_dimension,
     lookup_skew,
+    multidegree,
     sort_with_sign,
 )
 from jetlift.multiindex import (
@@ -57,10 +63,22 @@ from jetlift.multiindex import (
     support,
     unit,
 )
-from jetlift.oracle import DEFAULT_MAX_UNKNOWNS, ConstraintSystem, _Echelon, rank_of, unknown_count
+from jetlift.oracle import (
+    DEFAULT_MAX_UNKNOWNS,
+    ConstraintSystem,
+    _Echelon,
+    expand_table,
+    rank_of,
+    unknown_count,
+)
 from jetlift.verifier import Failure, VerificationReport
 from jetlift.weil_algebra import AlgebraParams
 
+
+# The grid of the acceptance criteria, and the points past it at which the
+# oracle criteria also run.
+FULL_GRID = [(r, k, s) for r in (1, 2, 3) for k in (1, 2, 3) for s in (0, 1, 2, 3)]
+REACH_POINTS = [(4, 3, 3), (3, 4, 3), (4, 4, 2)]
 
 # Every r <= 3, k <= 4, s <= 4 whose oracle system fits the default guard:
 # 94 points, the degenerate shapes among them.
@@ -516,6 +534,82 @@ def same_span(a: list, b: list) -> bool:
     """Are the sparse rational vectors ``a`` a basis of the span of the
     basis ``b``?"""
     return len(a) == len(b) == rank_of(a) == rank_of(a + b)
+
+
+def with_basis(system: ConstraintSystem, rep: MultiIndex, basis: list) -> ConstraintSystem:
+    """A fresh copy of ``system`` in which the representative ``rep`` has
+    the null basis ``basis``, keyed by unknown, and every other orbit the
+    basis it has in ``system``."""
+    out = ConstraintSystem(system.params, system.slots)
+    # ``_orbits`` is a cached property: the copy reads it from its own dict.
+    out.__dict__["_orbits"] = [
+        orbit._replace(basis=basis) if orbit.rep == rep else orbit for orbit in system._orbits
+    ]
+    return out
+
+
+def reference_check_iso(system: ConstraintSystem, nullbasis: list) -> bool:
+    """``check_iso`` on the full vectors of ``nullspace(system)``: as many
+    vectors as free cells, and one rank of all of them on the free cells'
+    global columns."""
+    params = system.params
+    cells = free_cells(params)
+    if len(cells) != len(nullbasis):
+        return False
+    bi = params.algebra.basis_index
+    free = {system.column(cell.axes, bi[cell.alpha]) for cell in cells}
+    return rank_of({c: v for c, v in vec.items() if c in free} for vec in nullbasis) == len(cells)
+
+
+def reference_units(system: ConstraintSystem) -> list:
+    """Each unit table (1 at one free cell, 0 at the others), in free-cell
+    order, constructed in full and evaluated at the unknowns of the block
+    of its free cell (``expand_table``): its free cell, its vector, and the
+    failures of the rows of that block, in row order, that it violates."""
+    params = system.params
+    blocks, out = {}, []
+    for one in free_cells(params):
+        m = multidegree(*one)
+        if m not in blocks:
+            blocks[m] = system.block(m)
+        table = construct(CoefficientAssignment.unit(params, one))
+        nonzero = {
+            FreeCell(axes, alpha): v
+            for axes, row in zip(params.rows, table.cells)
+            for alpha, v in zip(params.algebra.basis, row)
+            if v
+        }
+        vec = expand_table(system, nonzero, blocks[m].cells)
+        failures = []
+        for row in blocks[m].rows:
+            got = sum((v * vec.get(c, 0) for c, v in row), Fraction(0))
+            if got:
+                failures.append(Failure("constraint-rows", (one, row), Fraction(0), got))
+        out.append((one, vec, failures))
+    return out
+
+
+def reference_compare(
+    system: ConstraintSystem, nullbasis: list, units: list | None = None
+) -> VerificationReport:
+    """``compare_with_construction`` on full vectors: the row failures of
+    ``reference_units`` (given, or found afresh), and the span checked with
+    one global rank each of ``nullbasis`` (the vectors of
+    ``nullspace(system)``), of the unit vectors and of their union."""
+    units = reference_units(system) if units is None else units
+    expanded = [vec for _, vec, _ in units]
+    rep = VerificationReport(
+        {"constraint-rows": system.row_count * len(units), "span": 1},
+        [f for _, _, failures in units for f in failures],
+    )
+    r_null, r_exp = rank_of(nullbasis), rank_of(expanded)
+    r_union = rank_of(nullbasis + expanded)
+    if not (r_null == r_exp == r_union == len(nullbasis) == len(expanded)):
+        witness = (("nullspace", r_null), ("construction", r_exp), ("union", r_union))
+        rep.failures.append(
+            Failure("span", witness, Fraction(len(nullbasis)), Fraction(r_union))
+        )
+    return rep
 
 
 def reference_orbit_blocks(system: ConstraintSystem) -> list:

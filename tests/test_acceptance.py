@@ -40,14 +40,14 @@ from jetlift.oracle import (
     unknown_count,
 )
 from support import (
+    FULL_GRID,
+    REACH_POINTS,
     detectable_cells,
     peeling_certificate,
     reference_build_all_slots,
     reference_nullspace,
     truncation_kernel_failures,
 )
-
-FULL_GRID = [(r, k, s) for r in (1, 2, 3) for k in (1, 2, 3) for s in (0, 1, 2, 3)]
 
 
 def lift(point) -> LiftParams:
@@ -56,9 +56,6 @@ def lift(point) -> LiftParams:
 
 
 CAPPED_GRID = [p for p in FULL_GRID if unknown_count(lift(p)) <= DEFAULT_MAX_UNKNOWNS]
-
-# Past the grid, for the brute-force dimension and isomorphism criteria.
-REACH_POINTS = [(4, 3, 3), (3, 4, 3), (4, 4, 2)]
 
 # Criterion 9: r <= 6, k <= 6, s <= 4, and two points with more variables
 # or a higher order.
@@ -165,12 +162,12 @@ def test_criterion_3_every_unit_construction_verifies():
 def test_criterion_4_isomorphism(oracle_cache):
     failures = []
     for point in FULL_GRID + REACH_POINTS:
-        params, system, _, basis = oracle_cache[point]
+        params, system, _, _ = oracle_cache[point]
         if len(free_cells(params)) != dimension(params):
             failures.append((point, "free-cell count"))
-        if not check_iso(system, basis):
+        if not check_iso(system):
             failures.append((point, "evaluation matrix not invertible"))
-        rep = compare_with_construction(system, basis)
+        rep = compare_with_construction(system)
         if not rep.passed:
             failures.append((point, "span mismatch", len(rep.failures)))
     finish(

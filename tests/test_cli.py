@@ -892,6 +892,27 @@ def test_oracle_with_compare(capsys):
     assert "span: ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [["-r", "2", "-k", "4", "-s", "3"], ["-r", "3", "-k", "3", "-s", "2", "--compare"]]
+)
+def test_oracle_moves_no_vector_between_blocks(monkeypatch, capsys, argv):
+    # The nullity, check_iso and --compare read each representative's basis
+    # in its own columns: a passing run carries no vector to another block.
+    from jetlift import cli, oracle
+
+    def refuse(*args):
+        raise AssertionError("a vector was carried to another block")
+
+    for owner, name in ((oracle, "_push"), (oracle, "_mover"), (oracle, "nullspace")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(cli, "nullspace", refuse)
+    golden = json.loads((ROOT / "tests" / "golden_transcript.json").read_text(encoding="utf-8"))
+    head, point = " ".join(["oracle", *argv, "--dump"]), "r={} k={} s={}".format(*argv[1:6:2])
+    (want,) = [rec for rec in golden[point] if rec["argv"].startswith(head)]
+    assert main(["oracle", *argv]) == want["exit"] == 0
+    assert capsys.readouterr().out == want["stdout"]
+
+
 def test_oracle_respects_the_size_guard(capsys):
     assert main(["oracle", "-r", "3", "-k", "4", "-s", "2"]) == 2
     err = capsys.readouterr().err

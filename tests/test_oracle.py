@@ -36,6 +36,7 @@ from jetlift.oracle import (
     OracleSizeError,
     _Echelon,
     _expand_units,
+    _orbit_size,
     _partitions,
     _peeling,
     build_constraints,
@@ -49,14 +50,20 @@ from jetlift.oracle import (
 )
 from jetlift.verifier import Failure
 from support import (
+    FULL_GRID,
     PRUNING_POINTS,
+    REACH_POINTS,
     peeling_certificate,
     reference_blockwise_nullspace,
     reference_build_all_slots,
     reference_build_rows,
+    reference_check_iso,
+    reference_compare,
     reference_nullspace,
     reference_orbit_blocks,
+    reference_units,
     same_span,
+    with_basis,
 )
 
 
@@ -131,9 +138,9 @@ def test_smallest_system_is_fully_frozen():
     assert system.unknowns == (((0,), 0), ((0,), 1), ((1,), 0), ((1,), 1))
     assert system.rows == (((0, 1),), ((1, 1),), ((3, 1),))
     nullity, basis = nullspace(system)
-    assert nullity == 1
+    assert nullity == system.nullity == 1
     assert basis == [{2: Fraction(1)}]
-    assert check_iso(system, basis)
+    assert check_iso(system)
 
 
 def test_column_indexing_is_block_by_combination():
@@ -186,8 +193,8 @@ def test_zero_arity_system_has_no_constraints():
     system = build_constraints(params)
     assert system.rows == ()
     nullity, basis = nullspace(system)
-    assert nullity == params.algebra.dim == dimension(params)
-    assert check_iso(system, basis)
+    assert nullity == system.nullity == params.algebra.dim == dimension(params)
+    assert check_iso(system)
 
 
 def test_arity_above_generator_count_is_empty():
@@ -195,8 +202,8 @@ def test_arity_above_generator_count_is_empty():
     system = build_constraints(params)
     assert system.unknowns == ()
     nullity, basis = nullspace(system)
-    assert nullity == 0 == dimension(params)
-    assert check_iso(system, basis)
+    assert nullity == system.nullity == 0 == dimension(params)
+    assert check_iso(system)
 
 
 def test_last_slot_mode_handles_zero_arity():
@@ -214,10 +221,10 @@ def test_nullity_matches_formula_and_basis_satisfies_rows(r, k, s):
     params = lift_params(r, k, s)
     system = build_constraints(params)
     nullity, basis = nullspace(system)
-    assert nullity == dimension(params)
+    assert nullity == system.nullity == dimension(params)
     for vec in basis:
         assert satisfies(system.rows, vec)
-    assert check_iso(system, basis)
+    assert check_iso(system)
 
 
 def test_rebuilding_gives_identical_rows():
@@ -385,11 +392,10 @@ def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
     monkeypatch.setattr(ConstraintSystem, "_list", checked)
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
-    _, basis = nullspace(system)
-    assert check_iso(system, basis)
+    assert check_iso(system)
     assert listed
     # --compare counts the rows past r + s without listing their blocks.
-    assert compare_with_construction(system, basis).passed
+    assert compare_with_construction(system).passed
     monkeypatch.undo()
     assert system.row_count == len(system.rows)
 
@@ -547,22 +553,25 @@ ORBIT_POINTS = [
 
 @pytest.mark.parametrize("r,k,s", ORBIT_POINTS)
 def test_orbit_path_expands_every_unit_table_as_the_evaluator_does(r, k, s):
-    # compare pulls each unit table back to its orbit's representative,
-    # applies the transposed peeling there and pushes the vector forward:
-    # it must be the constructed table evaluated at its block's unknowns.
+    # compare pulls each unit table back to its orbit's representative and
+    # applies the transposed peeling there: carried to the unit's own block,
+    # the vector must be the constructed table evaluated at that block's
+    # unknowns.
     params = lift_params(r, k, s)
     system = build_constraints(params, max_unknowns=unknown_count(params))
-    cells = free_cells(params)
-    seen = []
-    for i, one, vec, scale, bad in _expand_units(system):
-        assert one == cells[i] and bad == []
+    cells, forms = free_cells(params), {}
+    for i, one in enumerate(cells):
+        m = multidegree(*one)
+        rep = representative(m)
+        if rep not in forms:
+            forms[rep] = _peeling(params, system.block(rep).cells)
+        ((j, unit, acc, scale),) = _expand_units(params, forms[rep], m, [(i, one)])
+        assert (j, unit) == (i, one)
+        move = carry(system, m)
+        moved = {col: move(col) for col, x in acc.items() if x}
+        got = {c: Fraction(sign * acc[col], scale) for col, (c, sign) in moved.items()}
         table = construct(CoefficientAssignment.unit(params, one))
-        unknowns = system.block(multidegree(*one)).cells
-        assert {c: Fraction(x, scale) for c, x in vec.items()} == expand_table(
-            system, nonzero_cells(table), unknowns
-        ), one
-        seen.append(i)
-    assert sorted(seen) == list(range(len(cells)))
+        assert got == expand_table(system, nonzero_cells(table), system.block(m).cells), one
     # Past k = 1 some unit sits in a block other than its representative.
     moved = [c for c in cells if multidegree(*c) != representative(multidegree(*c))]
     assert bool(moved) == (k > 1)
@@ -597,15 +606,27 @@ def test_transposed_peeling_is_the_evaluator_on_every_block(r, k, s, data):
 # -- isomorphism check ----------------------------------------------------------------
 
 
+def doctored_bases(system) -> list:
+    """Copies of ``system`` in which the representative with the most null
+    vectors, of the largest orbit among those, has a wrong basis: one
+    vector short, its first vector repeated (when it has two or more),
+    every vector zero, and its first vector zero."""
+    orbit = max(system._orbits, key=lambda o: (len(o.basis), _orbit_size(o.rep)), default=None)
+    if orbit is None or not orbit.basis:
+        return []
+    basis = orbit.basis
+    wrong = (basis[:-1], [basis[0]] * len(basis), [{}] * len(basis), [{}] + basis[1:])
+    return [with_basis(system, orbit.rep, b) for b in wrong if b != basis]
+
+
 def test_check_iso_rejects_wrong_bases():
-    params = lift_params(1, 2, 1)
-    system = build_constraints(params)
-    nullity, basis = nullspace(system)
-    assert check_iso(system, basis)
-    assert not check_iso(system, basis[:-1])
-    degenerate = [basis[0]] * len(basis)
-    assert not check_iso(system, degenerate)
-    assert not check_iso(system, [{}] * len(basis))
+    # At (3,2,1) the representative (2,1) has two null vectors, and its
+    # orbit two blocks.
+    system = build_constraints(lift_params(3, 2, 1))
+    assert check_iso(system)
+    for doctored in doctored_bases(system):
+        assert not check_iso(doctored)
+        assert not reference_check_iso(doctored, nullspace(doctored)[1])
 
 
 def test_rank_of_examples():
@@ -651,8 +672,7 @@ def test_expanded_unit_tables_satisfy_the_rows():
 )
 def test_compare_with_construction_passes(r, k, s):
     system = build_constraints(lift_params(r, k, s))
-    _, basis = nullspace(system)
-    rep = compare_with_construction(system, basis)
+    rep = compare_with_construction(system)
     assert rep.passed, rep.failures[:10]
     assert rep.cases["span"] == 1
 
@@ -722,14 +742,15 @@ def dense_failures(system, cells, vecs, extra: dict) -> list:
 
 
 def doctor_representatives(monkeypatch, extra: dict) -> None:
-    """Add the rows ``extra[rep]`` to ``ConstraintSystem.block(rep)``."""
-    block_of = ConstraintSystem.block
+    """Add the rows ``extra[rep]`` to the listing of block ``rep``, which
+    ``block`` and compare read."""
+    listing = ConstraintSystem._raw
 
     def doctored(self, m):
-        block = block_of(self, m)
-        return block._replace(rows=tuple(sorted(set(block.rows) | extra.get(m, set()))))
+        cells, rows = listing(self, m)
+        return cells, rows + sorted(extra.get(m, ()))
 
-    monkeypatch.setattr(ConstraintSystem, "block", doctored)
+    monkeypatch.setattr(ConstraintSystem, "_raw", doctored)
 
 
 def test_compare_reports_violated_rows_in_row_order(monkeypatch):
@@ -751,8 +772,7 @@ def test_compare_reports_violated_rows_in_row_order(monkeypatch):
     extra = {(2, 1): {((support[0], 1),), ((support[0], 1), (support[-1], 2))}}
     expected = dense_failures(system, cells, vecs, extra)  # before the rows are doctored
     doctor_representatives(monkeypatch, extra)
-    _, basis = nullspace(system)
-    rep = compare_with_construction(system, basis)
+    rep = compare_with_construction(system)
     assert len({cell for (cell, _), _ in expected}) >= 3
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
     assert got == expected
@@ -774,10 +794,34 @@ def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
         extra.setdefault(representative(m), set()).add(((pull_back(system, m, min(vec)), 1),))
     expected = dense_failures(system, cells, vecs, extra)
     doctor_representatives(monkeypatch, extra)
-    _, basis = nullspace(system)
-    rep = compare_with_construction(system, basis)
+    rep = compare_with_construction(system)
     runs = [m for m, _ in groupby(multidegree(*cell) for (cell, _), _ in expected)]
     assert len(runs) > len(set(runs))  # some block's witnesses are not adjacent
+    got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
+    assert got == expected
+
+
+def test_compare_witnesses_carry_the_sign_of_each_entry(monkeypatch):
+    # At arity 2 moving a unit's representative to its block re-sorts the
+    # combinations, with a sign per column.  An extra row on two columns
+    # whose signs differ, added to the representative's block, must be
+    # reported in the unit's block with each entry's own sign, as a dense
+    # check of the row's image gives it.
+    params = lift_params(2, 3, 2)
+    system = build_constraints(params)
+    cells = free_cells(params)
+    vecs = unit_vectors(system, cells)
+    for cell, vec in zip(cells, vecs):
+        m = multidegree(*cell)
+        move = carry(system, m)
+        signs = {move(c)[1]: c for c in (pull_back(system, m, c) for c in vec)}
+        if len(signs) == 2:
+            break
+    extra = {representative(m): {tuple(sorted(((signs[1], 1), (signs[-1], 2))))}}
+    expected = dense_failures(system, cells, vecs, extra)
+    doctor_representatives(monkeypatch, extra)
+    rep = compare_with_construction(system)
+    assert len(signs) == 2 and expected
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
     assert got == expected
 
@@ -786,13 +830,13 @@ def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
 def test_compare_lists_each_compared_orbits_representative_once(monkeypatch, point):
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
-    _, basis = nullspace(system)
+    assert system.nullity  # the representative pass lists every representative, once
     assert system.row_count  # lists the blocks past r + s to count their rows, once
     listed, listing = [], ConstraintSystem._list
     monkeypatch.setattr(
         ConstraintSystem, "_list", lambda self, m: listed.append(m) or listing(self, m)
     )
-    assert compare_with_construction(system, basis).passed
+    assert compare_with_construction(system).passed
     reps = {representative(multidegree(*cell)) for cell in free_cells(params)}
     assert Counter(listed) == Counter(reps)
     assert len(reps) < len({multidegree(*cell) for cell in free_cells(params)})
@@ -808,40 +852,53 @@ def test_default_path_lists_no_whole_system(monkeypatch):
     for name in ("rows", "unknowns", "multidegrees"):
         monkeypatch.setattr(ConstraintSystem, name, property(whole))
     system = build_constraints(lift_params(3, 3, 2))
-    _, basis = nullspace(system)
-    assert check_iso(system, basis)
-    assert compare_with_construction(system, basis).passed
+    assert nullspace(system)[0] == system.nullity
+    assert check_iso(system)
+    assert compare_with_construction(system).passed
 
 
 def test_compare_detects_a_doctored_basis():
-    params = lift_params(1, 2, 1)
-    system = build_constraints(params)
-    _, basis = nullspace(system)
-    wrong = [{col: 2 * v for col, v in basis[0].items()}] * len(basis)
-    rep = compare_with_construction(system, wrong)
-    assert not rep.passed
+    # The span witness is the one the full-vector global ranks give.
+    system = build_constraints(lift_params(3, 2, 1))
+    for doctored in doctored_bases(system):
+        rep = compare_with_construction(doctored)
+        assert [f.check for f in rep.failures] == ["span"]
+        assert rep.failures == reference_compare(doctored, nullspace(doctored)[1]).failures
 
 
 def test_compare_needs_the_union_rank_for_a_full_rank_basis_off_the_kernel():
-    # 1 added at a column that no basis vector holds, so that every null
-    # vector is 0 there, one with no constant entry and degrees summing to
-    # at most r + s, keeps the basis of full rank but takes it off the
-    # kernel; the nullspace and construction ranks both still read 3, so
-    # only the rank of their union sees it.
-    system = build_constraints(lift_params(2, 2, 2))
-    _, basis = nullspace(system)
-    held = {c for vec in basis for c in vec}
-    col = min(
-        c
-        for m in system.multidegrees
-        if sum(m) <= 2 + 2
-        for c in system.block(m).cells
-        if c not in held and 0 not in system.unknowns[c][0]
-    )
-    wrong = [{**basis[0], col: Fraction(1)}, *basis[1:]]
-    rep = compare_with_construction(system, wrong)
-    witness = (("nullspace", 3), ("construction", 3), ("union", 4))
-    assert rep.failures == [Failure("span", witness, Fraction(3), Fraction(4))]
+    # 1 added to a representative's first null vector at an unknown of its
+    # block that no vector of its basis holds, so that every null vector is
+    # 0 there, and that has no constant entry, keeps the basis of full rank
+    # but takes it off the kernel; the nullspace and construction ranks
+    # both still read 15, so only the rank of their union sees it.  At
+    # (3,2,1) the block (2,2), alone in its orbit, has such an unknown.
+    system = build_constraints(lift_params(3, 2, 1))
+    (orbit,) = [o for o in system._orbits if o.rep == (2, 2)]
+    held = {c for vec in orbit.basis for c in vec}
+    cell = min(c for c in system.block(orbit.rep).cells.values() if c not in held and 0 not in c[0])
+    wrong = [{**orbit.basis[0], cell: Fraction(1)}, *orbit.basis[1:]]
+    doctored = with_basis(system, orbit.rep, wrong)
+    rep = compare_with_construction(doctored)
+    witness = (("nullspace", 15), ("construction", 15), ("union", 16))
+    assert rep.failures == [Failure("span", witness, Fraction(15), Fraction(16))]
+    assert rep.failures == reference_compare(doctored, nullspace(doctored)[1]).failures
+
+
+@pytest.mark.parametrize("point", FULL_GRID + REACH_POINTS, ids=str)
+def test_orbit_local_checks_match_the_full_vector_reference(point):
+    # check_iso and compare read each representative's basis in its own
+    # columns; the reference reads the full vectors of nullspace, carried
+    # to every block, and takes global ranks.  They must agree on the
+    # system and on copies with one representative's basis made wrong.
+    params = lift_params(*point)
+    system = build_constraints(params, max_unknowns=unknown_count(params))
+    units = reference_units(system)  # the doctored copies have the same rows
+    for case in [system, *doctored_bases(system)]:
+        _, basis = nullspace(case)
+        assert check_iso(case) == reference_check_iso(case, basis)
+        rep, ref = compare_with_construction(case), reference_compare(case, basis, units)
+        assert (rep.cases, rep.failures) == (ref.cases, ref.failures)
 
 
 @pytest.mark.parametrize("point,calls", [((2, 5, 3), 84), ((3, 3, 2), 12)])
@@ -851,7 +908,6 @@ def test_compare_completes_only_each_units_block(monkeypatch, point, calls):
     # bound cell of the table.
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
-    _, basis = nullspace(system)
     free = params.free_cell_set
     expected = sum(
         sum(c not in free for c in block_cells(params, multidegree(*cell)))
@@ -862,7 +918,7 @@ def test_compare_completes_only_each_units_block(monkeypatch, point, calls):
     monkeypatch.setattr(
         lift_space, "_bound_cell", lambda *args: seen.append(args) or bound_cell(*args)
     )
-    assert compare_with_construction(system, basis).passed
+    assert compare_with_construction(system).passed
     assert len(seen) == expected == calls
 
 
