@@ -576,11 +576,12 @@ class TableEvaluator:
     the axis tuple and the rest of the argument into the target, so a tuple
     of multidegree ``m`` reads only cells ``(I, alpha)`` with
     ``e_I + alpha = m``.  The oracle's product-rule rows also lie in one
-    multidegree each, so ``nullspace`` eliminates one multidegree block at
-    a time, and ``compare_with_construction`` reads each unit table only on
-    its own block, through the same ``peelings`` transposed into one
-    integer linear form per cell of an orbit's representative block; the
-    oracle's ``expand_table``, which calls this evaluator, is the tests'
+    multidegree each, so the oracle solves one multidegree block at a
+    time, and ``compare_with_construction`` reads each unit table only on
+    its own block, at its cells: the oracle's docstring proves that this
+    sum at every unknown of a block of degree at most ``r + s`` is the
+    oracle's expansion of that unknown in the block's cells.  The oracle's
+    ``expand_table``, which calls this evaluator, is the tests'
     reference.
     """
 

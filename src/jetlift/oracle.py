@@ -88,26 +88,28 @@ the instantiated ones.  Since ``sigma^-1`` acts alike, ``sigma`` maps the
 normalised rows of block ``m`` one to one onto those of ``sigma(m)``, up
 to sign, single-entry rows to single-entry rows.  So every block of an
 orbit has the same row count, and the nullspace of block ``sigma(m)`` is
-the image of that of block ``m``.  Hence one block per orbit is
-eliminated, its representative: ``m`` sorted into non-increasing order.
-Its basis is kept keyed by unknown, and the nullity is its nullity times
-the size of the orbit.  The checks read the basis in the
-representative's own columns: the rank of vectors on a set of columns
-depends only on the space they span, the signed permutation keeps it,
-and it adds over blocks, whose columns are disjoint.  So ``check_iso``
-pulls each block's free cells back to the representative, with any
-permutation that takes the representative there (``_placed``), and
-``compare_with_construction`` takes its span ranks block by block in the
-representative's columns.  The free cells are not symmetric under
-``sigma`` (the predicate singles out the top axis of a row), so the
-blocks of an orbit pull back different cells.  Only ``nullspace``, for
-the tests, and a failing unit's witnesses carry a vector to another
-block: ``_orbit`` walks the orbit, and one signed move, ``_push``, takes
-a vector keyed by unknown to the columns of a block, each entry times
-the sign of its sort.
+the image of that of block ``m``.  Hence one block per orbit is solved,
+its representative: ``m`` sorted into non-increasing order.  Its basis is
+kept on its cells (the reduced pass, below), and the nullity is its
+nullity times the size of the orbit.  The checks read the basis there:
+the rank of vectors on a set of columns depends only on the space they
+span, the signed permutation keeps it, and it adds over blocks, whose
+columns are disjoint.  On cells the permutation relabels the axes: the
+cell ``(I, alpha)`` of block ``m`` is the unknown ``F(x_I)(alpha)``, and
+goes to ``F(x_sigma(I))(sigma alpha)``, the cell at ``sort sigma I``
+with the sign of the sort.  So ``check_iso`` pulls each block's free
+cells back to the representative, with any permutation that takes the
+representative there (``_placed``), and ``compare_with_construction``
+takes its span ranks block by block on the representative's cells.  The
+free cells are not symmetric under ``sigma`` (the predicate singles out
+the top axis of a row), so the blocks of an orbit pull back different
+cells.  Only ``nullspace``, for the tests, and a failing unit's
+witnesses carry a vector to another block: ``_orbit`` walks the orbit,
+and one signed move, ``_push``, takes a vector keyed by unknown to the
+columns of a block, each entry times the sign of its sort.
 
 Table expansion commutes with permuting the variables, so
-``compare_with_construction`` also expands one block per orbit.
+``compare_with_construction`` also checks one block per orbit.
 ``TableEvaluator`` reads a table ``T`` at the unknown ``F(g_1, ..., g_s)(d)``
 of block ``m`` as a sum over the peelings ``j = (j_1, ..., j_s)``, one
 supported axis ``j_t`` of each ``g_t``, all distinct:
@@ -125,20 +127,19 @@ multiplies both values by one sign, as the sum is skew in the argument
 order.  So the vector of ``sigma T`` is the signed permutation of the
 unknowns above applied to the vector of ``T``.  Hence, for a unit table
 ``U`` of block ``m = sigma(rep)``: pulling its nonzero cells back to
-``rep`` with the sign of the sort gives ``sigma^-1 U``; the
-representative's peeling, transposed into integer linear forms (one per
-cell, its (column, coefficient) pairs), gives that table's vector,
-``sigma^-1`` applied to ``U``'s own.  So the span ranks of block ``m``
-are those of the representative's basis, the pulled-back units and their
-union, in the representative's columns; a block without a unit adds the
-basis's rank to the null and union ranks.  A row of block ``rep`` and
-its image under ``sigma`` take the same value on the two vectors, since
-each entry's sign appears in both, and the rows of block ``m`` are the
-normalised images of the representative's rows.  So the rows of ``m``
-that ``U`` violates are the images of the representative's rows, read
-as listed (``_raw``), that ``sigma^-1 U`` violates; only those rows and
-``U``'s vector are pushed forward, with ``_push``, to name each row and
-its value.
+``rep`` with the sign of the sort gives ``sigma^-1 U``, whose vector is
+``sigma^-1`` applied to ``U``'s own, and is ``E`` of those cells (below).
+So the span ranks of block ``m`` are those of the representative's
+basis, the pulled-back units and their union, on the representative's
+cells; a block without a unit adds the basis's rank to the null and
+union ranks.  A row of block ``rep`` and its image under ``sigma`` take
+the same value on the two vectors, since each entry's sign appears in
+both, and the rows of block ``m`` are the normalised images of the
+representative's rows.  So ``U`` violates a row of ``m`` exactly when its
+pull-back violates a composed row of ``rep`` (below).  Only then is the
+representative listed again (``_raw``), the pull-back expanded with
+``E`` to its unknowns, and the rows it violates, with that vector,
+pushed forward with ``_push`` to name each row and its value.
 
 The generator and the moves between blocks code an exponent vector as
 one integer, and list divisors and picks, with
@@ -151,24 +152,15 @@ factorisation gives a term exactly when
 ``deg b + min(deg c, deg d) <= r``, that is, when ``bc``, ``bd`` or
 ``cd`` lies in the basis.
 
-One listing of a block serves both the representative pass and
-``block``: its unknowns, its single-entry columns, and per leading tuple
-the slot map with the instances left with two or more terms.  The
+One listing of a block serves the representative pass, ``block`` and
+the witnesses: its unknowns, its single-entry columns, and per leading
+tuple the slot map with the instances left with two or more terms.  The
 single-entry columns are the unknowns holding the monomial 1, the
 instances with one term, and those left with one once the terms on an
-entry of ``pre`` drop.  One generator, ``_rows``, forms the row of each
-instance left with two or more terms, without its entries on a given set
-of columns.  ``block`` gives it none, forms every row and keeps nothing,
-so each call lists the block again; ``compare_with_construction`` lists
-one block per orbit, its representative.  The representative pass gives
-it the known zeros, as a null vector is zero there, so a row wholly on
-them comes out empty and adds nothing.  While some row is left with one
-entry, its column is a known zero too and drops from every row.  Each
-column so added is forced by those before it, so the loop ends at the
-least set of columns closed under this rule, whichever row goes first,
-and every null vector is zero there.  Elimination stops once the rank equals the number of other
-(live) columns: the nullspace is then 0.  Neither step changes the
-nullspace, which alone fixes the basis, and the row count, one per
+entry of ``pre`` drop.  ``block`` and the witnesses form each row in
+columns with ``_raw`` and keep nothing, so each call lists the block
+again; the representative pass composes each row with ``E`` as it reads
+its terms, and forms none in columns.  The row count, one per
 single-entry column and one per instance left with two or more terms, is
 taken from the listing.
 
@@ -195,20 +187,63 @@ block is 0 there, and the other rows cannot make it nonzero.  The proof
 uses only rows of the system, not the construction or the formula; the
 test-suite checks every peeling row on a grid of points.
 
-The representative pass eliminates in that order.  Basis positions are
-graded and the combinations numbered lexicographically, so the column of
-``F(pre, bc)(d)``, whose argument has the highest degree, is the highest
-of its row, and pivoting each row on its highest column pivots the
-peeling rows on the unknowns they solve for.  They are triangular in
-total argument degree, so most rows take few reduction steps before
-their highest column is one that no pivot holds.  Pivoting on the lowest
-column instead pivots on ``F(pre, b)(cd)``, shared by every row with the
-same ``b`` and product ``cd``, and most rows are reduced many times
-over: at ``(5, 4, 3)`` the pass takes 66,608 reduction steps this way
-against 647,880.  The null
-basis, normalised at the non-pivot columns, depends on the order, but
-the nullspace does not.  ``rank_of``, which ``check_iso`` calls, and
-``compare_with_construction`` keep the lowest-column order.
+The reduced pass: a block ``m`` with ``|m| <= r + s`` is solved on its
+cells.  Its cells ``(I, m - e_I)``, one per ``s``-subset ``I`` of the
+support of ``m``, are the unknowns ``F(x_I)(m - e_I)`` with every
+argument linear; at most ``C(k, s)`` of them.  ``E`` writes every
+unknown of the block as an integer combination of them, keyed by ``I``:
+
+- an unknown whose combination holds the monomial 1 is ``{}``;
+- one with every argument linear is its own cell;
+- any other, ``F(pre, g)(d)`` with ``g`` its last argument (``pre + (g,)``
+  is sorted, with sign +1), has ``deg g >= 2``, as basis positions are
+  graded.  Let ``x_j`` be the first supported axis of ``g`` and
+  ``c = g / x_j``.  The row ``R(pre; x_j, c, d)``, solved for its top
+  term, gives ``E(F(pre, g)(d)) = E(F(pre, x_j)(cd)) + E(F(pre, c)(x_j d))``,
+  each term's tuple sorted with its sign, and a term dropped when its
+  slot argument is in ``pre`` (a repeated argument) or its product is
+  truncated.  Within ``|m| <= r + s`` no product is: ``pre`` has ``s - 1``
+  arguments of degree at least 1, so ``deg d <= r - 1`` and
+  ``deg cd = |m| - deg pre - 1 <= r``.
+
+Sweep order.  Both terms have a lower column than ``F(pre, g)(d)``.  The
+sorted ``pre + (x_j,)`` agrees with ``pre + (g,)`` up to the place where
+``x_j`` goes in, and there holds ``x_j``, below the entry of ``pre`` it
+goes before, or below ``g``; so it comes first lexicographically, and so
+does the sorted ``pre + (c,)``, as ``deg c < deg g``.  Combinations are
+numbered lexicographically, each with its ``B`` targets, so one sweep in
+ascending column order finds both terms' expansions made, with no
+recursion.  The products are read from the integer codes.
+
+Restriction to cells.  The row ``R(pre; x_j, c, d)`` is a row of the
+block, up to sign (the peeling lemma's argument; the test-suite checks
+every one that ``E`` uses), so every null vector ``v`` of the block
+satisfies it, and the unknowns holding 1 are known zeros.  By induction
+in the sweep, ``v = E(v|cells)``: a null vector is 0 when its cells are,
+so the restriction to cells is injective on the nullspace.  For any
+values ``u`` on the cells, ``E(u)`` takes the value ``u`` at the cells,
+and is a null vector exactly when every row vanishes on it, that is,
+when every composed row ``row . E`` vanishes on ``u``.  So the image of
+the restriction is the kernel of the composed rows, and the nullspace is
+``E`` of that kernel.  The pass composes every row of the listing,
+single-entry rows included, keeps the distinct nonzero composed rows,
+divided by their content and signed, and eliminates them on the cells:
+its null basis is a basis of the restricted nullspace, keyed by cell.
+
+A table's vector is ``E`` of its cells.  At an unknown of block ``m``,
+``|m| <= r + s``, the evaluator's peeling sum reads only cells of block
+``m``, and is linear in the exponents of the last argument ``g``: its
+peelings at ``g`` take an axis ``a`` with the factor ``g[a]``, and the
+rest of the term depends on ``a`` and on ``m`` only.  As
+``(bc)[a] = b[a] + c[a]``, the sum at ``F(pre, bc)(d)`` is the sum at
+``F(pre, b)(cd)`` plus that at ``F(pre, c)(bd)``: it satisfies every row
+whose three products lie in the basis identically, a repeated argument
+reading 0 on both sides.  In particular it satisfies the rows ``E``
+solves, reads each cell ``F(x_I)(m - e_I)`` as ``T(I, m - e_I)``, and
+reads 0 at an argument 1, which has no peeling.  By induction in the
+sweep, the table's vector on the block is ``E`` of its cells.  So a unit
+table meets every row of its block exactly when its cells meet every
+composed row, and its cells, like the null basis, give the ranks.
 """
 
 from __future__ import annotations
@@ -220,7 +255,7 @@ from itertools import combinations, groupby
 from math import comb, gcd, lcm
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
     FreeCell,
@@ -232,7 +267,6 @@ from .lift_space import (
     construct,  # unused here; the benchmark's tracer patches it on this module
     free_cells,
     multidegree,
-    peelings,
     sort_with_sign,
 )
 from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial
@@ -267,12 +301,14 @@ class Block(NamedTuple):
 
 class _Orbit(NamedTuple):
     """The blocks ``m`` that permuting the variables gives from ``rep``:
-    the row count of each, and the null basis of the block ``rep``, keyed
-    by unknown."""
+    the row count of each, and of the block ``rep`` the null basis on its
+    cells and the distinct nonzero rows composed with ``_expansion``, both
+    keyed by the cells' axis tuples."""
 
     rep: MultiIndex
     rows: int
-    basis: list[dict[Cell, Fraction]]
+    basis: list[dict[tuple[int, ...], Fraction]]
+    composed: list[Row]
 
 
 @dataclass(frozen=True)
@@ -346,9 +382,14 @@ class ConstraintSystem:
 
     def _raw(self, m: MultiIndex) -> tuple[dict[int, Cell], list[Sequence[tuple[int, int]]]]:
         """Block ``m`` as listed: its unknowns, and its rows in listing
-        order, each with the sign its instance gives it."""
+        order, each with the sign its instance gives it: the single-entry
+        rows, then the row of each instance left with two or more terms, in
+        column order."""
         cells, zeros, groups = self._list(m)
-        return cells, [((col, 1),) for col in zeros] + list(_rows(groups, ()))
+        rows = [((col, 1),) for col in zeros]
+        for at, multis in groups:
+            rows += [[((t := at[x])[0] + to, v * t[1]) for x, to, v in terms] for terms in multis]
+        return cells, rows
 
     @cached_property
     def _top(self) -> int:
@@ -376,37 +417,66 @@ class ConstraintSystem:
     @cached_property
     def _orbits(self) -> list[_Orbit]:
         """One entry per orbit of blocks of degree at most ``r + s`` that
-        hold an unknown, with the representative block generated,
-        eliminated and dropped: only its row count and null basis are
-        kept.  Each row is formed without its entries on the known zeros,
-        which are never pivoted on, with the presolve and the early stop of
-        the module docstring, and the rows with two entries go in first.
-        The blocks past ``r + s`` have nullity 0 by the peeling lemma, so
-        they are never listed here."""
+        hold an unknown, with the representative block listed, solved on
+        its cells and dropped, as the module docstring sets out: each row
+        of the listing, single-entry rows included, is composed with
+        ``_expansion`` as it is formed, and the distinct nonzero composed
+        rows are eliminated.  The blocks past ``r + s`` have nullity 0 by
+        the peeling lemma, so they are never listed here."""
         out = []
         for rep in self._reps(range(min(self.params.algebra.r + self.params.s, self._top) + 1)):
             cells, zeros, groups = self._list(rep)
             if not cells:
                 continue
+            expansion = self._expansion(cells)
+            composed = {_normal(e) for col in zeros if (e := expansion[col])}
+            for at, multis in groups:
+                for terms in multis:
+                    acc: dict[tuple[int, ...], int] = {}
+                    for x, to, v in terms:
+                        t = at[x]
+                        if e := expansion[t[0] + to]:
+                            v *= t[1]
+                            for cell, w in e.items():
+                                acc[cell] = acc.get(cell, 0) + v * w
+                    if acc:
+                        composed.add(_normal(acc))
+            composed.discard(None)
+            axes = [cell.axes for cell in block_cells(self.params, rep)]
+            basis = _Echelon(composed).nullspace_basis(axes)
             # One row per single-entry column and per instance left with two or more terms.
             count = len(zeros) + sum(len(multis) for _, multis in groups)
-            rows = list(_rows(groups, zeros))
-            while ones := {row[0][0] for row in rows if len(row) == 1}:
-                zeros |= ones  # a row left with one entry makes its column a known zero
-                rows = [[e for e in row if e[0] not in zeros] for row in rows]
-            cols = [col for col in cells if col not in zeros]
-            ech = _Echelon(max)  # the peeling order, as the module docstring sets out
-            for row in sorted(rows, key=len):
-                ech.add(row)
-                if ech.rank == len(cols):  # the other rows are dependent
-                    break
-            basis = []
-            if ech.rank < len(cols):
-                basis = [
-                    {cells[col]: v for col, v in vec.items()}
-                    for vec in ech.nullspace_basis(cols).values()
-                ]
-            out.append(_Orbit(rep, count, basis))
+            out.append(_Orbit(rep, count, list(basis.values()), list(composed)))
+        return out
+
+    def _expansion(self, cells: Mapping[int, Cell]) -> dict[int, dict[tuple[int, ...], int]]:
+        """``E``: each unknown of a block of degree at most ``r + s``, by
+        column, as an integer combination of the block's cells, keyed by
+        their axis tuples, solved from its peeling row in one sweep in
+        ascending column order, as the module docstring sets out.  An
+        unknown holding the monomial 1 is ``{}``, one with every argument
+        linear its own cell, and ``F(pre, g)(d)`` the signed sum of
+        ``E(F(pre, x_j)(cd))`` and ``E(F(pre, c)(x_j d))``, ``x_j`` the
+        first supported axis of ``g`` and ``c = g / x_j``."""
+        alg, codes = self.params.algebra, self.params.codes
+        deg, code, pos = alg.degrees, codes.codes, codes.positions
+        out: dict[int, dict[tuple[int, ...], int]] = {}
+        for col, (combo, d) in cells.items():
+            if combo[:1] == (0,):
+                out[col] = {}
+            elif not combo or deg[combo[-1]] == 1:
+                out[col] = {combo: 1}
+            else:
+                pre, g = combo[:-1], combo[-1]
+                at, j = self._slot(pre), alg.supports[g][0]
+                c = pos[code[g] - code[j]]
+                acc: dict[tuple[int, ...], int] = {}
+                # A term drops when its slot argument is in pre or its product is truncated.
+                for x, to in ((j, pos.get(code[c] + code[d])), (c, pos.get(code[j] + code[d]))):
+                    if to is not None and (t := at[x]) is not None:
+                        for cell, v in out[t[0] + to].items():
+                            acc[cell] = acc.get(cell, 0) + t[1] * v
+                out[col] = {cell: v for cell, v in acc.items() if v}
         return out
 
     # -- the block generator ---------------------------------------------------
@@ -551,14 +621,11 @@ class ConstraintSystem:
         return {}
 
 
-def _rows(groups: list[tuple[list, list]], zeros: Container[int]) -> Iterator[list]:
-    """The row of each instance of a block's listing left with two or more
-    terms, in column order, without its entries on ``zeros``."""
-    for at, multis in groups:
-        for terms in multis:
-            yield [
-                (c, v * t[1]) for x, to, v in terms if (c := (t := at[x])[0] + to) not in zeros
-            ]
+def _normal(acc: dict) -> Row | None:
+    """The composed row with the entries ``acc``, divided by its content
+    and stored as rows are (``_signed``); ``None`` when every entry is 0."""
+    acc = {c: v for c, v in acc.items() if v}
+    return _signed(sorted(_primitive(acc).items())) if acc else None
 
 
 def _signed(row: Sequence[tuple[int, int]]) -> Row:
@@ -645,36 +712,33 @@ def build_constraints(
     return ConstraintSystem(params, tuple(range(max(params.s - 1, 0), params.s)))
 
 
-def _primitive(row: dict[int, int], lead: Callable | None = None) -> dict[int, int]:
-    """``row`` (no zero entries) divided by its content; ``lead`` also
-    makes its entry at the column ``lead(row)`` positive, as rows are
-    stored."""
+def _primitive(row: dict) -> dict:
+    """``row`` (no zero entries) divided by its content."""
     g = gcd(*row.values())
-    if lead and row[lead(row)] < 0:
-        g = -g
     return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class _Echelon:
-    """Incremental exact row reduction over sparse integer rows.
+    """Incremental exact row reduction over sparse integer rows, keyed by
+    any ordered columns: integers, or a block's cells by axis tuple.
 
-    Each row pivots on its column ``lead(row)``: the lowest by default,
-    the highest with ``lead=max``.  Pivot rows are kept content-free with a
-    positive coefficient there (``_primitive``); incoming rows are reduced
-    by cross-multiplication so everything stays in integers.
+    Each row pivots on its lowest column.  Pivot rows are kept content-free
+    (``_primitive``); incoming rows are reduced by cross-multiplication so
+    everything stays in integers.
     """
 
-    def __init__(self, lead: Callable[[dict[int, int]], int] = min) -> None:
-        self.lead = lead
-        self.pivots: dict[int, dict[int, int]] = {}
+    def __init__(self, rows: Iterable = ()) -> None:
+        self.pivots: dict = {}
+        for row in rows:
+            self.add(row)
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        pivots, lead_of = self.pivots, self.lead
+        pivots = self.pivots
         while row:
-            lead = lead_of(row)
+            lead = min(row)
             p = pivots.get(lead)
             if p is None:
-                return _primitive(row, lead_of)
+                return _primitive(row)
             a, b = p[lead], row[lead]
             new = {c: a * v for c, v in row.items()}
             for c, v in p.items():
@@ -690,7 +754,7 @@ class _Echelon:
         """Reduce, and insert the row when it is independent."""
         row = self.reduce(dict(row))
         if row:
-            self.pivots[self.lead(row)] = row
+            self.pivots[min(row)] = row
 
     @property
     def rank(self) -> int:
@@ -700,10 +764,10 @@ class _Echelon:
         """The nullspace within ``columns``, which hold every pivot: one
         vector per free column, keyed by it, as a dict of its nonzero
         entries, via full back-substitution.  A pivot row's other columns
-        lie past its pivot in the pivot order, so the pivots are solved
-        from the far end."""
+        lie above its pivot, so the pivots are solved from the highest
+        down."""
         solved: dict[int, dict[int, Fraction]] = {}
-        for lead in sorted(self.pivots, reverse=self.lead is min):
+        for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
             inv = Fraction(1, row[lead])
             out: dict[int, Fraction] = {}
@@ -763,25 +827,34 @@ def _push(move: Callable[[Cell], tuple[int, int]], vec: Mapping[Cell, int | Frac
     return out
 
 
+def _full(expansion: Mapping[int, Mapping], x: Mapping) -> dict:
+    """The vector, by column, of the block unknowns ``expansion``
+    (``_expansion``) maps onto the cell values ``x``, keyed by axis tuple,
+    as a dict of its nonzero entries."""
+    sums = ((col, sum(c * x[a] for a, c in e.items() if a in x)) for col, e in expansion.items())
+    return {col: v for col, v in sums if v}
+
+
 def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]:
     """Exact nullspace dimension and an explicit rational basis of the
     nullspace, orbit by orbit, each vector a dict of its nonzero entries
     inside one block.
 
-    One block per orbit of variable permutations is eliminated, and its
-    basis is carried to every other block of the orbit, as the module
-    docstring sets out.  Only the tests read these vectors: the CLI reads
-    ``ConstraintSystem.nullity``, and the checks each representative's
-    basis.
+    Each representative is listed again, its basis on cells is expanded
+    to its unknowns with ``_expansion``, and carried to every other block
+    of the orbit, as the module docstring sets out.  Only the tests read
+    these vectors: the CLI reads ``ConstraintSystem.nullity``, and the
+    checks each representative's basis on cells.
     """
-    basis = [
-        _push(move, vec)
-        for orbit in system._orbits
-        if orbit.basis
-        for _, placed in _orbit(orbit.rep)
-        for move in [_mover(system, placed)]
-        for vec in orbit.basis
-    ]
+    basis = []
+    for orbit in system._orbits:
+        if orbit.basis:
+            cells = system._list(orbit.rep)[0]
+            expansion = system._expansion(cells)
+            full = [{cells[c]: v for c, v in _full(expansion, vec).items()} for vec in orbit.basis]
+            for _, placed in _orbit(orbit.rep):
+                move = _mover(system, placed)
+                basis.extend(_push(move, vec) for vec in full)
     return len(basis), basis
 
 
@@ -796,10 +869,7 @@ def _integer_row(vec: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
 def rank_of(vectors: Iterable[Mapping[int, Fraction]]) -> int:
     """Exact rank of a family of sparse rational vectors, each a dict from
     column to value, like the basis ``nullspace`` returns."""
-    ech = _Echelon()
-    for v in vectors:
-        ech.add(_integer_row(v)[0])
-    return ech.rank
+    return _Echelon(_integer_row(v)[0] for v in vectors).rank
 
 
 def check_iso(system: ConstraintSystem) -> bool:
@@ -807,29 +877,20 @@ def check_iso(system: ConstraintSystem) -> bool:
 
     It is when there are as many free cells as the nullity and, in each
     block, the null basis has full rank on the block's free cells.  Each
-    block's cells are pulled back to its orbit's representative and read
-    off the representative's basis, as the module docstring sets out; a
-    dimension mismatch reports False rather than raising.
+    block's free cells are pulled back to its orbit's representative and
+    read off the representative's basis on cells, as the module docstring
+    sets out; a dimension mismatch reports False rather than raising.
     """
-    params = system.params
-    cells = free_cells(params)
+    cells = free_cells(system.params)
     if len(cells) != system.nullity:
         return False
-    bi, k = params.algebra.basis_index, params.algebra.k
     bases = {orbit.rep: orbit.basis for orbit in system._orbits}
     blocks: dict[MultiIndex, list[FreeCell]] = {}
     for cell in cells:
         blocks.setdefault(multidegree(*cell), []).append(cell)
     for m, held in blocks.items():
-        placed = _placed(m)
-        back, pad = {p + 1: i + 1 for i, p in enumerate(placed)}, (0,) * (k - len(placed))
-        # For r >= 1 the monomial x_i sits at basis position i (degree 0,
-        # then degree 1 in decreasing lexicographic order); at r = 0 no
-        # free cell has an axis.
-        pulled = [
-            (tuple(sorted(back[j] for j in axes)), bi[tuple(alpha[p] for p in placed) + pad])
-            for axes, alpha in held
-        ]
+        back = {p + 1: i + 1 for i, p in enumerate(_placed(m))}
+        pulled = [tuple(sorted(back[j] for j in axes)) for axes, _ in held]
         basis = bases.get(tuple(sorted(m, reverse=True)), [])
         if rank_of({c: v for c in pulled if (v := vec.get(c))} for vec in basis) != len(held):
             return False
@@ -851,42 +912,24 @@ def expand_table(
     return {c: v for c, u in unknowns.items() if (v := ev.monomials_by_index(*u))}
 
 
-def _peeling(params: LiftParams, unknowns: Mapping[int, Cell]) -> dict[tuple[int, ...], list]:
-    """``lift_space.peelings``, the sum ``TableEvaluator`` reads, on one
-    block, transposed: for the axis tuple ``I`` of each cell ``(I, alpha)``
-    of the block, the (column, integer coefficient) pairs of the given
-    unknowns that the cell feeds.  The value of a table at an unknown is
-    then the sum, over the cells, of the cell's value times its
-    coefficient there."""
-    forms: dict[tuple[int, ...], dict[int, int]] = {}
-    for col, (combo, _) in unknowns.items():
-        for axes, coeff in peelings(params.algebra, combo):
-            form = forms.setdefault(axes, {})
-            form[col] = form.get(col, 0) + coeff
-    return {axes: [(c, v) for c, v in form.items() if v] for axes, form in forms.items()}
-
-
 def _expand_units(
-    params: LiftParams, forms: Mapping[tuple[int, ...], list], m: MultiIndex, held: list
-) -> Iterator[tuple[int, FreeCell, dict[int, int], int]]:
+    params: LiftParams, m: MultiIndex, held: list
+) -> Iterator[tuple[int, FreeCell, dict[tuple[int, ...], int], int]]:
     """The unit tables of block ``m``, ``held`` as (index, free cell)
-    pairs: each index and free cell, its vector in the representative's
-    columns times ``scale``, and ``scale``.  Each table is completed in
-    block ``m``, pulled back to the representative with the sign of the
-    sort, and read through its transposed peeling ``forms`` in integers."""
+    pairs: each index and free cell, its cells pulled back to the
+    representative with the sign of the sort, keyed by axis tuple, times
+    ``scale``, and ``scale``.  Each table is completed in block ``m``."""
     free = params.free_cell_set
     back = {p + 1: i + 1 for i, p in enumerate(_placed(m))}
     block = block_cells(params, m)
     for i, one in held:
         values = complete({c: Fraction(int(c == one)) for c in block if c in free}, block)
         ints, scale = _integer_row(dict(zip(block, values)))
-        acc: dict[int, int] = {}
-        for (axes, _), x in ints.items():
+        x = {}
+        for (axes, _), v in ints.items():
             axes, sign = sort_with_sign(tuple(back[j] for j in axes))
-            x = x if sign > 0 else -x
-            for col, coeff in forms[axes]:
-                acc[col] = acc.get(col, 0) + coeff * x
-        yield i, one, acc, scale
+            x[axes] = v if sign > 0 else -v
+        yield i, one, x, scale
 
 
 def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
@@ -898,10 +941,12 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
     oracle nullspace (mutual containment by rank).  The unit table's
     nonzero cells, and so its vector, lie in the block of its free cell:
     only that block is completed, from its own free cells, and only that
-    block's rows can be nonzero on it.  The units are expanded and checked
-    one orbit of blocks at a time, in the representative's columns, as the
-    module docstring sets out, and the failures sorted back into free-cell
-    order.  Every row still counts as a case.
+    block's rows can be nonzero on it.  The units are checked one orbit of
+    blocks at a time, on the representative's cells, against its composed
+    rows, as the module docstring sets out; only a unit that fails one is
+    expanded to the representative's unknowns, to name the rows of its own
+    block it violates.  The failures are sorted back into free-cell order.
+    Every row still counts as a case.
     """
     params = system.params
     ones = free_cells(params)  # the free cell of each unit table's 1
@@ -911,41 +956,33 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
         units.setdefault(tuple(sorted(m, reverse=True)), {}).setdefault(m, []).append((i, one))
     failed, r_null, r_exp, r_union = [], 0, 0, 0
     # Each unit's block, of degree <= r + s and holding an unknown, is in an orbit here.
-    for rep, _, basis in system._orbits:
-        null = _Echelon()
-        for vec in basis:
-            null.add(_integer_row(vec)[0])
+    for rep, _, basis, composed in system._orbits:
+        null = _Echelon(_integer_row(vec)[0] for vec in basis)
         blocks, size = units.get(rep, {}), _orbit_size(rep)
         r_null += size * null.rank
         r_union += (size - len(blocks)) * null.rank  # the blocks without a unit
-        if not blocks:
-            continue
-        cells, rows = system._raw(rep)
-        forms = _peeling(params, cells)
+        listing = None
         for m, held in blocks.items():
             exp, union = _Echelon(), _Echelon()
             union.pivots = dict(null.pivots)
-            for i, one, acc, scale in _expand_units(params, forms, m, held):
-                vec = {cells[col]: x for col, x in acc.items() if x}
-                exp.add(vec)
-                union.add(vec)
-                bad = []
-                for row in rows:
-                    total = 0
-                    for col, coeff in row:
-                        x = acc.get(col)
-                        if x:
-                            total += coeff * x
-                    if total:
-                        bad.append(row)
-                if bad:  # the witnesses name rows of block m, in its own columns
+            for i, one, x, scale in _expand_units(params, m, held):
+                exp.add(x)
+                union.add(x)
+                if any(sum(v * x[c] for c, v in row if c in x) for row in composed):
+                    # The witnesses name rows of block m, in its own columns.
+                    if listing is None:
+                        cells, rows = system._raw(rep)
+                        listing = cells, rows, system._expansion(cells)
+                    cells, rows, expansion = listing
+                    acc = _full(expansion, x)
+                    bad = [row for row in rows if sum(c * acc.get(col, 0) for col, c in row)]
                     move = _mover(system, tuple(_placed(m)))
-                    image = _push(move, vec)
+                    image = _push(move, {cells[col]: v for col, v in acc.items()})
                     for row in sorted(
                         _signed(sorted(_push(move, {cells[c]: v for c, v in row}).items()))
                         for row in bad
                     ):
-                        got = Fraction(sum(coeff * image.get(col, 0) for col, coeff in row), scale)
+                        got = Fraction(sum(c * image.get(col, 0) for col, c in row), scale)
                         failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
             r_exp += exp.rank
             r_union += union.rank

@@ -54,8 +54,8 @@ MUTATIONS = [
     Mutation(
         "drop the pull-back sign",
         "jetlift/oracle.py",
-        "x = x if sign > 0 else -x",
-        "x = x",
+        "x[axes] = v if sign > 0 else -v",
+        "x[axes] = v",
         (
             ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
             ORACLE + "test_compare_completes_only_each_units_block",
@@ -74,8 +74,8 @@ MUTATIONS = [
     Mutation(
         "check_iso reads block m's free cells without pulling them back",
         "jetlift/oracle.py",
-        "(tuple(sorted(back[j] for j in axes)), bi[tuple(alpha[p] for p in placed) + pad])",
-        "(axes, bi[alpha])",
+        "pulled = [tuple(sorted(back[j] for j in axes)) for axes, _ in held]",
+        "pulled = [axes for axes, _ in held]",
         (
             ORACLE + "test_nullity_matches_formula_and_basis_satisfies_rows",
             ORACLE + "test_orbit_local_checks_match_the_full_vector_reference[(3, 3, 2)]",
@@ -106,21 +106,24 @@ MUTATIONS = [
         (ORACLE + "test_block_rows_give_the_every_slot_rows",),
     ),
     Mutation(
-        "stop the elimination one row early",
+        "read an argument of degree 2 as linear in the expansion",
         "jetlift/oracle.py",
-        "if ech.rank == len(cols):",
-        "if ech.rank == len(cols) - 1:",
+        "deg[combo[-1]] == 1",
+        "deg[combo[-1]] <= 2",
         (
-            ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",
+            ORACLE + "test_expansion_is_the_transposed_peeling_sum",
             ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
         ),
     ),
     Mutation(
-        "pivot the representative pass on the lowest column",
+        "drop the sign of a peeling term in the expansion",
         "jetlift/oracle.py",
-        "ech = _Echelon(max)",
-        "ech = _Echelon()",
-        (ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",),
+        "acc[cell] = acc.get(cell, 0) + t[1] * v",
+        "acc[cell] = acc.get(cell, 0) + v",
+        (
+            ORACLE + "test_expansion_is_the_transposed_peeling_sum",
+            ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
+        ),
     ),
     Mutation(
         "count the single-entry rows past r + s per instance",
@@ -171,14 +174,21 @@ MUTATIONS = [
         ),
     ),
     Mutation(
-        "form the representative's rows on the known zeros too",
+        "compose no single-entry row of the representative's listing",
         "jetlift/oracle.py",
-        "if (c := (t := at[x])[0] + to) not in zeros",
-        "if (c := (t := at[x])[0] + to) is not None",
+        "composed = {_normal(e) for col in zeros if (e := expansion[col])}",
+        "composed = set()",
         (
             ORACLE + "test_presolve_and_early_stop_keep_each_representatives_rows_and_basis",
             ORACLE + "test_nullity_of_each_block_is_the_graded_dimension",
         ),
+    ),
+    Mutation(
+        "--compare checks no composed single-entry row",
+        "jetlift/oracle.py",
+        "for row in composed)",
+        "for row in composed if len(row) > 1)",
+        (ORACLE + "test_compare_reports_failures_in_free_cell_order_across_blocks",),
     ),
     Mutation(
         "flip the free-cell predicate",
@@ -204,7 +214,7 @@ MUTATIONS = [
         "x",
         (
             "tests/test_lift_space.py::test_evaluation_matches_product_rule_recursion",
-            ORACLE + "test_compare_with_construction_passes",
+            ORACLE + "test_expansion_is_the_transposed_peeling_sum",
         ),
     ),
     Mutation(

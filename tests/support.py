@@ -21,10 +21,14 @@ every block from its own rows, where the oracle eliminates one block per
 orbit of variable permutations and transports its basis to the others;
 ``same_span`` compares the bases by the spaces they span.
 ``reference_orbit_blocks`` eliminates each orbit's representative block
-of degree at most ``r + s`` from all of its rows, pivoting on the highest
-column as the oracle does, where the oracle first drops the columns its
-single-entry rows fix at zero and stops once the rank is full.  ``peeling_certificate`` checks, from first principles,
-the peeling rows by which the oracle skips every block past ``r + s``.
+of degree at most ``r + s`` from all of its rows and restricts the basis
+to the block's cells, where the oracle composes the rows with its
+expansion of the unknowns in the cells and eliminates on the cells;
+``reference_peeling`` is the table evaluator's peeling sum transposed,
+the reference for that expansion.  ``peeling_row`` forms the row
+``R(pre; x_j, c, d)`` that solves an unknown for one of its arguments,
+and ``peeling_certificate`` checks, from first principles, the peeling
+rows by which the oracle skips every block past ``r + s``.
 ``truncation_kernel_failures`` is a fourth route to the lift space: the
 kernel of the truncation sums on the table cells, block by block.
 ``reference_construct`` completes an assignment adding ``Fraction``s term
@@ -32,7 +36,7 @@ by term, where ``construct`` sums each bound cell's terms in integers.
 ``reference_check_iso`` and ``reference_compare`` read the full vectors
 ``nullspace`` returns, carried to every block, and take one global rank
 each, where ``check_iso`` and ``compare_with_construction`` read each
-representative's basis in its own columns; ``with_basis`` doctors one
+representative's basis on its cells; ``with_basis`` doctors one
 representative's basis for both.
 """
 
@@ -52,6 +56,7 @@ from jetlift.lift_space import (
     graded_dimension,
     lookup_skew,
     multidegree,
+    peelings,
     sort_with_sign,
 )
 from jetlift.multiindex import (
@@ -538,8 +543,8 @@ def same_span(a: list, b: list) -> bool:
 
 def with_basis(system: ConstraintSystem, rep: MultiIndex, basis: list) -> ConstraintSystem:
     """A fresh copy of ``system`` in which the representative ``rep`` has
-    the null basis ``basis``, keyed by unknown, and every other orbit the
-    basis it has in ``system``."""
+    the null basis ``basis`` on its cells, keyed by axis tuple, and every
+    other orbit the basis it has in ``system``."""
     out = ConstraintSystem(system.params, system.slots)
     # ``_orbits`` is a cached property: the copy reads it from its own dict.
     out.__dict__["_orbits"] = [
@@ -614,28 +619,81 @@ def reference_compare(
 
 def reference_orbit_blocks(system: ConstraintSystem) -> list:
     """Each orbit representative of degree at most ``r + s`` whose block
-    holds an unknown, with the block's row count and null basis, keyed by
-    unknown, from one plain elimination of all of the block's rows,
-    single-entry rows included, with no known-zero presolve and no early
-    stop: what the oracle keeps of each representative.  It pivots on the
-    highest column, as the oracle's pass does, since the basis, normalised
-    at the non-pivot columns, depends on the pivot order.  The blocks past
+    holds an unknown, with the block's row count and the null basis of one
+    plain elimination of all of the block's rows, single-entry rows
+    included, restricted to the block's cells: each vector keyed by the
+    axis tuple ``I`` of the unknown ``F(x_I)(m - e_I)``, read off the
+    basis exponents, at which it has a nonzero value.  The blocks past
     ``r + s`` are ``peeling_certificate``'s."""
-    top = system.params.algebra.r + system.params.s
+    alg = system.params.algebra
+    top = alg.r + system.params.s
     out = []
     for rep in system.multidegrees:
         if list(rep) != sorted(rep, reverse=True) or degree(rep) > top:
             continue
         block = system.block(rep)
-        ech = _Echelon(max)
+        axes = {
+            col: tuple(support(alg.basis[g])[0] for g in combo)
+            for col, (combo, _) in block.cells.items()
+            if all(degree(alg.basis[g]) == 1 for g in combo)
+        }
+        ech = _Echelon()
         for row in block.rows:
             ech.add(row)
         basis = [
-            {block.cells[c]: v for c, v in vec.items()}
+            {axes[c]: v for c, v in vec.items() if c in axes}
             for vec in ech.nullspace_basis(block.cells).values()
         ]
         out.append((rep, len(block.rows), basis))
     return out
+
+
+def reference_peeling(params: LiftParams, unknowns: dict) -> dict[tuple[int, ...], list]:
+    """``lift_space.peelings``, the sum ``TableEvaluator`` reads, on one
+    block, transposed: for the axis tuple ``I`` of each cell ``(I, alpha)``
+    of the block, the (column, integer coefficient) pairs of the given
+    unknowns, column -> (combination, target), that the cell feeds.  The
+    value of a table at an unknown is then the sum, over the cells, of the
+    cell's value times its coefficient there."""
+    forms: dict[tuple[int, ...], dict[int, int]] = {}
+    for col, (combo, _) in unknowns.items():
+        for axes, coeff in peelings(params.algebra, combo):
+            form = forms.setdefault(axes, {})
+            form[col] = form.get(col, 0) + coeff
+    return {axes: [(c, v) for c, v in form.items() if v] for axes, form in forms.items()}
+
+
+def peeling_row(system: ConstraintSystem, cell: tuple, g: int) -> dict[int, int]:
+    """The row ``R(pre; x_j, c, d) = F(pre, g)(d) - F(pre, x_j)(cd) -
+    F(pre, c)(x_j d)`` for the unknown ``cell = (combo, d)`` and its
+    argument ``g = x_j c``, ``j`` the first axis of ``g`` and ``pre`` the
+    other arguments, formed in a dict of coefficients by column, each
+    term's tuple sorted with its sign; a term with a truncated product or
+    a repeated argument drops."""
+    alg = system.params.algebra
+    basis, bi = alg.basis, alg.basis_index
+    combo, d = cell
+    j = next(i for i, e in enumerate(basis[g], start=1) if e)
+    xj, c = unit(alg.k, j), sub_unit(basis[g], j)
+    pre = tuple(x for x in combo if x != g)
+    row = {}
+    for coeff, arg, target in (
+        (1, basis[g], basis[d]),
+        (-1, xj, multiply_monomials(alg, c, basis[d])),
+        (-1, c, multiply_monomials(alg, xj, basis[d])),
+    ):
+        res = sort_with_sign(pre + (bi[arg],))
+        if target is not None and res is not None:
+            at = system.column(res[0], bi[target])
+            row[at] = row.get(at, 0) + coeff * res[1]
+    return row
+
+
+def is_row(block, row: dict[int, int]) -> bool:
+    """Is ``row``, normalised, one of the sorted rows of ``block``?"""
+    row = _canonical_row(row)
+    i = bisect_left(block.rows, row)
+    return i < len(block.rows) and block.rows[i] == row
 
 
 def peeling_certificate(system: ConstraintSystem, m: MultiIndex) -> list:
@@ -644,23 +702,16 @@ def peeling_certificate(system: ConstraintSystem, m: MultiIndex) -> list:
 
     Every unknown whose combination holds the monomial 1 must have a
     single-entry row.  The other unknowns are taken in order of total
-    argument degree.  For each, an argument ``g`` of degree at least 2 is
-    split as ``x_j c`` at its first axis, and the row
-    ``R(pre; x_j, c, d) = F(pre, g)(d) - F(pre, x_j)(cd) - F(pre, c)(x_j d)``
-    is formed in a dict of coefficients, each term's tuple sorted with its
-    sign.  It must be a row of the block up to sign, be +-1 at the unknown,
-    and have its other entries on the unknowns already settled.  Returns
-    ``(cell, what)`` for each unknown that fails; none means the rows are
-    triangular on the block's unknowns, so its nullity is 0.
+    argument degree.  For each, its first argument ``g`` of degree at
+    least 2 gives the row ``peeling_row``.  It must be a row of the block
+    up to sign, be +-1 at the unknown, and have its other entries on the
+    unknowns already settled.  Returns ``(cell, what)`` for each unknown
+    that fails; none means the rows are triangular on the block's
+    unknowns, so its nullity is 0.
     """
-    alg = system.params.algebra
-    basis, bi, deg = alg.basis, alg.basis_index, alg.degrees
+    deg = system.params.algebra.degrees
     block = system.block(m)
     settled, failures = set(), []
-
-    def is_row(row) -> bool:  # the block's rows are sorted
-        i = bisect_left(block.rows, row)
-        return i < len(block.rows) and block.rows[i] == row
 
     def argument_degree(item) -> int:
         return sum(deg[g] for g in item[1][0])
@@ -668,7 +719,7 @@ def peeling_certificate(system: ConstraintSystem, m: MultiIndex) -> list:
     for col, cell in sorted(block.cells.items(), key=argument_degree):
         combo, d = cell
         if 0 in combo:
-            if not is_row(((col, 1),)):
+            if not is_row(block, {col: 1}):
                 failures.append((cell, "no single-entry row"))
             settled.add(col)
             continue
@@ -676,22 +727,10 @@ def peeling_certificate(system: ConstraintSystem, m: MultiIndex) -> list:
         if g is None:
             failures.append((cell, "no argument of degree 2"))
             continue
-        j = next(i for i, e in enumerate(basis[g], start=1) if e)
-        xj, c = unit(alg.k, j), sub_unit(basis[g], j)
-        pre = tuple(x for x in combo if x != g)
-        row = {}
-        for coeff, arg, target in (
-            (1, basis[g], basis[d]),
-            (-1, xj, multiply_monomials(alg, c, basis[d])),
-            (-1, c, multiply_monomials(alg, xj, basis[d])),
-        ):
-            res = sort_with_sign(pre + (bi[arg],))
-            if target is not None and res is not None:
-                at = system.column(res[0], bi[target])
-                row[at] = row.get(at, 0) + coeff * res[1]
+        row = peeling_row(system, cell, g)
         if row.get(col) not in (1, -1):
             failures.append((cell, "not +-1 at the unknown"))
-        elif not is_row(_canonical_row(row)):
+        elif not is_row(block, row):
             failures.append((cell, "not a row of the block"))
         elif any(at not in settled for at, v in row.items() if v and at != col):
             failures.append((cell, "an entry not settled before"))

@@ -897,7 +897,7 @@ def test_oracle_with_compare(capsys):
 )
 def test_oracle_moves_no_vector_between_blocks(monkeypatch, capsys, argv):
     # The nullity, check_iso and --compare read each representative's basis
-    # in its own columns: a passing run carries no vector to another block.
+    # on its cells: a passing run carries no vector to another block.
     from jetlift import cli, oracle
 
     def refuse(*args):

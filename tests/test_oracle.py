@@ -38,7 +38,6 @@ from jetlift.oracle import (
     _expand_units,
     _orbit_size,
     _partitions,
-    _peeling,
     build_constraints,
     check_iso,
     compare_with_construction,
@@ -53,7 +52,9 @@ from support import (
     FULL_GRID,
     PRUNING_POINTS,
     REACH_POINTS,
+    is_row,
     peeling_certificate,
+    peeling_row,
     reference_blockwise_nullspace,
     reference_build_all_slots,
     reference_build_rows,
@@ -61,6 +62,7 @@ from support import (
     reference_compare,
     reference_nullspace,
     reference_orbit_blocks,
+    reference_peeling,
     reference_units,
     same_span,
     with_basis,
@@ -364,11 +366,42 @@ def test_graded_nullspace_gives_the_whole_system_basis(r, k, s):
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_presolve_and_early_stop_keep_each_representatives_rows_and_basis(r, k, s):
-    # The representatives the pass keeps, those of degree at most r + s;
-    # the peeling test below settles the rest.
+    # The representatives the pass keeps, those of degree at most r + s,
+    # with the row count and, on the cells, the nullspace of a direct
+    # elimination of all of the block's rows; the restriction to the cells
+    # loses no null vector.  The peeling test below settles the rest.
     system = default_system(r, k, s)
-    orbits = [(orbit.rep, orbit.rows, orbit.basis) for orbit in system._orbits]
-    assert orbits == reference_orbit_blocks(system)
+    ref = reference_orbit_blocks(system)
+    assert [(orbit.rep, orbit.rows) for orbit in system._orbits] == [(m, n) for m, n, _ in ref]
+    for orbit, (_, _, basis) in zip(system._orbits, ref):
+        assert rank_of(basis) == len(basis), orbit.rep
+        assert same_span(orbit.basis, basis), orbit.rep
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_expansion_is_the_transposed_peeling_sum(r, k, s):
+    # E, solved from the peeling rows, is the evaluator's sum over peelings
+    # at every unknown of every representative the pass solves.
+    system = default_system(r, k, s)
+    for orbit in system._orbits:
+        cells = system.block(orbit.rep).cells
+        got = {(a, col): v for col, e in system._expansion(cells).items() for a, v in e.items()}
+        forms = reference_peeling(system.params, cells)
+        assert got == {(a, col): v for a, form in forms.items() for col, v in form}, orbit.rep
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_every_peeling_row_the_expansion_uses_is_a_row_of_its_block(r, k, s):
+    # E solves each unknown with an argument of degree 2 or more for its
+    # last argument.
+    system = default_system(r, k, s)
+    deg = system.params.algebra.degrees
+    for orbit in system._orbits:
+        block = system.block(orbit.rep)
+        for col, (combo, d) in block.cells.items():
+            if combo and combo[0] and deg[combo[-1]] > 1:
+                row = peeling_row(system, (combo, d), combo[-1])
+                assert row[col] == 1 and is_row(block, row), (combo, d)
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
@@ -553,22 +586,25 @@ ORBIT_POINTS = [
 
 @pytest.mark.parametrize("r,k,s", ORBIT_POINTS)
 def test_orbit_path_expands_every_unit_table_as_the_evaluator_does(r, k, s):
-    # compare pulls each unit table back to its orbit's representative and
-    # applies the transposed peeling there: carried to the unit's own block,
-    # the vector must be the constructed table evaluated at that block's
-    # unknowns.
+    # compare pulls each unit table's cells back to its orbit's
+    # representative; expanded there with E and carried to the unit's own
+    # block, they must give the constructed table evaluated at that
+    # block's unknowns.
     params = lift_params(r, k, s)
     system = build_constraints(params, max_unknowns=unknown_count(params))
-    cells, forms = free_cells(params), {}
+    cells, expansions = free_cells(params), {}
     for i, one in enumerate(cells):
         m = multidegree(*one)
         rep = representative(m)
-        if rep not in forms:
-            forms[rep] = _peeling(params, system.block(rep).cells)
-        ((j, unit, acc, scale),) = _expand_units(params, forms[rep], m, [(i, one)])
+        if rep not in expansions:
+            expansions[rep] = system._expansion(system.block(rep).cells)
+        ((j, unit, x, scale),) = _expand_units(params, m, [(i, one)])
         assert (j, unit) == (i, one)
+        acc = {
+            col: sum(v * x.get(a, 0) for a, v in e.items()) for col, e in expansions[rep].items()
+        }
         move = carry(system, m)
-        moved = {col: move(col) for col, x in acc.items() if x}
+        moved = {col: move(col) for col, v in acc.items() if v}
         got = {c: Fraction(sign * acc[col], scale) for col, (c, sign) in moved.items()}
         table = construct(CoefficientAssignment.unit(params, one))
         assert got == expand_table(system, nonzero_cells(table), system.block(m).cells), one
@@ -592,7 +628,7 @@ def test_transposed_peeling_is_the_evaluator_on_every_block(r, k, s, data):
     ]
     table = LiftTable(params, values)  # random at every cell, not only block m's
     block = system.block(m)
-    forms = _peeling(params, block.cells)
+    forms = reference_peeling(params, block.cells)
     got = Counter()
     for axes, alpha in block_cells(params, m):
         for col, coeff in forms[axes]:
@@ -639,20 +675,18 @@ def test_rank_of_examples():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool)), max_size=8))
-def test_highest_column_pivots_give_a_basis_of_the_same_nullspace(rows):
-    # The representative pass pivots on the highest column, and
-    # back-substitutes from the lowest pivot up.
-    low, high = _Echelon(), _Echelon(max)
+def test_lowest_column_pivots_give_a_basis_of_the_nullspace(rows):
+    # Each pivot row pivots on its lowest column, and back-substitution
+    # gives one null vector per free column.
+    ech = _Echelon()
     for row in rows:
-        low.add(row)
-        high.add(row)
-    assert low.rank == high.rank
-    assert all(lead == max(row) and row[lead] > 0 for lead, row in high.pivots.items())
-    basis = list(high.nullspace_basis(range(8)).values())
-    assert len(basis) == 8 - high.rank
+        ech.add(row)
+    assert all(lead == min(row) for lead, row in ech.pivots.items())
+    basis = list(ech.nullspace_basis(range(8)).values())
+    assert len(basis) == 8 - ech.rank == 8 - rank_of(rows)
     for vec in basis:
         assert all(sum(v * vec.get(c, 0) for c, v in row.items()) == 0 for row in rows)
-    assert same_span(basis, list(low.nullspace_basis(range(8)).values()))
+    assert rank_of(basis) == len(basis)
 
 
 # -- construction vs oracle ------------------------------------------------------------
@@ -741,9 +775,25 @@ def dense_failures(system, cells, vecs, extra: dict) -> list:
     ]
 
 
-def doctor_representatives(monkeypatch, extra: dict) -> None:
-    """Add the rows ``extra[rep]`` to the listing of block ``rep``, which
-    ``block`` and compare read."""
+def doctor_representatives(monkeypatch, system, extra: dict) -> None:
+    """Add the rows ``extra[rep]`` to block ``rep`` of ``system``: to its
+    listing, which ``block`` and compare's witnesses read, and, composed
+    with the block's expansion E, to the composed rows that compare checks
+    each unit against."""
+    orbits = []
+    for orbit in system._orbits:
+        if rows := extra.get(orbit.rep):
+            expansion = system._expansion(system.block(orbit.rep).cells)
+            composed = []
+            for row in sorted(rows):
+                acc = Counter()
+                for col, v in row:
+                    for a, e in expansion[col].items():
+                        acc[a] += v * e
+                composed.append(tuple(sorted((a, v) for a, v in acc.items() if v)))
+            orbit = orbit._replace(composed=orbit.composed + [row for row in composed if row])
+        orbits.append(orbit)
+    system.__dict__["_orbits"] = orbits  # a cached property
     listing = ConstraintSystem._raw
 
     def doctored(self, m):
@@ -771,7 +821,7 @@ def test_compare_reports_violated_rows_in_row_order(monkeypatch):
     support = sorted(pull_back(system, m, c) for c in vecs[i])
     extra = {(2, 1): {((support[0], 1),), ((support[0], 1), (support[-1], 2))}}
     expected = dense_failures(system, cells, vecs, extra)  # before the rows are doctored
-    doctor_representatives(monkeypatch, extra)
+    doctor_representatives(monkeypatch, system, extra)
     rep = compare_with_construction(system)
     assert len({cell for (cell, _), _ in expected}) >= 3
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
@@ -793,7 +843,7 @@ def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
         m = multidegree(*cell)
         extra.setdefault(representative(m), set()).add(((pull_back(system, m, min(vec)), 1),))
     expected = dense_failures(system, cells, vecs, extra)
-    doctor_representatives(monkeypatch, extra)
+    doctor_representatives(monkeypatch, system, extra)
     rep = compare_with_construction(system)
     runs = [m for m, _ in groupby(multidegree(*cell) for (cell, _), _ in expected)]
     assert len(runs) > len(set(runs))  # some block's witnesses are not adjacent
@@ -819,7 +869,7 @@ def test_compare_witnesses_carry_the_sign_of_each_entry(monkeypatch):
             break
     extra = {representative(m): {tuple(sorted(((signs[1], 1), (signs[-1], 2))))}}
     expected = dense_failures(system, cells, vecs, extra)
-    doctor_representatives(monkeypatch, extra)
+    doctor_representatives(monkeypatch, system, extra)
     rep = compare_with_construction(system)
     assert len(signs) == 2 and expected
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
@@ -827,20 +877,19 @@ def test_compare_witnesses_carry_the_sign_of_each_entry(monkeypatch):
 
 
 @pytest.mark.parametrize("point", [(3, 3, 2), (2, 2, 2)])
-def test_compare_lists_each_compared_orbits_representative_once(monkeypatch, point):
+def test_a_passing_compare_lists_no_block(monkeypatch, point):
+    # Each unit is checked on its representative's cells, against the
+    # composed rows the pass kept; only a failing unit lists a block.
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
     assert system.nullity  # the representative pass lists every representative, once
-    assert system.row_count  # lists the blocks past r + s to count their rows, once
+    assert system.row_count  # counts the blocks past r + s without listing them
     listed, listing = [], ConstraintSystem._list
     monkeypatch.setattr(
         ConstraintSystem, "_list", lambda self, m: listed.append(m) or listing(self, m)
     )
     assert compare_with_construction(system).passed
-    reps = {representative(multidegree(*cell)) for cell in free_cells(params)}
-    assert Counter(listed) == Counter(reps)
-    assert len(reps) < len({multidegree(*cell) for cell in free_cells(params)})
-    assert not hasattr(system, "_blocks")
+    assert listed == []
 
 
 def test_default_path_lists_no_whole_system(monkeypatch):
@@ -867,17 +916,18 @@ def test_compare_detects_a_doctored_basis():
 
 
 def test_compare_needs_the_union_rank_for_a_full_rank_basis_off_the_kernel():
-    # 1 added to a representative's first null vector at an unknown of its
-    # block that no vector of its basis holds, so that every null vector is
-    # 0 there, and that has no constant entry, keeps the basis of full rank
-    # but takes it off the kernel; the nullspace and construction ranks
-    # both still read 15, so only the rank of their union sees it.  At
-    # (3,2,1) the block (2,2), alone in its orbit, has such an unknown.
-    system = build_constraints(lift_params(3, 2, 1))
+    # 1 added to a representative's only null vector at a cell other than
+    # that of its lowest entry gives a vector that is no multiple of it, so
+    # off the kernel, and keeps the basis of full rank; the nullspace and
+    # construction ranks both still read 15, so only the rank of their
+    # union sees it.  At (3,2,1) the block (2,2), alone in its orbit, has
+    # nullity 1 and two cells.
+    params = lift_params(3, 2, 1)
+    system = build_constraints(params)
     (orbit,) = [o for o in system._orbits if o.rep == (2, 2)]
-    held = {c for vec in orbit.basis for c in vec}
-    cell = min(c for c in system.block(orbit.rep).cells.values() if c not in held and 0 not in c[0])
-    wrong = [{**orbit.basis[0], cell: Fraction(1)}, *orbit.basis[1:]]
+    (vec,) = orbit.basis
+    cell = min(c.axes for c in block_cells(params, orbit.rep) if c.axes != min(vec))
+    wrong = [{**vec, cell: vec.get(cell, 0) + 1}]
     doctored = with_basis(system, orbit.rep, wrong)
     rep = compare_with_construction(doctored)
     witness = (("nullspace", 15), ("construction", 15), ("union", 16))
