@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
-from pathlib import Path
+from typing import Iterable
 
 from . import lift_space
 from .lift_space import (
@@ -20,6 +20,7 @@ from .lift_space import (
     CoefficientAssignment,
     LiftParams,
     LiftTable,
+    cell_list_text,
     dimension,
     free_cells,
     read_params,
@@ -118,12 +119,18 @@ def _write(path: str, write) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(data: dict | list, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the text ``pieces`` to the file ``out``, or to stdout, one
+    piece at a time."""
     if out:
-        _write(out, lambda path: Path(path).write_text(text + "\n", encoding="utf-8"))
+
+        def write(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+
+        _write(out, write)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _print_report(rep, witnesses: int, stream) -> None:
@@ -169,10 +176,7 @@ def cmd_dim(args) -> int:
 def cmd_zset(args) -> int:
     params = _params(args)
     _check_enumerable(params, as_json=True)
-    _emit(
-        [{"i": list(c.axes), "alpha": list(c.alpha)} for c in free_cells(params)],
-        args.out,
-    )
+    _emit(cell_list_text(free_cells(params)), args.out)
     return 0
 
 
@@ -190,10 +194,10 @@ def cmd_construct(args) -> int:
     # (perfbench's tracer) also sees the CLI's calls.
     table = lift_space.construct(assignment)
     try:
-        doc = table.to_json_dict()
+        text = table.json_text()
     except ValueError as exc:
         raise _too_long() from exc
-    _emit(doc, args.out)
+    _emit(text, args.out)
     rep = run_all_checks(table)
     _print_report(rep, args.witnesses, sys.stdout if args.out else sys.stderr)
     return 0 if rep.passed else 1

@@ -15,9 +15,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from struct import Struct
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .multiindex import MultiIndex, add, binomial, degree, sub_unit, support, unit
 from .rationals import (
@@ -208,23 +208,29 @@ class MonomialCodes:
             found = grown
         return found
 
-    def factors(self, m: int, size: int) -> list[tuple[int, int, int]]:
+    def factors(self, m: int, size: int) -> list[tuple[int, ...]]:
         """The live factorisations ``x^m = x^b x^c x^d`` into basis
         monomials with ``1 <= b <= c``, for the code ``m`` of degree
-        ``size``, as basis positions ``(b, c, d)``: those with ``bc``,
-        ``bd`` or ``cd`` in the basis, the others giving no term.  Positions
-        are graded, so ``deg b <= deg c`` and that holds exactly when
-        ``deg b + min(deg c, deg d) <= r``; past ``size = 2r`` none does."""
+        ``size``, as basis positions ``(b, c, d, bc, bd, cd)``: those with
+        ``bc``, ``bd`` or ``cd`` in the basis, the others giving no term; a
+        product past the basis is ``None``.  Positions are graded, so
+        ``deg b <= deg c`` and that holds exactly when
+        ``deg b + min(deg c, deg d) <= r``; past ``size = 2r`` none does.
+        The products are read from the codes: ``b``, ``c`` and ``d``
+        multiply to ``x^m``, so the sum of two of their codes has no carry
+        and is the code of their product."""
         alg = self.params.algebra
-        deg, r, at, divisors = alg.degrees, alg.r, self.positions, self.divisors
-        out = []
+        deg, r, at, code, divisors = alg.degrees, alg.r, self.positions, self.codes, self.divisors
+        get, out = at.get, []
         for b, after_b in divisors(m, size)[1:]:
-            left, low = size - deg[b], r - deg[b]
+            left, low, xb = size - deg[b], r - deg[b], code[b]
             cs = divisors(after_b, left)
             # c >= b, and x^d has degree at most r; then deg c <= low or
             # deg d = left - deg c <= low.
             start = bisect_left(cs, (max(b, bisect_left(deg, left - r)),))
-            out.extend([(b, c, at[dc]) for c, dc in cs[start:] if not low < deg[c] < left - low])
+            for c, dc in cs[start:]:
+                if not low < deg[c] < left - low:
+                    out.append((b, c, at[dc], get(xb + code[c]), get(xb + dc), get(code[c] + dc)))
         return out
 
     @cached_property
@@ -322,6 +328,40 @@ def _cells_json(params: LiftParams, field: str, key: str, items) -> dict:
             for (axes, alpha), v in items
         ],
     }
+
+
+def _json_ints(xs: Sequence[int], depth: int) -> str:
+    """``json.dumps(list(xs), indent=2)`` for a list of ints nested
+    ``depth`` levels deep."""
+    if not xs:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(str, xs)) + "\n" + "  " * depth + "]"
+
+
+def _json_cells(
+    cells: Iterable[tuple[str, str]], depth: int, tails: Iterable[str]
+) -> Iterator[str]:
+    """The text ``json.dumps(..., indent=2)`` gives a list, nested
+    ``depth`` levels deep, of one ``{"i": axes, "alpha": alpha}`` object
+    per pair of ``cells``, the two lists given as ``_json_ints`` text at
+    depth ``depth + 2``, with that cell's text of ``tails`` after
+    ``alpha``; one piece per cell."""
+    outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    start, mid, end = outer + "{" + inner + '"i": ', "," + inner + '"alpha": ', outer + "}"
+    head = "["
+    for (axes, alpha), tail in zip(cells, tails):
+        yield head + start + axes + mid + alpha + tail + end
+        head = ","
+    yield "[]" if head == "[" else "\n" + "  " * depth + "]"
+
+
+def cell_list_text(cells: Iterable[FreeCell]) -> Iterator[str]:
+    """The text ``json.dumps(..., indent=2) + "\\n"`` gives the list of one
+    ``{"i": axes, "alpha": alpha}`` per cell that ``zset`` writes, in
+    pieces of one cell each."""
+    texts = ((_json_ints(axes, 2), _json_ints(alpha, 2)) for axes, alpha in cells)
+    return chain(_json_cells(texts, 0, repeat("")), ["\n"])
 
 
 def _read_cells(data, what: str, field: str, entry: str, key: str) -> tuple[LiftParams, dict]:
@@ -436,6 +476,20 @@ class LiftTable:
         p = self.params
         cells = product(p.rows, p.algebra.basis)
         return _cells_json(p, "cells", "v", zip(cells, chain.from_iterable(self.cells)))
+
+    def json_text(self) -> Iterator[str]:
+        """``json.dumps(self.to_json_dict(), indent=2) + "\\n"``, in pieces
+        of one cell each.  Every value string is formed before this
+        returns, so a value too long to write raises ``ValueError`` here,
+        before any piece exists."""
+        p = self.params
+        values = chain.from_iterable(self.cells)
+        tails = [f',\n      "v": "{format_rational(v)}"' for v in values]
+        head = f'{{\n  "r": {p.algebra.r},\n  "k": {p.algebra.k},\n  "s": {p.s},\n  "cells": '
+        # Each axis tuple and monomial is formatted once, not once per cell.
+        rows = [_json_ints(axes, 3) for axes in p.rows]
+        columns = [_json_ints(alpha, 3) for alpha in p.algebra.basis]
+        return chain([head], _json_cells(product(rows, columns), 1, tails), ["\n}\n"])
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftTable":

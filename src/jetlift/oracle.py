@@ -571,10 +571,9 @@ class ConstraintSystem:
         it."""
         found = self._instance_cache.get(m)
         if found is None:
-            prod = self.params.algebra.product_index
             singles, multis, on = set(), [], {}
-            for b, c, d in self.params.codes.factors(m, size):
-                bc, bd, cd, terms = prod[b][c], prod[b][d], prod[c][d], []
+            for b, c, d, bc, bd, cd in self.params.codes.factors(m, size):
+                terms = []
                 if b != c and cd is not None:
                     terms.append((b, cd, -1))
                 if bd is not None:

@@ -181,8 +181,10 @@ def check_leibniz_basis(
     are evaluated, block by block (see the module docstring).  With
     ``blocks``, a set of multidegrees, only the instances whose arguments
     and target sum to one of them are evaluated; ``None`` sweeps every
-    block.  Failures come in the order of (slot, other arguments, b, c, d)
-    by basis position.
+    block.  Each instance is decided by ``exact_sum`` in integers, and the
+    right side is formed as a ``Fraction`` only for a failing one.
+    Failures come in the order of (slot, other arguments, b, c, d) by basis
+    position.
     """
     p = table.params
     s, alg = p.s, p.algebra
@@ -197,7 +199,7 @@ def check_leibniz_basis(
     if blocks is None:
         blocks = enumerate_degree_at_most(alg.k, alg.r + s)
     mono = (evaluator or TableEvaluator(table)).monomials_by_index
-    codes, prod, basis, zero = p.codes, alg.product_index, alg.basis, Fraction(0)
+    codes, basis, zero = p.codes, alg.basis, Fraction(0)
     failed = []
     for m in blocks:
         size = sum(m)
@@ -210,18 +212,16 @@ def check_leibniz_basis(
             if 0 in lead:
                 continue
             pairs = codes.factors(rest, left)
-            triples = pairs + [(c, b, d) for b, c, d in pairs if b != c]
+            triples = pairs + [(c, b, d, bc, cd, bd) for b, c, d, bc, bd, cd in pairs if b != c]
             for others in permutations(lead):
                 for t in slots:
                     pre, post = others[:t], others[t:]
-                    for b, c, d in triples:
-                        bc, cd, bd = prod[b][c], prod[c][d], prod[b][d]
+                    for b, c, d, bc, bd, cd in triples:
                         lhs = mono(pre + (bc,) + post, d) if bc is not None else zero
-                        rhs = mono(pre + (b,) + post, cd) if cd is not None else zero
-                        if bd is not None:
-                            rhs = rhs + mono(pre + (c,) + post, bd)
-                        if lhs != rhs:
-                            failed.append(((t, others, b, c, d), rhs, lhs))
+                        tb = mono(pre + (b,) + post, cd) if cd is not None else zero
+                        tc = mono(pre + (c,) + post, bd) if bd is not None else zero
+                        if exact_sum(((1, lhs), (-1, tb), (-1, tc))):
+                            failed.append(((t, others, b, c, d), tb + tc, lhs))
     failed.sort(key=itemgetter(0))
     for (t, others, b, c, d), rhs, lhs in failed:
         witness = (tuple(basis[x] for x in others), basis[b], basis[c], basis[d], t + 1)

@@ -53,7 +53,9 @@ class AlgebraParams:
 
     @cached_property
     def product_index(self) -> tuple[tuple[int | None, ...], ...]:
-        """Basis-position product table; ``None`` marks a truncated product."""
+        """Basis-position product table; ``None`` marks a truncated product.
+        The tests' reference: the product-rule routes read each product
+        from the integer codes (``MonomialCodes.factors``) instead."""
         idx = self.basis_index
         return tuple(
             tuple(idx.get(add(z, e)) for e in self.basis) for z in self.basis

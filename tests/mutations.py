@@ -39,6 +39,7 @@ class Mutation(NamedTuple):
 CLI = "tests/test_cli.py::"
 ORACLE = "tests/test_oracle.py::"
 VERIFIER = "tests/test_verifier.py::"
+GOLDEN = "tests/test_golden.py::"
 
 MUTATIONS = [
     Mutation(
@@ -256,6 +257,54 @@ MUTATIONS = [
         (
             "tests/test_rationals.py::test_parse_refuses_strings_over_the_caps",
             CLI + "test_verify_refuses_a_bound_cell_construct_wrote_past_the_read_cap",
+        ),
+    ),
+    Mutation(
+        "drop the comma between cells",
+        "jetlift/lift_space.py",
+        'head = ","',
+        'head = ""',
+        (
+            CLI + "test_written_json_is_json_dumps_with_indent_two[stdout-r=2 k=3 s=2]",
+            GOLDEN + "test_cli_output_matches_the_golden_transcript[r=2 k=4 s=3]",
+        ),
+    ),
+    Mutation(
+        "write an empty list over two lines",
+        "jetlift/lift_space.py",
+        '    if not xs:\n        return "[]"\n',
+        "",
+        (CLI + "test_written_json_is_json_dumps_with_indent_two[--out-r=2 k=2 s=0]",),
+    ),
+    Mutation(
+        "form the table's value strings while writing",
+        "jetlift/lift_space.py",
+        """tails = [f',\\n      "v": "{format_rational(v)}"' for v in values]""",
+        """tails = (f',\\n      "v": "{format_rational(v)}"' for v in values)""",
+        (
+            CLI + "test_construct_refuses_values_past_the_digit_limit",
+            CLI + "test_construct_to_stdout_refuses_values_past_the_digit_limit",
+        ),
+    ),
+    Mutation(
+        "decide the product rule on lhs and one term only",
+        "jetlift/verifier.py",
+        "exact_sum(((1, lhs), (-1, tb), (-1, tc)))",
+        "exact_sum(((1, lhs), (-1, tb)))",
+        (
+            VERIFIER + "test_run_all_checks_matches_the_reference_on_random_cell_tables",
+            CLI + "test_verify_output_on_a_corrupted_table_matches_the_reference[extra0]",
+        ),
+    ),
+    Mutation(
+        "swap bd and cd from the codes",
+        "jetlift/lift_space.py",
+        "get(xb + dc), get(code[c] + dc)",
+        "get(code[c] + dc), get(xb + dc)",
+        (
+            ORACLE + "test_factors_lists_exactly_the_live_factorisations",
+            ORACLE + "test_block_rows_give_the_every_slot_rows",
+            VERIFIER + "test_run_all_checks_matches_the_reference_on_random_cell_tables",
         ),
     ),
     Mutation(

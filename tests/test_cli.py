@@ -250,14 +250,10 @@ def test_construct_rejects_bad_assignment_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-    reason="this Python writes integers of any length",
-)
-def test_construct_refuses_values_past_the_digit_limit(tmp_path, capsys):
+def _too_long_assignment(tmp_path) -> Path:
     # Free values with ~3,000-digit denominators pass the input cap, but
     # bound cells sum several of them and their denominators pass Python's
-    # limit for writing an integer.  No huge number is printed on failure.
+    # limit for writing an integer.
     params = LiftParams(AlgebraParams(2, 3), 1)
     big = 10**2990
     values = [
@@ -266,17 +262,75 @@ def test_construct_refuses_values_past_the_digit_limit(tmp_path, capsys):
     ]
     src = tmp_path / "assignment.json"
     src.write_text(json.dumps({"r": 2, "k": 3, "s": 1, "values": values}))
-    out = tmp_path / "table.json"
-    code = main(["construct", "--in", str(src), "--out", str(out)])
-    captured = capsys.readouterr()
+    return src
+
+
+def _assert_too_long(code, captured):
+    # No huge number is printed on failure, and no JSON is written.
     assert code == 2
-    assert not out.exists()
     assert captured.out == ""
     limit = sys.get_int_max_str_digits()
     assert captured.err == (
         "error: a table value has a numerator or denominator of more than "
         f"{limit} digits, the limit for writing an integer\n"
     )
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_construct_refuses_values_past_the_digit_limit(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    code = main(["construct", "--in", str(_too_long_assignment(tmp_path)), "--out", str(out)])
+    _assert_too_long(code, capsys.readouterr())
+    assert not out.exists()
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this Python writes integers of any length",
+)
+def test_construct_to_stdout_refuses_values_past_the_digit_limit(tmp_path, capsys):
+    code = main(["construct", "--in", str(_too_long_assignment(tmp_path))])
+    _assert_too_long(code, capsys.readouterr())
+
+
+# s = 0 ("i": []), k = 0 ("alpha": []), s > k (no cell), and bound cells.
+WRITER_POINTS = [(2, 2, 0), (1, 0, 0), (2, 2, 3), (2, 3, 2), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("point", WRITER_POINTS, ids=lambda p: "r={} k={} s={}".format(*p))
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "--out"])
+def test_written_json_is_json_dumps_with_indent_two(tmp_path, capsys, point, to_file):
+    # Free values of both signs, every third with ~3,900 digits; bound
+    # cells sum a few of them.
+    r, k, s = point
+    params = LiftParams(AlgebraParams(r, k), s)
+    big = 10**3899
+    values = {
+        c: Fraction((-1) ** (n + 1) * (big * (n % 3 == 0) + n + 1), 1 + n % 4)
+        for n, c in enumerate(free_cells(params))
+    }
+    assignment = CoefficientAssignment(params, values)
+    src = tmp_path / "assignment.json"
+    src.write_text(json.dumps(assignment.to_json_dict()))
+    table_doc = construct(assignment).to_json_dict()
+    if table_doc["cells"]:
+        written = [c["v"] for c in table_doc["cells"]]
+        assert any(v.startswith("-") for v in written)
+        assert max(map(len, written)) >= 3900
+    zset_doc = [{"i": list(c.axes), "alpha": list(c.alpha)} for c in free_cells(params)]
+    zset = ["zset", "-r", str(r), "-k", str(k), "-s", str(s)]
+    for argv, doc in ((["construct", "--in", str(src)], table_doc), (zset, zset_doc)):
+        out = tmp_path / "out.json"
+        code = main(argv + (["--out", str(out)] if to_file else []))
+        text = capsys.readouterr().out
+        if to_file:
+            text = out.read_bytes().decode("utf-8")
+            out.unlink()
+        assert code == 0
+        assert text == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

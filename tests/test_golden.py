@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from jetlift import LiftTable, free_cells
+from jetlift import AlgebraParams, LiftTable, free_cells
 from jetlift.cli import main
 
 TRANSCRIPT = Path(__file__).with_name("golden_transcript.json")
@@ -133,6 +133,18 @@ def test_cli_output_matches_the_golden_transcript(golden, point, tmp_path):
     assert [rec["argv"] for rec in got] == [rec["argv"] for rec in want]
     for g, w in zip(got, want):
         assert g == w, w["argv"]
+
+
+@pytest.mark.parametrize("point", [(2, 4, 3), (3, 3, 2)], ids=point_key)
+def test_no_command_builds_the_product_table(golden, point, tmp_path, monkeypatch):
+    # The verifier's product-rule sweep and the oracle's instances read each
+    # product from the integer codes: construct, verify of a corrupted
+    # table, oracle and oracle --compare replay the transcript without it.
+    def refuse(self):
+        raise AssertionError("AlgebraParams.product_index was built")
+
+    monkeypatch.setattr(AlgebraParams, "product_index", property(refuse))
+    assert point_transcript(*point, tmp_path) == golden[point_key(point)]
 
 
 if __name__ == "__main__":

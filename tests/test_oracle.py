@@ -461,13 +461,14 @@ def test_guard_bits_decide_division_and_the_difference_is_the_quotient(r, k, s, 
 @given(st.integers(0, 3), st.integers(0, 3), st.data())
 def test_factors_lists_exactly_the_live_factorisations(r, k, data):
     # Brute force over every (b, c, d): the product is x^m, 1 <= b <= c,
-    # and bc, bd or cd lies in the basis; by (b, c) ascending.
+    # and bc, bd or cd lies in the basis; by (b, c) ascending, each with
+    # the products bc, bd and cd read from the product table.
     alg = AlgebraParams(r, k)
     codes, basis, prod = LiftParams(alg, 2).codes, alg.basis, alg.product_index
     picks = data.draw(st.lists(st.integers(0, alg.dim - 1), min_size=3, max_size=3))
     m = tuple(map(sum, zip(*(basis[g] for g in picks))))
     live = [
-        (b, c, d)
+        (b, c, d, prod[b][c], prod[b][d], prod[c][d])
         for b in range(1, alg.dim)
         for c in range(b, alg.dim)
         for d in range(alg.dim)
