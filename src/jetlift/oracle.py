@@ -97,16 +97,18 @@ span, the signed permutation keeps it, and it adds over blocks, whose
 columns are disjoint.  On cells the permutation relabels the axes: the
 cell ``(I, alpha)`` of block ``m`` is the unknown ``F(x_I)(alpha)``, and
 goes to ``F(x_sigma(I))(sigma alpha)``, the cell at ``sort sigma I``
-with the sign of the sort.  So ``check_iso`` pulls each block's free
-cells back to the representative, with any permutation that takes the
-representative there (``_placed``), and ``compare_with_construction``
+with the sign of the sort.  This relabelling, ``_relabel``, is the one
+move between blocks.  ``check_iso`` pulls each block's free cells back
+to the representative with it, by any permutation that takes the
+representative there (``_pull``), and ``compare_with_construction``
 takes its span ranks block by block on the representative's cells.  The
 free cells are not symmetric under ``sigma`` (the predicate singles out
 the top axis of a row), so the blocks of an orbit pull back different
-cells.  Only ``nullspace``, for the tests, and a failing unit's
-witnesses carry a vector to another block: ``_orbit`` walks the orbit,
-and one signed move, ``_push``, takes a vector keyed by unknown to the
-columns of a block, each entry times the sign of its sort.
+cells.  ``nullspace``, for the tests, relabels the representative's
+basis to each block ``m`` of the orbit (``_orbit``) and expands it there
+with block ``m``'s own ``E`` (below): a null vector of a block of degree
+at most ``r + s`` is ``E`` of its cells.  No vector keyed by unknown
+moves between blocks.
 
 Table expansion commutes with permuting the variables, so
 ``compare_with_construction`` also checks one block per orbit.
@@ -136,15 +138,15 @@ union ranks.  A row of block ``rep`` and its image under ``sigma`` take
 the same value on the two vectors, since each entry's sign appears in
 both, and the rows of block ``m`` are the normalised images of the
 representative's rows.  So ``U`` violates a row of ``m`` exactly when its
-pull-back violates a composed row of ``rep`` (below).  Only then is the
-representative listed again (``_raw``), the pull-back expanded with
-``E`` to its unknowns, and the rows it violates, with that vector,
-pushed forward with ``_push`` to name each row and its value.
+pull-back violates a composed row of ``rep`` (below).  Only then is
+block ``m`` listed (``block``), and ``U``'s own cells expanded with block
+``m``'s ``E`` to its vector, which names each row of ``m`` it violates,
+with its value.
 
-The generator and the moves between blocks code an exponent vector as
-one integer, and list divisors and picks, with
-``lift_space.MonomialCodes``, which the verifier's product-rule sweep
-walks too.  Only live instances are listed.  Each term of
+The generator codes an exponent vector as one integer, and lists
+divisors and picks, with ``lift_space.MonomialCodes``, which the
+verifier's product-rule sweep walks too.  Only live instances are
+listed.  Each term of
 ``R(pre; b, c, d)`` needs the product of two of ``b, c, d`` to lie in the
 basis, so a leading tuple whose rest has degree above ``2r`` has no
 instance with a term.  With ``b <= c`` graded, a
@@ -157,9 +159,9 @@ the witnesses: its unknowns, its single-entry columns, and per leading
 tuple the slot map with the instances left with two or more terms.  The
 single-entry columns are the unknowns holding the monomial 1, the
 instances with one term, and those left with one once the terms on an
-entry of ``pre`` drop.  ``block`` and the witnesses form each row in
-columns with ``_raw`` and keep nothing, so each call lists the block
-again; the representative pass composes each row with ``E`` as it reads
+entry of ``pre`` drop.  ``block`` forms each row in columns and keeps
+nothing, so each call, the witnesses' included, lists the block again;
+the representative pass composes each row with ``E`` as it reads
 its terms, and forms none in columns.  The row count, one per
 single-entry column and one per instance left with two or more terms, is
 taken from the listing.
@@ -255,7 +257,7 @@ from itertools import combinations, groupby
 from math import comb, gcd, lcm
 from operator import getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
     FreeCell,
@@ -352,7 +354,7 @@ class ConstraintSystem:
     def multidegrees(self) -> tuple[MultiIndex, ...]:
         """Every block that holds an unknown, orbit by orbit."""
         reps = self._reps(range(self._top + 1))
-        return tuple(m for rep in reps if self._list(rep)[0] for m, _ in _orbit(rep))
+        return tuple(m for rep in reps if self._list(rep)[0] for m in _orbit(rep))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
@@ -376,20 +378,17 @@ class ConstraintSystem:
         return sum(_orbit_size(orbit.rep) * len(orbit.basis) for orbit in self._orbits)
 
     def block(self, m: MultiIndex) -> Block:
-        """Block ``m``, listed on every call: every row, normalised."""
-        cells, rows = self._raw(m)
-        return Block(cells, tuple(sorted(map(_signed, rows))))
-
-    def _raw(self, m: MultiIndex) -> tuple[dict[int, Cell], list[Sequence[tuple[int, int]]]]:
-        """Block ``m`` as listed: its unknowns, and its rows in listing
-        order, each with the sign its instance gives it: the single-entry
-        rows, then the row of each instance left with two or more terms, in
-        column order."""
+        """Block ``m``, listed on every call: its unknowns, the single-entry
+        rows, and the row of each instance left with two or more terms, in
+        column order, every row normalised."""
         cells, zeros, groups = self._list(m)
         rows = [((col, 1),) for col in zeros]
         for at, multis in groups:
-            rows += [[((t := at[x])[0] + to, v * t[1]) for x, to, v in terms] for terms in multis]
-        return cells, rows
+            rows += [
+                _signed([((t := at[x])[0] + to, v * t[1]) for x, to, v in terms])
+                for terms in multis
+            ]
+        return Block(cells, tuple(sorted(rows)))
 
     @cached_property
     def _top(self) -> int:
@@ -656,10 +655,9 @@ def _orbit_size(rep: MultiIndex) -> int:
     return size
 
 
-def _orbit(rep: MultiIndex) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
+def _orbit(rep: MultiIndex) -> Iterator[MultiIndex]:
     """The distinct rearrangements of the non-increasing ``rep``, ``rep``
-    first, each with the positions its first ``q`` entries move to, ``q``
-    the support size of ``rep``."""
+    first."""
     k = len(rep)
     q = k - rep.count(0)
     runs = [len(list(run)) for _, run in groupby(rep[:q])]
@@ -669,7 +667,7 @@ def _orbit(rep: MultiIndex) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
             m = [0] * k
             for a, p in enumerate(placed):
                 m[p] = rep[a]
-            yield tuple(m), placed
+            yield tuple(m)
             return
         for chosen in combinations(free, runs[i]):
             rest = [p for p in free if p not in chosen] if i + 1 < len(runs) else ()
@@ -678,11 +676,24 @@ def _orbit(rep: MultiIndex) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
     yield from place(0, range(k), ())
 
 
-def _placed(m: MultiIndex) -> list[int]:
-    """The positions the first ``q`` entries of ``m``'s representative
-    move to in ``m``, as ``_orbit`` places them: the supported axes of
-    ``m`` by exponent, largest first, ties in axis order."""
-    return sorted((j for j, e in enumerate(m) if e), key=lambda j: -m[j])
+def _pull(m: MultiIndex) -> dict[int, int]:
+    """The axis map, 1-based, that pulls block ``m`` back to its
+    representative: the supported axes of ``m`` by exponent, largest
+    first, ties in axis order, go to the representative's first axes, as
+    ``_orbit`` places them."""
+    placed = sorted((j for j, e in enumerate(m) if e), key=lambda j: -m[j])
+    return {p + 1: i + 1 for i, p in enumerate(placed)}
+
+
+def _relabel(values: Mapping[tuple[int, ...], int | Fraction], to: Mapping[int, int]) -> dict:
+    """``values``, keyed by axis tuple, with each axis ``a`` sent to
+    ``to[a]``: each tuple re-sorted, and its value times the sign of the
+    sort."""
+    out = {}
+    for axes, v in values.items():
+        axes, sign = sort_with_sign(tuple(to[a] for a in axes))
+        out[axes] = v if sign > 0 else -v
+    return out
 
 
 def build_constraints(
@@ -788,44 +799,6 @@ class _Echelon:
         return basis
 
 
-def _mover(
-    system: ConstraintSystem, placed: tuple[int, ...]
-) -> Callable[[Cell], tuple[int, int]]:
-    """For an unknown of a representative's block, its column in the block
-    where the representative's ``i``-th supported axis sits at
-    ``placed[i]``, and the sign of the signed permutation there: each basis
-    monomial moved, the combination re-sorted, with the sign of the sort."""
-    (top, table), codes = system._ranks, system.params.codes
-    w = codes.stride
-    field = (1 << w) - 1
-    moved: dict[int, int] = {}
-
-    def move(g: int) -> int:
-        h = moved.get(g)
-        if h is None:
-            c = codes.codes[g]
-            h = moved[g] = codes.positions[
-                sum((c >> i * w & field) << p * w for i, p in enumerate(placed))
-            ]
-        return h
-
-    def move_cell(cell: Cell) -> tuple[int, int]:
-        combo, sign = sort_with_sign(tuple(map(move, cell[0])))
-        return top - sum(map(getitem, table, combo)) + move(cell[1]), sign
-
-    return move_cell
-
-
-def _push(move: Callable[[Cell], tuple[int, int]], vec: Mapping[Cell, int | Fraction]) -> dict:
-    """``vec``, keyed by unknown, moved by ``move`` (``_mover``) into a
-    dict keyed by column, each entry times the sign of its move."""
-    out = {}
-    for cell, v in vec.items():
-        col, sign = move(cell)
-        out[col] = v if sign > 0 else -v
-    return out
-
-
 def _full(expansion: Mapping[int, Mapping], x: Mapping) -> dict:
     """The vector, by column, of the block unknowns ``expansion``
     (``_expansion``) maps onto the cell values ``x``, keyed by axis tuple,
@@ -839,21 +812,19 @@ def nullspace(system: ConstraintSystem) -> tuple[int, list[dict[int, Fraction]]]
     nullspace, orbit by orbit, each vector a dict of its nonzero entries
     inside one block.
 
-    Each representative is listed again, its basis on cells is expanded
-    to its unknowns with ``_expansion``, and carried to every other block
-    of the orbit, as the module docstring sets out.  Only the tests read
-    these vectors: the CLI reads ``ConstraintSystem.nullity``, and the
-    checks each representative's basis on cells.
+    Each representative's basis on cells is relabelled to every block of
+    its orbit and expanded there with that block's ``_expansion``, as the
+    module docstring sets out.  Only the tests read these vectors: the CLI
+    reads ``ConstraintSystem.nullity``, and the checks each
+    representative's basis on cells.
     """
     basis = []
     for orbit in system._orbits:
         if orbit.basis:
-            cells = system._list(orbit.rep)[0]
-            expansion = system._expansion(cells)
-            full = [{cells[c]: v for c, v in _full(expansion, vec).items()} for vec in orbit.basis]
-            for _, placed in _orbit(orbit.rep):
-                move = _mover(system, placed)
-                basis.extend(_push(move, vec) for vec in full)
+            for m in _orbit(orbit.rep):
+                expansion = system._expansion(system._list(m)[0])
+                to = {a: b for b, a in _pull(m).items()}
+                basis.extend(_full(expansion, _relabel(vec, to)) for vec in orbit.basis)
     return len(basis), basis
 
 
@@ -888,8 +859,7 @@ def check_iso(system: ConstraintSystem) -> bool:
     for cell in cells:
         blocks.setdefault(multidegree(*cell), []).append(cell)
     for m, held in blocks.items():
-        back = {p + 1: i + 1 for i, p in enumerate(_placed(m))}
-        pulled = [tuple(sorted(back[j] for j in axes)) for axes, _ in held]
+        pulled = _relabel({axes: 1 for axes, _ in held}, _pull(m))
         basis = bases.get(tuple(sorted(m, reverse=True)), [])
         if rank_of({c: v for c in pulled if (v := vec.get(c))} for vec in basis) != len(held):
             return False
@@ -911,24 +881,19 @@ def expand_table(
     return {c: v for c, u in unknowns.items() if (v := ev.monomials_by_index(*u))}
 
 
-def _expand_units(
-    params: LiftParams, m: MultiIndex, held: list
-) -> Iterator[tuple[int, FreeCell, dict[tuple[int, ...], int], int]]:
+def _expand_units(params: LiftParams, m: MultiIndex, held: list) -> Iterator[tuple]:
     """The unit tables of block ``m``, ``held`` as (index, free cell)
-    pairs: each index and free cell, its cells pulled back to the
-    representative with the sign of the sort, keyed by axis tuple, times
-    ``scale``, and ``scale``.  Each table is completed in block ``m``."""
-    free = params.free_cell_set
-    back = {p + 1: i + 1 for i, p in enumerate(_placed(m))}
+    pairs: each index and free cell, its cells times ``scale``, keyed by
+    axis tuple, in block ``m``'s own axes and pulled back to the
+    representative, and ``scale``.  Each table is completed in block
+    ``m``."""
+    free, back = params.free_cell_set, _pull(m)
     block = block_cells(params, m)
     for i, one in held:
         values = complete({c: Fraction(int(c == one)) for c in block if c in free}, block)
         ints, scale = _integer_row(dict(zip(block, values)))
-        x = {}
-        for (axes, _), v in ints.items():
-            axes, sign = sort_with_sign(tuple(back[j] for j in axes))
-            x[axes] = v if sign > 0 else -v
-        yield i, one, x, scale
+        own = {axes: v for (axes, _), v in ints.items()}
+        yield i, one, own, _relabel(own, back), scale
 
 
 def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
@@ -943,7 +908,7 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
     block's rows can be nonzero on it.  The units are checked one orbit of
     blocks at a time, on the representative's cells, against its composed
     rows, as the module docstring sets out; only a unit that fails one is
-    expanded to the representative's unknowns, to name the rows of its own
+    expanded with its own block's ``_expansion``, to name the rows of that
     block it violates.  The failures are sorted back into free-cell order.
     Every row still counts as a case.
     """
@@ -960,29 +925,23 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
         blocks, size = units.get(rep, {}), _orbit_size(rep)
         r_null += size * null.rank
         r_union += (size - len(blocks)) * null.rank  # the blocks without a unit
-        listing = None
         for m, held in blocks.items():
-            exp, union = _Echelon(), _Echelon()
+            exp, union, bad = _Echelon(), _Echelon(), []
             union.pivots = dict(null.pivots)
-            for i, one, x, scale in _expand_units(params, m, held):
+            for i, one, own, x, scale in _expand_units(params, m, held):
                 exp.add(x)
                 union.add(x)
                 if any(sum(v * x[c] for c, v in row if c in x) for row in composed):
-                    # The witnesses name rows of block m, in its own columns.
-                    if listing is None:
-                        cells, rows = system._raw(rep)
-                        listing = cells, rows, system._expansion(cells)
-                    cells, rows, expansion = listing
-                    acc = _full(expansion, x)
-                    bad = [row for row in rows if sum(c * acc.get(col, 0) for col, c in row)]
-                    move = _mover(system, tuple(_placed(m)))
-                    image = _push(move, {cells[col]: v for col, v in acc.items()})
-                    for row in sorted(
-                        _signed(sorted(_push(move, {cells[c]: v for c, v in row}).items()))
-                        for row in bad
-                    ):
-                        got = Fraction(sum(c * image.get(col, 0) for col, c in row), scale)
-                        failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
+                    bad.append((i, one, own, scale))
+            if bad:  # the witnesses name rows of block m, in its own columns
+                block = system.block(m)
+                expansion = system._expansion(block.cells)
+                for i, one, own, scale in bad:
+                    acc = _full(expansion, own)
+                    for row in block.rows:
+                        if got := sum(c * acc.get(col, 0) for col, c in row):
+                            got = Fraction(got, scale)
+                            failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
             r_exp += exp.rank
             r_union += union.rank
     failed.sort(key=itemgetter(0))

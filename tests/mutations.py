@@ -43,24 +43,22 @@ GOLDEN = "tests/test_golden.py::"
 
 MUTATIONS = [
     Mutation(
-        "drop the push sign",
+        "drop the relabel sign",
         "jetlift/oracle.py",
-        "out[col] = v if sign > 0 else -v",
-        "out[col] = v",
+        "out[axes] = v if sign > 0 else -v",
+        "out[axes] = v",
         (
             ORACLE + "test_transported_basis_is_every_block_eliminated_directly",
-            ORACLE + "test_compare_witnesses_carry_the_sign_of_each_entry",
-        ),
-    ),
-    Mutation(
-        "drop the pull-back sign",
-        "jetlift/oracle.py",
-        "x[axes] = v if sign > 0 else -v",
-        "x[axes] = v",
-        (
             ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
             ORACLE + "test_compare_completes_only_each_units_block",
         ),
+    ),
+    Mutation(
+        "name the witnesses from the representative's block, not the unit's",
+        "jetlift/oracle.py",
+        "block = system.block(m)",
+        "block = system.block(rep)",
+        (ORACLE + "test_compare_reports_violated_rows_in_row_order",),
     ),
     Mutation(
         "sum each orbit's span ranks once, not per block",
@@ -75,8 +73,8 @@ MUTATIONS = [
     Mutation(
         "check_iso reads block m's free cells without pulling them back",
         "jetlift/oracle.py",
-        "pulled = [tuple(sorted(back[j] for j in axes)) for axes, _ in held]",
-        "pulled = [axes for axes, _ in held]",
+        "pulled = _relabel({axes: 1 for axes, _ in held}, _pull(m))",
+        "pulled = {axes: 1 for axes, _ in held}",
         (
             ORACLE + "test_nullity_matches_formula_and_basis_satisfies_rows",
             ORACLE + "test_orbit_local_checks_match_the_full_vector_reference[(3, 3, 2)]",

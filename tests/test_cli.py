@@ -951,14 +951,16 @@ def test_oracle_with_compare(capsys):
 )
 def test_oracle_moves_no_vector_between_blocks(monkeypatch, capsys, argv):
     # The nullity, check_iso and --compare read each representative's basis
-    # on its cells: a passing run carries no vector to another block.
+    # on its cells: a passing run walks no orbit, lists no block in columns
+    # and expands no vector to a block's unknowns.
     from jetlift import cli, oracle
 
     def refuse(*args):
-        raise AssertionError("a vector was carried to another block")
+        raise AssertionError("a passing run walked an orbit or listed a block")
 
-    for owner, name in ((oracle, "_push"), (oracle, "_mover"), (oracle, "nullspace")):
-        monkeypatch.setattr(owner, name, refuse)
+    for name in ("nullspace", "_orbit", "_full"):
+        monkeypatch.setattr(oracle, name, refuse)
+    monkeypatch.setattr(oracle.ConstraintSystem, "block", refuse)
     monkeypatch.setattr(cli, "nullspace", refuse)
     golden = json.loads((ROOT / "tests" / "golden_transcript.json").read_text(encoding="utf-8"))
     head, point = " ".join(["oracle", *argv, "--dump"]), "r={} k={} s={}".format(*argv[1:6:2])

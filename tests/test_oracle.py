@@ -36,6 +36,7 @@ from jetlift.oracle import (
     OracleSizeError,
     _Echelon,
     _expand_units,
+    _full,
     _orbit_size,
     _partitions,
     build_constraints,
@@ -590,7 +591,8 @@ def test_orbit_path_expands_every_unit_table_as_the_evaluator_does(r, k, s):
     # compare pulls each unit table's cells back to its orbit's
     # representative; expanded there with E and carried to the unit's own
     # block, they must give the constructed table evaluated at that
-    # block's unknowns.
+    # block's unknowns, and so must its own cells expanded with the E of
+    # its own block, as the witnesses read them.
     params = lift_params(r, k, s)
     system = build_constraints(params, max_unknowns=unknown_count(params))
     cells, expansions = free_cells(params), {}
@@ -599,7 +601,7 @@ def test_orbit_path_expands_every_unit_table_as_the_evaluator_does(r, k, s):
         rep = representative(m)
         if rep not in expansions:
             expansions[rep] = system._expansion(system.block(rep).cells)
-        ((j, unit, x, scale),) = _expand_units(params, m, [(i, one)])
+        ((j, unit, own, x, scale),) = _expand_units(params, m, [(i, one)])
         assert (j, unit) == (i, one)
         acc = {
             col: sum(v * x.get(a, 0) for a, v in e.items()) for col, e in expansions[rep].items()
@@ -609,6 +611,8 @@ def test_orbit_path_expands_every_unit_table_as_the_evaluator_does(r, k, s):
         got = {c: Fraction(sign * acc[col], scale) for col, (c, sign) in moved.items()}
         table = construct(CoefficientAssignment.unit(params, one))
         assert got == expand_table(system, nonzero_cells(table), system.block(m).cells), one
+        direct = _full(system._expansion(system.block(m).cells), own)
+        assert {col: Fraction(v, scale) for col, v in direct.items()} == got, one
     # Past k = 1 some unit sits in a block other than its representative.
     moved = [c for c in cells if multidegree(*c) != representative(multidegree(*c))]
     assert bool(moved) == (k > 1)
@@ -777,10 +781,11 @@ def dense_failures(system, cells, vecs, extra: dict) -> list:
 
 
 def doctor_representatives(monkeypatch, system, extra: dict) -> None:
-    """Add the rows ``extra[rep]`` to block ``rep`` of ``system``: to its
-    listing, which ``block`` and compare's witnesses read, and, composed
-    with the block's expansion E, to the composed rows that compare checks
-    each unit against."""
+    """Add the rows ``extra[rep]`` to block ``rep`` of ``system``: carried
+    to every block ``m`` of its orbit (``carry_row``), to the rows
+    ``block(m)`` gives, which compare's witnesses read, and, composed with
+    the block's expansion E, to the composed rows that compare checks each
+    unit against."""
     orbits = []
     for orbit in system._orbits:
         if rows := extra.get(orbit.rep):
@@ -795,13 +800,14 @@ def doctor_representatives(monkeypatch, system, extra: dict) -> None:
             orbit = orbit._replace(composed=orbit.composed + [row for row in composed if row])
         orbits.append(orbit)
     system.__dict__["_orbits"] = orbits  # a cached property
-    listing = ConstraintSystem._raw
+    listing = ConstraintSystem.block
 
     def doctored(self, m):
-        cells, rows = listing(self, m)
-        return cells, rows + sorted(extra.get(m, ()))
+        block = listing(self, m)
+        images = [carry_row(self, m, row) for row in extra.get(representative(m), ())]
+        return block._replace(rows=tuple(sorted(block.rows + tuple(images))))
 
-    monkeypatch.setattr(ConstraintSystem, "_raw", doctored)
+    monkeypatch.setattr(ConstraintSystem, "block", doctored)
 
 
 def test_compare_reports_violated_rows_in_row_order(monkeypatch):
