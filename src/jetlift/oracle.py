@@ -141,7 +141,9 @@ representative's rows.  So ``U`` violates a row of ``m`` exactly when its
 pull-back violates a composed row of ``rep`` (below).  Only then is
 block ``m`` listed (``block``), and ``U``'s own cells expanded with block
 ``m``'s ``E`` to its vector, which names each row of ``m`` it violates,
-with its value.
+with its value.  ``U`` is zero outside block ``m``, so no row of another
+block shares a column with it: its cases are the rows of block ``m``, as
+many as the representative's.
 
 The generator codes an exponent vector as one integer, and lists
 divisors and picks, with ``lift_space.MonomialCodes``, which the
@@ -353,23 +355,12 @@ class ConstraintSystem:
     @cached_property
     def multidegrees(self) -> tuple[MultiIndex, ...]:
         """Every block that holds an unknown, orbit by orbit."""
-        reps = self._reps(range(self._top + 1))
+        reps = self._reps(self._top)
         return tuple(m for rep in reps if self._list(rep)[0] for m in _orbit(rep))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
         return tuple(sorted(row for m in self.multidegrees for row in self.block(m).rows))
-
-    @cached_property
-    def row_count(self) -> int:
-        """``len(rows)``, counted one block per orbit.  The representative
-        pass counts the blocks of degree at most ``r + s``; those past it,
-        which the pass skips, are counted by ``_count_past`` without a
-        listing: no row, no column dict over the unknowns and no sort."""
-        past = self._reps(range(self.params.algebra.r + self.params.s + 1, self._top + 1))
-        return sum(_orbit_size(orbit.rep) * orbit.rows for orbit in self._orbits) + sum(
-            _orbit_size(rep) * self._count_past(rep) for rep in past
-        )
 
     @cached_property
     def nullity(self) -> int:
@@ -397,10 +388,10 @@ class ConstraintSystem:
         variables."""
         return (self.params.s + 1) * self.params.algebra.r if self.params.algebra.k else 0
 
-    def _reps(self, degrees: range) -> Iterator[MultiIndex]:
-        """The non-increasing multidegrees of the given degrees that can
-        hold an unknown, one per orbit of blocks; none when the system has
-        no unknown.  An unknown's ``s`` arguments are distinct basis
+    def _reps(self, high: int) -> Iterator[MultiIndex]:
+        """The non-increasing multidegrees of degree at most ``high`` that
+        can hold an unknown, one per orbit of blocks; none when the system
+        has no unknown.  An unknown's ``s`` arguments are distinct basis
         monomials, so its degree is at least the sum of the ``s`` least
         basis degrees, and its exponent of one variable at most ``r``, for
         the target, plus the ``s`` largest exponents of that variable over
@@ -409,7 +400,7 @@ class ConstraintSystem:
         if unknown_count(self.params):
             low = sum(alg.degrees[:s])
             top = alg.r + sum(sorted((e[0] for e in alg.basis if e), reverse=True)[:s])
-            for n in range(max(degrees.start, low), degrees.stop):
+            for n in range(low, high + 1):
                 for part in _partitions(n, alg.k, top):
                     yield part + (0,) * (alg.k - len(part))
 
@@ -423,7 +414,7 @@ class ConstraintSystem:
         rows are eliminated.  The blocks past ``r + s`` have nullity 0 by
         the peeling lemma, so they are never listed here."""
         out = []
-        for rep in self._reps(range(min(self.params.algebra.r + self.params.s, self._top) + 1)):
+        for rep in self._reps(min(self.params.algebra.r + self.params.s, self._top)):
             cells, zeros, groups = self._list(rep)
             if not cells:
                 continue
@@ -512,51 +503,22 @@ class ConstraintSystem:
         # F(pre, 1)(x): every unknown whose combination holds position 0.
         zeros = {col for col, (combo, _) in cells.items() if combo[0] == 0}
         groups = []
-        for at, multis, hit, cut, ones in self._groups(pres):
-            zeros.update(ones)
-            if hit:  # the terms on an entry of pre drop
-                multis = [terms for i, terms in enumerate(multis) if i not in hit] + cut
-            groups.append((at, multis))
-        return cells, zeros, groups
-
-    def _count_past(self, m: MultiIndex) -> int:
-        """The row count of block ``m``'s listing, for
-        ``r + s < |m| <= (s + 1) r``, which needs ``s >= 1``: one row per
-        single-entry column and one per instance left with two or more
-        terms.  The unknowns whose combination holds position 0 are the
-        picks of the leading tuples that start with it (with ``s = 1``,
-        ``(0,)`` would need a target of degree above ``r``).  The tuples
-        that hold 0 add only their instance counts, and the single-entry
-        columns of the others are deduped in one set."""
-        s, r, codes = self.params.s, self.params.algebra.r, self.params.codes
-        pres, ones = codes.picks([((), codes.code(m), sum(m))], s - 1, 2 * r), set()
-        count = len(codes.picks([p for p in pres if p[0][:1] == (0,)], 1, r))
-        for _, multis, hit, cut, cols in self._groups(pres):
-            ones.update(cols)
-            count += len(multis) - len(hit) + len(cut)
-        return count + len(ones)
-
-    def _groups(self, pres: list) -> Iterator[tuple[list, list, set[int], list, list[int]]]:
-        """Per leading tuple of ``pres``: its slot map (``_slot``), the
-        instances with two or more terms (``_instances``), the indices of
-        those with a term on an entry of the tuple, the terms of each of
-        these left with two or more once those terms drop, and the columns
-        of the single-entry rows.  A tuple that holds position 0 lists no
-        columns: each of its columns holds position 0 too, so it is a known
-        zero already."""
         for pre, rest, size in pres:
             at = self._slot(pre)
             singles, multis, on = self._instances(rest, size)
-            held = pre[:1] == (0,)
-            ones = [] if held else [t[0] + to for x, to in singles if (t := at[x]) is not None]
-            hit, cut = {i for x in pre for i in on.get(x, ())}, []
-            for i in hit:
-                terms = [e for e in multis[i] if at[e[0]] is not None]
-                if len(terms) > 1:
-                    cut.append(terms)
-                elif terms and not held:
-                    ones.append(at[terms[0][0]][0] + terms[0][1])
-            yield at, multis, hit, cut, ones
+            zeros.update(t[0] + to for x, to in singles if (t := at[x]) is not None)
+            hit = {i for x in pre for i in on.get(x, ())}
+            if hit:  # the terms on an entry of pre drop
+                kept = [terms for i, terms in enumerate(multis) if i not in hit]
+                for i in hit:
+                    terms = [e for e in multis[i] if at[e[0]] is not None]
+                    if len(terms) > 1:
+                        kept.append(terms)
+                    elif terms:
+                        zeros.add(at[terms[0][0]][0] + terms[0][1])
+                multis = kept
+            groups.append((at, multis))
+        return cells, zeros, groups
 
     def _instances(self, m: int, size: int) -> tuple[set, list[tuple], dict[int, list[int]]]:
         """The product-rule instances of the factorisations
@@ -910,7 +872,8 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
     rows, as the module docstring sets out; only a unit that fails one is
     expanded with its own block's ``_expansion``, to name the rows of that
     block it violates.  The failures are sorted back into free-cell order.
-    Every row still counts as a case.
+    Each unit counts the rows of its own block as cases, its orbit's row
+    count.
     """
     params = system.params
     ones = free_cells(params)  # the free cell of each unit table's 1
@@ -918,14 +881,15 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
     for i, one in enumerate(ones):
         m = multidegree(*one)
         units.setdefault(tuple(sorted(m, reverse=True)), {}).setdefault(m, []).append((i, one))
-    failed, r_null, r_exp, r_union = [], 0, 0, 0
+    failed, checked, r_null, r_exp, r_union = [], 0, 0, 0, 0
     # Each unit's block, of degree <= r + s and holding an unknown, is in an orbit here.
-    for rep, _, basis, composed in system._orbits:
+    for rep, rows, basis, composed in system._orbits:
         null = _Echelon(_integer_row(vec)[0] for vec in basis)
         blocks, size = units.get(rep, {}), _orbit_size(rep)
         r_null += size * null.rank
         r_union += (size - len(blocks)) * null.rank  # the blocks without a unit
         for m, held in blocks.items():
+            checked += rows * len(held)
             exp, union, bad = _Echelon(), _Echelon(), []
             union.pivots = dict(null.pivots)
             for i, one, own, x, scale in _expand_units(params, m, held):
@@ -946,8 +910,7 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
             r_union += union.rank
     failed.sort(key=itemgetter(0))
     n = len(ones)
-    cases = {"constraint-rows": system.row_count * n, "span": 1}
-    report = VerificationReport(cases, [f for _, f in failed])
+    report = VerificationReport({"constraint-rows": checked, "span": 1}, [f for _, f in failed])
     if not (r_null == r_exp == r_union == system.nullity == n):
         report.failures.append(
             Failure(

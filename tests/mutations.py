@@ -51,6 +51,7 @@ MUTATIONS = [
             ORACLE + "test_transported_basis_is_every_block_eliminated_directly",
             ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
             ORACLE + "test_compare_completes_only_each_units_block",
+            ORACLE + "test_compare_witnesses_carry_the_sign_of_each_entry",
         ),
     ),
     Mutation(
@@ -125,14 +126,14 @@ MUTATIONS = [
         ),
     ),
     Mutation(
-        "count the single-entry rows past r + s per instance",
+        "count each block's rows once, not once per unit",
         "jetlift/oracle.py",
-        "ones.update(cols)",
-        "count += len(cols)",
+        "checked += rows * len(held)",
+        "checked += rows",
         (
-            ORACLE + "test_count_only_listing_counts_each_block_past_r_plus_s",
-            ORACLE + "test_row_count_is_counted_one_block_per_orbit",
-            ORACLE + "test_default_path_lists_no_block_past_r_plus_s",
+            ORACLE + "test_compare_reports_violated_rows_in_row_order",
+            ORACLE + "test_orbit_local_checks_match_the_full_vector_reference[(3, 3, 2)]",
+            ORACLE + "test_count_only_listing_counts_each_block_past_r_plus_s[2-4-3]",
         ),
     ),
     Mutation(
@@ -197,6 +198,16 @@ MUTATIONS = [
         (
             "tests/test_lift_space.py::test_free_cells_match_direct_definition_on_grid",
             ORACLE + "test_nullity_matches_formula_and_basis_satisfies_rows",
+        ),
+    ),
+    Mutation(
+        "count the free cells of a top-degree block without dropping its top axis",
+        "jetlift/lift_space.py",
+        "return binomial(q - 1, params.s)",
+        "return binomial(q, params.s)",
+        (
+            "tests/test_acceptance.py::test_criterion_9_truncation_kernel",
+            "tests/test_acceptance.py::test_criterion_8_graded_agreement",
         ),
     ),
     Mutation(

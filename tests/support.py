@@ -598,13 +598,15 @@ def reference_compare(
     system: ConstraintSystem, nullbasis: list, units: list | None = None
 ) -> VerificationReport:
     """``compare_with_construction`` on full vectors: the row failures of
-    ``reference_units`` (given, or found afresh), and the span checked with
+    ``reference_units`` (given, or found afresh), each unit counting the
+    rows of its own block as cases, and the span checked with
     one global rank each of ``nullbasis`` (the vectors of
     ``nullspace(system)``), of the unit vectors and of their union."""
     units = reference_units(system) if units is None else units
     expanded = [vec for _, vec, _ in units]
+    rows = {m: len(system.block(m).rows) for m in {multidegree(*one) for one, _, _ in units}}
     rep = VerificationReport(
-        {"constraint-rows": system.row_count * len(units), "span": 1},
+        {"constraint-rows": sum(rows[multidegree(*one)] for one, _, _ in units), "span": 1},
         [f for _, _, failures in units for f in failures],
     )
     r_null, r_exp = rank_of(nullbasis), rank_of(expanded)

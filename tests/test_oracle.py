@@ -37,6 +37,7 @@ from jetlift.oracle import (
     _Echelon,
     _expand_units,
     _full,
+    _orbit,
     _orbit_size,
     _partitions,
     build_constraints,
@@ -335,24 +336,24 @@ def test_rows_are_homogeneous_in_the_torus_grading(r, k, s):
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_row_count_is_counted_one_block_per_orbit(r, k, s):
-    # Every block of an orbit has the representative's row count.
+    # Every block of an orbit has the representative's row count, which
+    # --compare counts as each unit's cases.
     system = default_system(r, k, s)
-    assert system.row_count == len(system.rows)
-    per_block = Counter()
-    for m in system.multidegrees:
-        per_block[tuple(sorted(m, reverse=True))] += len(system.block(m).rows)
-    orbits = Counter(tuple(sorted(m, reverse=True)) for m in system.multidegrees)
-    for rep, rows in per_block.items():
-        assert rows == orbits[rep] * len(system.block(rep).rows), rep
+    for orbit in system._orbits:
+        counts = {m: len(system.block(m).rows) for m in _orbit(orbit.rep)}
+        assert counts == dict.fromkeys(counts, orbit.rows), orbit.rep
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_count_only_listing_counts_each_block_past_r_plus_s(r, k, s):
-    # row_count counts these representatives' rows without listing them.
+    # --compare takes each unit's cases off its representative's listing,
+    # with no row formed.  No unit lies in a block past r + s, so it counts
+    # none of their rows: its count is the rows of each unit's own block.
     system = default_system(r, k, s)
-    past = list(system._reps(range(r + s + 1, system._top + 1)))
-    counts = [(m, system._count_past(m)) for m in past]
-    assert counts == [(m, len(system.block(m).rows)) for m in past]
+    blocks = Counter(multidegree(*cell) for cell in free_cells(system.params))
+    assert all(sum(m) <= r + s for m in blocks)
+    cases = sum(n * len(system.block(m).rows) for m, n in blocks.items())
+    assert compare_with_construction(system).cases["constraint-rows"] == cases
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
@@ -415,6 +416,8 @@ def test_peeling_rows_settle_every_block_past_r_plus_s(r, k, s):
 
 @pytest.mark.parametrize("point", [(2, 4, 3), (3, 3, 2), (2, 2, 3), (4, 1, 2)])
 def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
+    # Neither check_iso nor --compare: a unit's block has degree at most
+    # r + s, and its cases are its orbit's row count.
     r, k, s = point
     listed, listing = [], ConstraintSystem._list
 
@@ -428,10 +431,7 @@ def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
     system = build_constraints(params, max_unknowns=unknown_count(params))
     assert check_iso(system)
     assert listed
-    # --compare counts the rows past r + s without listing their blocks.
     assert compare_with_construction(system).passed
-    monkeypatch.undo()
-    assert system.row_count == len(system.rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -816,9 +816,9 @@ def test_compare_reports_violated_rows_in_row_order(monkeypatch):
     # only on the rows of its representative's block and reports their
     # images in its own block, so the report must still match a dense
     # check of every row of every block, the extra rows carried to each
-    # block of the orbit, in free-cell order then row order, with every row
-    # of the system counted as a case.  At (3,2,1) compare visits the
-    # orbit's units out of free-cell order.
+    # block of the orbit, in free-cell order then row order, with the rows
+    # of each unit's own block counted as its cases.  At (3,2,1) compare
+    # visits the orbit's units out of free-cell order.
     params = lift_params(3, 2, 1)
     system = build_constraints(params)
     cells = free_cells(params)
@@ -828,12 +828,13 @@ def test_compare_reports_violated_rows_in_row_order(monkeypatch):
     support = sorted(pull_back(system, m, c) for c in vecs[i])
     extra = {(2, 1): {((support[0], 1),), ((support[0], 1), (support[-1], 2))}}
     expected = dense_failures(system, cells, vecs, extra)  # before the rows are doctored
+    cases = sum(len(system.block(multidegree(*c)).rows) for c in cells)
     doctor_representatives(monkeypatch, system, extra)
     rep = compare_with_construction(system)
     assert len({cell for (cell, _), _ in expected}) >= 3
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
     assert got == expected
-    assert rep.cases["constraint-rows"] == len(cells) * len(system.rows)
+    assert rep.cases["constraint-rows"] == cases
 
 
 def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
@@ -863,24 +864,51 @@ def test_compare_witnesses_carry_the_sign_of_each_entry(monkeypatch):
     # combinations, with a sign per column.  An extra row on two columns
     # whose signs differ, added to the representative's block, must be
     # reported in the unit's block with each entry's own sign, as a dense
-    # check of the row's image gives it.
+    # check of the row's image gives it.  A second extra row, in another
+    # orbit, is on two cells of a unit whose pull-back signs differ: the
+    # signed pull-back meets it and the unsigned one fails it.  So no unit
+    # of that orbit fails, and compare lists only the blocks of the units
+    # the first row fails.
     params = lift_params(2, 3, 2)
     system = build_constraints(params)
+    deg = params.algebra.degrees
     cells = free_cells(params)
     vecs = unit_vectors(system, cells)
+    pulled = []  # per unit: its block, and column of its representative -> (value, sign)
     for cell, vec in zip(cells, vecs):
         m = multidegree(*cell)
         move = carry(system, m)
-        signs = {move(c)[1]: c for c in (pull_back(system, m, c) for c in vec)}
-        if len(signs) == 2:
-            break
+        back = {pull_back(system, m, c): v for c, v in vec.items()}
+        pulled.append((m, {c: (move(c)[1] * v, move(c)[1]) for c, v in back.items()}))
+    m, at = next((m, at) for m, at in pulled if len({sign for _, sign in at.values()}) == 2)
+    signs = {sign: c for c, (_, sign) in at.items()}
     extra = {representative(m): {tuple(sorted(((signs[1], 1), (signs[-1], 2))))}}
+
+    def cell_signs(at):
+        linear = (c for c in at if all(deg[g] == 1 for g in system.unknowns[c][0]))
+        return {at[c][1]: c for c in linear}
+
+    u, at = next(
+        (u, at) for u, at in pulled if representative(u) not in extra and len(cell_signs(at)) == 2
+    )
+    a, b = cell_signs(at)[-1], cell_signs(at)[1]
+    (pa, _), (pb, _) = at[a], at[b]
+    scale = pa.denominator * pb.denominator
+    row = tuple(sorted(((a, int(pb * scale)), (b, int(-pa * scale)))))
+    assert sum(v * at[c][0] for c, v in row) == 0  # the signed pull-back meets it
+    assert sum(v * at[c][0] * at[c][1] for c, v in row) != 0  # the unsigned fails it
+    extra[representative(u)] = {row}
     expected = dense_failures(system, cells, vecs, extra)
     doctor_representatives(monkeypatch, system, extra)
+    listed, listing = set(), ConstraintSystem._list
+    monkeypatch.setattr(
+        ConstraintSystem, "_list", lambda self, m: listed.add(m) or listing(self, m)
+    )
     rep = compare_with_construction(system)
     assert len(signs) == 2 and expected
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
     assert got == expected
+    assert listed == {multidegree(*cell) for (cell, _), _ in expected}
 
 
 @pytest.mark.parametrize("point", [(3, 3, 2), (2, 2, 2)])
@@ -890,7 +918,6 @@ def test_a_passing_compare_lists_no_block(monkeypatch, point):
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
     assert system.nullity  # the representative pass lists every representative, once
-    assert system.row_count  # counts the blocks past r + s without listing them
     listed, listing = [], ConstraintSystem._list
     monkeypatch.setattr(
         ConstraintSystem, "_list", lambda self, m: listed.append(m) or listing(self, m)
