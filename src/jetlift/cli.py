@@ -3,13 +3,15 @@
 Subcommands: ``dim`` (closed-form dimension), ``zset`` (free cells),
 ``construct`` (assignment -> verified table), ``verify`` (re-check a stored
 table), ``oracle`` (brute-force nullspace cross-check).  Exit codes: 0 on
-success, 1 on a mathematical mismatch, 2 on usage or input errors.
+success, 1 on a mathematical mismatch, 2 on usage or input errors and on
+output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from typing import Iterable
@@ -293,9 +295,17 @@ def main(argv: list[str] | None = None) -> int:
             raise CliError(f"--witnesses must be non-negative, got {args.witnesses}")
         if getattr(args, "max_unknowns", 0) < 0:
             raise CliError(f"--max-unknowns must be non-negative, got {args.max_unknowns}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone.  What is still buffered goes to
+        # the null device, so the interpreter's final flush does not raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 2
 
 

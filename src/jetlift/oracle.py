@@ -158,7 +158,11 @@ factorisation gives a term exactly when
 
 One listing of a block serves the representative pass, ``block`` and
 the witnesses: its unknowns, its single-entry columns, and per leading
-tuple the slot map with the instances left with two or more terms.  The
+tuple ``pre`` the instances left with two or more terms, with a map from
+each slot argument ``x`` that the rest's instances name to the first
+column of the sorted ``pre + (x,)`` and the sign of the sort
+(``_spliced``, from ``column``'s closed form).  A map lives as long as
+its block's listing; nothing is kept per leading tuple.  The
 single-entry columns are the unknowns holding the monomial 1, the
 instances with one term, and those left with one once the terms on an
 entry of ``pre`` drop.  ``block`` forms each row in columns and keeps
@@ -252,6 +256,7 @@ composed row, and its cells, like the null basis, give the ranks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -458,12 +463,12 @@ class ConstraintSystem:
                 out[col] = {combo: 1}
             else:
                 pre, g = combo[:-1], combo[-1]
-                at, j = self._slot(pre), alg.supports[g][0]
+                j = alg.supports[g][0]
                 c = pos[code[g] - code[j]]
                 acc: dict[tuple[int, ...], int] = {}
                 # A term drops when its slot argument is in pre or its product is truncated.
                 for x, to in ((j, pos.get(code[c] + code[d])), (c, pos.get(code[j] + code[d]))):
-                    if to is not None and (t := at[x]) is not None:
+                    if to is not None and (t := self._spliced(pre, x)) is not None:
                         for cell, v in out[t[0] + to].items():
                             acc[cell] = acc.get(cell, 0) + t[1] * v
                 out[col] = {cell: v for cell, v in acc.items() if v}
@@ -473,8 +478,9 @@ class ConstraintSystem:
 
     def _list(self, m: MultiIndex) -> tuple[dict[int, Cell], set[int], list[tuple[list, list]]]:
         """Block ``m``: its unknowns by ascending column, the columns of
-        its single-entry rows, and per leading tuple its slot map
-        (``_slot``) with the terms of each instance left with two or more,
+        its single-entry rows, and per leading tuple ``pre`` the terms of
+        each instance left with two or more, with the map from each slot
+        argument ``x`` its rest's instances name to ``_spliced(pre, x)``,
         as the module docstring sets out."""
         s, r, codes = self.params.s, self.params.algebra.r, self.params.codes
         (top, table), pos = self._ranks, codes.positions
@@ -504,8 +510,8 @@ class ConstraintSystem:
         zeros = {col for col, (combo, _) in cells.items() if combo[0] == 0}
         groups = []
         for pre, rest, size in pres:
-            at = self._slot(pre)
             singles, multis, on = self._instances(rest, size)
+            at = {x: self._spliced(pre, x) for x in on}
             zeros.update(t[0] + to for x, to in singles if (t := at[x]) is not None)
             hit = {i for x in pre for i in on.get(x, ())}
             if hit:  # the terms on an entry of pre drop
@@ -529,7 +535,7 @@ class ConstraintSystem:
         (slot argument, target, coefficient), in column order.  The set of
         the (slot argument, target) of those with one term, those with
         more, and by slot argument the indices of the latter that hold
-        it."""
+        it, every slot argument of the former entered with none."""
         found = self._instance_cache.get(m)
         if found is None:
             singles, multis, on = set(), [], {}
@@ -543,6 +549,7 @@ class ConstraintSystem:
                     terms.append((bc, d, 1))
                 if len(terms) == 1:
                     singles.add(terms[0][:2])
+                    on.setdefault(terms[0][0], [])
                 else:
                     for x, _, _ in terms:
                         on.setdefault(x, []).append(len(multis))
@@ -550,34 +557,18 @@ class ConstraintSystem:
             found = self._instance_cache[m] = (singles, multis, on)
         return found
 
-    def _slot(self, pre: tuple[int, ...]) -> list[tuple[int, int] | None]:
-        """For every basis position ``x``: the first column of the sorted
-        ``pre + (x,)`` and the sign of the sort, ``None`` when ``x`` is in
-        ``pre``.  ``pre`` is increasing, so ``x`` moves past the entries
-        after its insertion point, one transposition each.  Between two
-        entries of ``pre`` the entries before ``x`` keep their index and
-        those after it move up one, so the column is a constant minus
-        ``T[i][x]`` (``_ranks``), ``i`` the insertion point."""
-        found = self._slot_cache.get(pre)
-        if found is None:
-            (top, table), B, n = self._ranks, self.params.algebra.dim, len(pre)
-            found, x = [None] * B, 0
-            base = top - sum(map(getitem, table[1:], pre))
-            for i, stop in enumerate(pre + (B,)):
-                sign = (-1) ** (n - i)
-                found[x:stop] = [(base - t, sign) for t in table[i][x:stop]]
-                if i < n:
-                    base += table[i + 1][stop] - table[i][stop]
-                x = stop + 1
-            self._slot_cache[pre] = found
-        return found
+    def _spliced(self, pre: tuple[int, ...], x: int) -> tuple[int, int] | None:
+        """The first column of the sorted ``pre + (x,)`` and the sign of the
+        sort, ``None`` when ``x`` is in ``pre``.  ``pre`` is increasing, so
+        ``x`` goes in at ``i = bisect_left(pre, x)`` and moves past the
+        entries after it, one transposition each."""
+        if x in pre:
+            return None
+        i = bisect_left(pre, x)
+        return self.column(pre[:i] + (x,) + pre[i:], 0), -1 if len(pre) - i & 1 else 1
 
     @cached_property
     def _instance_cache(self) -> dict:
-        return {}
-
-    @cached_property
-    def _slot_cache(self) -> dict:
         return {}
 
 
@@ -761,11 +752,17 @@ class _Echelon:
         return basis
 
 
+def _value(row: Iterable[tuple], x: Mapping) -> int:
+    """The value of ``row``, (key, coefficient) pairs, at the vector ``x``
+    of its nonzero entries."""
+    return sum(c * x.get(key, 0) for key, c in row)
+
+
 def _full(expansion: Mapping[int, Mapping], x: Mapping) -> dict:
     """The vector, by column, of the block unknowns ``expansion``
     (``_expansion``) maps onto the cell values ``x``, keyed by axis tuple,
     as a dict of its nonzero entries."""
-    sums = ((col, sum(c * x[a] for a, c in e.items() if a in x)) for col, e in expansion.items())
+    sums = ((col, _value(e.items(), x)) for col, e in expansion.items())
     return {col: v for col, v in sums if v}
 
 
@@ -871,7 +868,9 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
     blocks at a time, on the representative's cells, against its composed
     rows, as the module docstring sets out; only a unit that fails one is
     expanded with its own block's ``_expansion``, to name the rows of that
-    block it violates.  The failures are sorted back into free-cell order.
+    block it violates; should it violate none, which a wrong pull-back
+    would give, the first composed row it fails names it, with that row's
+    value.  The failures are sorted back into free-cell order.
     Each unit counts the rows of its own block as cases, its orbit's row
     count.
     """
@@ -895,23 +894,22 @@ def compare_with_construction(system: ConstraintSystem) -> VerificationReport:
             for i, one, own, x, scale in _expand_units(params, m, held):
                 exp.add(x)
                 union.add(x)
-                if any(sum(v * x[c] for c, v in row if c in x) for row in composed):
-                    bad.append((i, one, own, scale))
+                if hit := next(((row, got) for row in composed if (got := _value(row, x))), None):
+                    bad.append((i, one, own, scale, hit))
             if bad:  # the witnesses name rows of block m, in its own columns
                 block = system.block(m)
                 expansion = system._expansion(block.cells)
-                for i, one, own, scale in bad:
+                for i, one, own, scale, hit in bad:
                     acc = _full(expansion, own)
-                    for row in block.rows:
-                        if got := sum(c * acc.get(col, 0) for col, c in row):
-                            got = Fraction(got, scale)
-                            failed.append((i, Failure("constraint-rows", (one, row), Fraction(0), got)))
+                    hits = [(row, got) for row in block.rows if (got := _value(row, acc))]
+                    # A unit that no row of block m names is named by the composed row it fails.
+                    failed += [(i, one, row, Fraction(got, scale)) for row, got in hits or [hit]]
             r_exp += exp.rank
             r_union += union.rank
     failed.sort(key=itemgetter(0))
-    n = len(ones)
-    report = VerificationReport({"constraint-rows": checked, "span": 1}, [f for _, f in failed])
-    if not (r_null == r_exp == r_union == system.nullity == n):
+    failures = [Failure("constraint-rows", (one, row), Fraction(0), v) for _, one, row, v in failed]
+    report = VerificationReport({"constraint-rows": checked, "span": 1}, failures)
+    if not (r_null == r_exp == r_union == system.nullity == len(ones)):
         report.failures.append(
             Failure(
                 "span",

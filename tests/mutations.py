@@ -52,7 +52,22 @@ MUTATIONS = [
             ORACLE + "test_orbit_path_expands_every_unit_table_as_the_evaluator_does",
             ORACLE + "test_compare_completes_only_each_units_block",
             ORACLE + "test_compare_witnesses_carry_the_sign_of_each_entry",
+            ORACLE + "test_compare_names_a_unit_that_fails_only_a_composed_row",
         ),
+    ),
+    Mutation(
+        "name a unit only by the rows of its own block",
+        "jetlift/oracle.py",
+        "for row, got in hits or [hit]",
+        "for row, got in hits",
+        (ORACLE + "test_compare_names_a_unit_that_fails_only_a_composed_row",),
+    ),
+    Mutation(
+        "sign a splice by its insertion point, not by the entries it passes",
+        "jetlift/oracle.py",
+        "-1 if len(pre) - i & 1 else 1",
+        "-1 if i & 1 else 1",
+        (ORACLE + "test_closed_form_columns_are_the_positions_of_the_unknowns",),
     ),
     Mutation(
         "name the witnesses from the representative's block, not the unit's",
@@ -186,8 +201,8 @@ MUTATIONS = [
     Mutation(
         "--compare checks no composed single-entry row",
         "jetlift/oracle.py",
-        "for row in composed)",
-        "for row in composed if len(row) > 1)",
+        "for row in composed if (got",
+        "for row in composed if len(row) > 1 and (got",
         (ORACLE + "test_compare_reports_failures_in_free_cell_order_across_blocks",),
     ),
     Mutation(

@@ -999,6 +999,25 @@ def test_module_invocation_works():
     assert proc.stdout.strip() == "3"
 
 
+def test_closed_stdout_reader_exits_two_with_one_error_line():
+    # The free-cell list is ~100 kB, more than a pipe holds, so writing it
+    # meets the closed pipe whatever the timing.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = [sys.executable, "-m", "jetlift", "zset", "-r", "3", "-k", "6", "-s", "3"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    assert proc.stdout.readline() == "[\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 2
+    assert stderr.startswith("error: cannot write stdout: ")
+    assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
 def script_line_target(text: str) -> str:
     """The ``jetlift = "module:function"`` value under ``[project.scripts]``,
     read line by line (``tomllib`` needs Python 3.11)."""

@@ -20,7 +20,7 @@ from jetlift import (
     dimension,
     free_cells,
 )
-from jetlift import lift_space
+from jetlift import lift_space, oracle
 from jetlift.lift_space import (
     FreeCell,
     LiftTable,
@@ -159,8 +159,9 @@ def test_closed_form_columns_are_the_positions_of_the_unknowns(data):
     # The columns depend only on B and s, and k = 1 gives every B = r + 1.
     # Where there are few unknowns each column is checked against its
     # position in the listing; elsewhere a random combination's successor
-    # in lexicographic order is the next block of B columns.  The slot map
-    # of a random leading tuple is its splice and sort.
+    # in lexicographic order is the next block of B columns.  Splicing each
+    # position into a random leading tuple gives the sorted tuple's column
+    # and the sign of the sort.
     B = data.draw(st.integers(1, 25), label="B")
     s = data.draw(st.integers(0, B + 1), label="s")
     params = lift_params(B - 1, 1, s)
@@ -186,7 +187,7 @@ def test_closed_form_columns_are_the_positions_of_the_unknowns(data):
             else None
             for x in range(B)
         ]
-        assert system._slot(pre) == spliced
+        assert [system._spliced(pre, x) for x in range(B)] == spliced
 
 
 # -- degenerate shapes -------------------------------------------------------------
@@ -857,6 +858,38 @@ def test_compare_reports_failures_in_free_cell_order_across_blocks(monkeypatch):
     assert len(runs) > len(set(runs))  # some block's witnesses are not adjacent
     got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
     assert got == expected
+
+
+def test_compare_names_a_unit_that_fails_only_a_composed_row(monkeypatch):
+    # With the relabelling's sign dropped, some units' pull-backs fail a
+    # composed row of their representative, while their own vectors, from
+    # their own cells, meet every row of their block.  Each such unit must
+    # still fail constraint-rows, witnessed by the first composed row it
+    # fails and that row's value over the unit's scale, not through the
+    # span check alone.  With the sign, every unit passes.
+    def unsigned(values, to):
+        return {tuple(sorted(to[a] for a in axes)): v for axes, v in values.items()}
+
+    params = lift_params(2, 3, 2)
+    assert compare_with_construction(build_constraints(params)).passed
+    system = build_constraints(params)
+    composed = {orbit.rep: orbit.composed for orbit in system._orbits}
+    units = {}
+    for i, one in enumerate(free_cells(params)):
+        m = multidegree(*one)
+        units.setdefault(m, []).append((i, one))
+    monkeypatch.setattr(oracle, "_relabel", unsigned)
+    expected = []
+    for m, held in units.items():
+        for i, one, _, x, scale in _expand_units(params, m, held):
+            for row in composed[representative(m)]:
+                if got := sum(v * x.get(c, 0) for c, v in row):
+                    expected.append((i, (one, row), Fraction(got, scale)))
+                    break
+    rep = compare_with_construction(system)
+    got = [(f.witness, f.actual) for f in rep.failures if f.check == "constraint-rows"]
+    assert expected
+    assert got == [(witness, value) for _, witness, value in sorted(expected)]
 
 
 def test_compare_witnesses_carry_the_sign_of_each_entry(monkeypatch):
