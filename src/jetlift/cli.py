@@ -84,12 +84,25 @@ def _check_dimension(params: LiftParams) -> None:
         raise CliError(f"the dimension has more than {MAX_COUNT_DIGITS} digits")
 
 
+def _check_cases(params: LiftParams) -> None:
+    # For s >= 1 the checks count at least B ** (s + 2) cases in closed form.
+    # A count past COUNT_CAP cannot be written, so it is refused before it is
+    # formed: B ** (s + 2) is at least 2 ** ((s + 2) * (bits - 1)), and is
+    # formed only below 2 ** (2 * COUNT_CAP.bit_length()).
+    r, k, s = params.algebra.r, params.algebra.k, params.s
+    B, top = capped_binomial(r + k, r, COUNT_CAP), COUNT_CAP.bit_length()
+    if s and B > 1 and ((s + 2) * (B.bit_length() - 1) >= top or B ** (s + 2) > COUNT_CAP):
+        raise CliError(f"the check counts have more than {MAX_COUNT_DIGITS} digits")
+
+
 def _read_input(path: str, cls, what: str, field: str):
     """``cls.from_json_dict`` of the file at ``path``, refused before any
     enumeration when the table is too large."""
     try:
         data = _load_json(path)
-        _check_enumerable(read_params(data, what, field), f"reading the {what}", as_json=True)
+        params = read_params(data, what, field)
+        _check_enumerable(params, f"reading the {what}", as_json=True)
+        _check_cases(params)
         return cls.from_json_dict(data)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -190,6 +203,7 @@ def cmd_construct(args) -> int:
             raise CliError("--random needs -r, -k and -s")
         params = _params(args)
         _check_enumerable(params, "completing the table", as_json=True)
+        _check_cases(params)
         seed = DEFAULT_SEED if args.seed is None else args.seed
         assignment = CoefficientAssignment.random(params, seed=seed)
     # Looked up on the module so a wrapper installed on lift_space.construct

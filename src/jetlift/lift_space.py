@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product, repeat
@@ -28,29 +27,30 @@ from .rationals import (
     parse_objects,
     parse_rational,
 )
-from .weil_algebra import AlgebraElement, AlgebraParams, _as_fraction
+from .weil_algebra import AlgebraElement, AlgebraParams, _as_fraction, _Value
 
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class LiftParams:
+class LiftParams(_Value):
     """Algebra parameters plus the arity ``s`` of the multilinear maps."""
 
-    algebra: AlgebraParams
-    s: int
+    _fields = ("algebra", "s")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.algebra, AlgebraParams):
-            raise TypeError(f"algebra must be an AlgebraParams, got {self.algebra!r}")
-        if parse_int(self.s, "arity") < 0:
-            raise ValueError(f"arity must be non-negative, got {self.s}")
+    def __init__(self, algebra: AlgebraParams, s: int) -> None:
+        if not isinstance(algebra, AlgebraParams):
+            raise TypeError(f"algebra must be an AlgebraParams, got {algebra!r}")
+        if parse_int(s, "arity") < 0:
+            raise ValueError(f"arity must be non-negative, got {s}")
+        self.algebra, self.s = algebra, s
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Strictly increasing axis s-tuples in lexicographic order; one
-        table row each."""
-        return tuple(combinations(range(1, self.algebra.k + 1), self.s))
+        table row each; none for ``s > k``, where ``combinations`` would
+        first allocate ``s`` indices."""
+        k = self.algebra.k
+        return tuple(combinations(range(1, k + 1), self.s)) if self.s <= k else ()
 
     @cached_property
     def row_index(self) -> Mapping[tuple[int, ...], int]:
@@ -377,12 +377,16 @@ def _read_cells(data, what: str, field: str, entry: str, key: str) -> tuple[Lift
     return params, values
 
 
-@dataclass(frozen=True)
-class CoefficientAssignment:
+class CoefficientAssignment(_Value):
     """One exact rational per free cell; the coordinates of a lift map."""
 
-    params: LiftParams
-    values: Mapping[FreeCell, Fraction]
+    _fields = ("params", "values")
+
+    def __init__(self, params: LiftParams, values: Mapping[FreeCell, Fraction]) -> None:
+        self.params, self.values = params, values
+        # Looked up on the class, so a wrapper installed on ``__post_init__``
+        # (perfbench's tracer) also sees every construction.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         clean = {
@@ -398,7 +402,7 @@ class CoefficientAssignment:
                 + (f"; missing {missing}" if missing else "")
                 + (f"; extra {extra}" if extra else "")
             )
-        object.__setattr__(self, "values", clean)
+        self.values = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -437,26 +441,23 @@ class CoefficientAssignment:
         return cls(*_read_cells(data, "assignment", "values", "value", "c"))
 
 
-@dataclass(frozen=True)
-class LiftTable:
+class LiftTable(_Value):
     """The full grid of generator values, rows in ``params.rows`` order and
     columns in canonical monomial order.  Tables are immutable; use
     ``with_cell`` to build perturbed copies."""
 
-    params: LiftParams
-    cells: tuple[tuple[Fraction, ...], ...]
+    _fields = ("params", "cells")
 
-    def __post_init__(self) -> None:
-        rows = self.params.rows
-        dim = self.params.algebra.dim
-        if len(self.cells) != len(rows):
-            raise ValueError(f"expected {len(rows)} rows, got {len(self.cells)}")
+    def __init__(self, params: LiftParams, cells: Sequence[Sequence[Fraction]]) -> None:
+        rows, dim = params.rows, params.algebra.dim
+        if len(cells) != len(rows):
+            raise ValueError(f"expected {len(rows)} rows, got {len(cells)}")
         frozen = []
-        for row in self.cells:
+        for row in cells:
             if len(row) != dim:
                 raise ValueError(f"expected {dim} columns, got {len(row)}")
             frozen.append(tuple(_as_fraction(v) for v in row))
-        object.__setattr__(self, "cells", tuple(frozen))
+        self.params, self.cells = params, tuple(frozen)
 
     def cell(self, axes: tuple[int, ...], alpha: MultiIndex) -> Fraction:
         p = self.params
@@ -488,13 +489,13 @@ class LiftTable:
         head = f'{{\n  "r": {p.algebra.r},\n  "k": {p.algebra.k},\n  "s": {p.s},\n  "cells": '
         # Each axis tuple and monomial is formatted once, not once per cell.
         rows = [_json_ints(axes, 3) for axes in p.rows]
-        columns = [_json_ints(alpha, 3) for alpha in p.algebra.basis]
+        columns = [_json_ints(alpha, 3) for alpha in p.algebra.basis] if rows else []
         return chain([head], _json_cells(product(rows, columns), 1, tails), ["\n}\n"])
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LiftTable":
         params, seen = _read_cells(data, "table", "cells", "cell", "v")
-        basis = params.algebra.basis
+        basis = params.algebra.basis if params.rows else ()
         try:
             rows = [tuple(seen.pop((axes, alpha)) for alpha in basis) for axes in params.rows]
         except KeyError as exc:
@@ -511,10 +512,11 @@ def construct(assignment: CoefficientAssignment) -> LiftTable:
     """Complete an assignment on the free cells to the full table, one row
     of ``complete`` values per axis tuple."""
     p = assignment.params
-    basis = p.algebra.basis
+    # Without a row no monomial is listed.
+    basis = p.algebra.basis if p.rows else ()
     B = len(basis)
     values = complete(assignment.values, product(p.rows, basis))
-    return LiftTable(p, tuple(tuple(values[i : i + B]) for i in range(0, len(values), B)))
+    return LiftTable(p, tuple(tuple(values[i * B : i * B + B]) for i in range(len(p.rows))))
 
 
 def complete(free: Mapping[FreeCell, Fraction], cells: Iterable[FreeCell]) -> list[Fraction]:

@@ -257,13 +257,11 @@ composed row, and its cells, like the null basis, give the ranks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby
 from math import comb, gcd, lcm
 from operator import getitem, itemgetter
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .lift_space import (
@@ -280,6 +278,7 @@ from .lift_space import (
 )
 from .multiindex import COUNT_CAP, MAX_COUNT_DIGITS, MultiIndex, capped_binomial
 from .verifier import Failure, VerificationReport
+from .weil_algebra import _Value
 
 DEFAULT_MAX_UNKNOWNS = 20_000
 
@@ -320,8 +319,7 @@ class _Orbit(NamedTuple):
     composed: list[Row]
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(_Value):
     """The product-rule rows over the unknown cells, one multidegree block
     at a time.
 
@@ -336,8 +334,10 @@ class ConstraintSystem:
     system; only tests, ``dump_matrix`` and benchmark counters read them.
     """
 
-    params: LiftParams
-    slots: tuple[int, ...]
+    _fields = ("params", "slots")
+
+    def __init__(self, params: LiftParams, slots: tuple[int, ...]) -> None:
+        self.params, self.slots = params, slots
 
     @cached_property
     def _ranks(self) -> tuple[int, list[list[int]]]:
@@ -931,4 +931,5 @@ def dump_matrix(system: ConstraintSystem, path) -> None:
     for i, row in enumerate(system.rows, start=1):
         for col, v in row:
             lines.append(f"{i} {col + 1} {v}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")

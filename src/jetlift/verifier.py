@@ -93,11 +93,11 @@ form either way.  On a table that passes truncation no tuple is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, perm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .lift_space import LiftTable, TableEvaluator, multidegree, sort_with_sign
 from .multiindex import (
@@ -108,10 +108,10 @@ from .multiindex import (
     support,
 )
 from .rationals import exact_sum
+from .weil_algebra import _Value
 
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     """One violated identity: which check, on which monomials, and the two
     exact values that should have agreed."""
 
@@ -121,10 +121,12 @@ class Failure:
     actual: Fraction
 
 
-@dataclass
-class VerificationReport:
-    cases: dict[str, int] = field(default_factory=dict)
-    failures: list[Failure] = field(default_factory=list)
+class VerificationReport(_Value):
+    _fields = ("cases", "failures")
+
+    def __init__(self, cases: dict[str, int] | None = None, failures: list[Failure] | None = None):
+        self.cases = {} if cases is None else cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -233,7 +235,8 @@ def check_truncation(table: LiftTable) -> VerificationReport:
     """Expansions of just-overflowing powers must vanish: for every strictly
     increasing axis (s-1)-tuple and every exponent of total degree r+1, the
     weighted sum of table values with one unit peeled off each supported
-    axis is zero.  Vacuous for arity zero.
+    axis is zero.  Vacuous for arity zero; without a table row (``s > k``)
+    every sum is empty, and its cases are counted in closed form.
 
     Each sum is taken by ``exact_sum`` over the denominators of its own at
     most ``r + 1`` cells; a denominator common to a whole row could have
@@ -245,8 +248,11 @@ def check_truncation(table: LiftTable) -> VerificationReport:
     rep = VerificationReport(cases={"truncation": 0})
     if s == 0:
         return rep
-    alg = p.algebra
-    k = alg.k
+    alg, k = p.algebra, p.algebra.k
+    if s > k:
+        # comb(r + k, k - 1) exponents of degree r + 1 per (s-1)-tuple.
+        rep.cases["truncation"] = k and comb(k, s - 1) and comb(alg.r + k, k - 1)
+        return rep
     index = alg.basis_index
     # Each overflowing power with its terms: per supported axis h, the
     # exponent at h and the basis position of the power less e_h.

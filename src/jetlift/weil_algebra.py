@@ -8,28 +8,46 @@ to the scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .multiindex import MultiIndex, add, degree, enumerate_degree_at_most, support
+from .multiindex import MultiIndex, add, binomial, degree, enumerate_degree_at_most, support
 from .rationals import parse_int
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class _Value:
+    """Equality, hashing and a ``Name(field=value, ...)`` repr over the
+    attributes that ``_fields`` names, in that order."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class AlgebraParams(_Value):
     """Truncation order ``r`` and variable count ``k``, with the derived
     monomial basis in canonical order."""
 
-    r: int
-    k: int
+    _fields = ("r", "k")
 
-    def __post_init__(self) -> None:
-        if parse_int(self.r, "truncation order") < 0:
-            raise ValueError(f"truncation order must be non-negative, got {self.r}")
-        if parse_int(self.k, "variable count") < 0:
-            raise ValueError(f"variable count must be non-negative, got {self.k}")
+    def __init__(self, r: int, k: int) -> None:
+        if parse_int(r, "truncation order") < 0:
+            raise ValueError(f"truncation order must be non-negative, got {r}")
+        if parse_int(k, "variable count") < 0:
+            raise ValueError(f"variable count must be non-negative, got {k}")
+        self.r, self.k = r, k
 
     @cached_property
     def basis(self) -> tuple[MultiIndex, ...]:
@@ -39,9 +57,10 @@ class AlgebraParams:
     def basis_index(self) -> Mapping[MultiIndex, int]:
         return {a: i for i, a in enumerate(self.basis)}
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return len(self.basis)
+        """``C(r + k, r)``, the basis size, without listing the basis."""
+        return binomial(self.r + self.k, self.r)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -73,8 +92,7 @@ def _as_fraction(c) -> Fraction:
     return Fraction(c)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(_Value):
     """A finite rational combination of basis monomials, the argument and
     target type of ``evaluate``.
 
@@ -82,19 +100,18 @@ class AlgebraElement:
     zeros are dropped on construction so equality is plain dict equality.
     """
 
-    params: AlgebraParams
-    coeffs: Mapping[int, Fraction]
+    _fields = ("params", "coeffs")
 
-    def __post_init__(self) -> None:
-        dim = self.params.dim
+    def __init__(self, params: AlgebraParams, coeffs: Mapping[int, Fraction]) -> None:
+        dim = params.dim
         clean: dict[int, Fraction] = {}
-        for pos, c in self.coeffs.items():
+        for pos, c in coeffs.items():
             if not 0 <= parse_int(pos, "basis position") < dim:
                 raise ValueError(f"basis position {pos} out of range 0..{dim - 1}")
             f = _as_fraction(c)
             if f:
                 clean[pos] = f
-        object.__setattr__(self, "coeffs", clean)
+        self.params, self.coeffs = params, clean
 
     @classmethod
     def from_terms(cls, params: AlgebraParams, terms: Mapping[MultiIndex, object]) -> "AlgebraElement":

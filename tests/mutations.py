@@ -332,6 +332,37 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        "drop the expansion's second peeling term",
+        "jetlift/oracle.py",
+        "for x, to in ((j, pos.get(code[c] + code[d])), (c, pos.get(code[j] + code[d]))):",
+        "for x, to in ((j, pos.get(code[c] + code[d])),):",
+        ("tests/test_acceptance.py::test_blocks_below_r_plus_s_compose_no_row",),
+    ),
+    Mutation(
+        "compare value types on all but their last field",
+        "jetlift/weil_algebra.py",
+        "for f in self._fields])",
+        "for f in self._fields[:-1]])",
+        (
+            "tests/test_weil_algebra.py::test_value_types_compare_hash_and_print_by_every_field",
+            "tests/test_lift_space.py::test_element_evaluation_validation",
+        ),
+    ),
+    Mutation(
+        "refuse a check count past the cap only when its bits show it",
+        "jetlift/cli.py",
+        " or B ** (s + 2) > COUNT_CAP)",
+        ")",
+        (CLI + "test_check_counts_past_the_digit_cap_are_refused_before_forming_them[(2, 1, 9011)]",),
+    ),
+    Mutation(
+        "count the truncation cases of a table without rows one degree high",
+        "jetlift/verifier.py",
+        "comb(alg.r + k, k - 1)",
+        "comb(alg.r + k, k)",
+        (CLI + "test_tables_without_rows_are_checked_without_listing_the_basis",),
+    ),
+    Mutation(
         "print ok for a failed check",
         "jetlift/cli.py",
         "{'FAIL' if n else 'ok'}",

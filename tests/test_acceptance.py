@@ -12,8 +12,9 @@ builds (4,3,3), (3,4,3) and (4,4,2), with 169,050 to 229,075 unknowns each.
 Criterion 4 runs the oracle as the CLI does, with the guard lifted, on the
 wider grid r <= 6, k <= 4, s <= 3.
 Criterion 1 also checks the peeling rows by which the oracle skips the
-blocks past r + s.  Criterion 9 checks the truncation kernel on its own,
-larger grid.
+blocks past r + s, and a test besides the nine checks, on criterion 4's
+systems, that the blocks below r + s compose no row.  Criterion 9 checks
+the truncation kernel on its own, larger grid.
 """
 
 import random
@@ -165,11 +166,20 @@ def test_criterion_3_every_unit_construction_verifies():
     )
 
 
-def test_criterion_4_isomorphism():
+@pytest.fixture(scope="module")
+def iso_systems():
+    """The CLI's constraint system, guard lifted, at every point of
+    criterion 4's grid; each is solved when first read."""
+    return {
+        point: build_constraints(lift(point), max_unknowns=unknown_count(lift(point)))
+        for point in ISO_GRID
+    }
+
+
+def test_criterion_4_isomorphism(iso_systems):
     failures = []
-    for point in ISO_GRID:
-        params = lift(point)
-        system = build_constraints(params, max_unknowns=unknown_count(params))
+    for point, system in iso_systems.items():
+        params = system.params
         if system.nullity != dimension(params):
             failures.append((point, "nullity", system.nullity, dimension(params)))
         if len(free_cells(params)) != dimension(params):
@@ -244,6 +254,20 @@ def test_criterion_6_last_slot_reduction(oracle_cache):
         "slot on every ordered tuple",
         failures,
     )
+
+
+def test_blocks_below_r_plus_s_compose_no_row(iso_systems):
+    # Below degree r + s the arguments b, c and d of an instance have degree
+    # at most r together, so no product is truncated: every row holds for
+    # every table and composes to 0, and each cell of the block is free.
+    checked = 0
+    for (r, _, s), system in iso_systems.items():
+        for orbit in system._orbits:
+            if sum(orbit.rep) < r + s:
+                checked += 1
+                assert orbit.composed == [], orbit.rep
+                assert len(orbit.basis) == len(block_cells(system.params, orbit.rep)), orbit.rep
+    assert checked == 975
 
 
 def test_criterion_7_corruption_detection():

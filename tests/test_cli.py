@@ -684,6 +684,37 @@ def test_oracle_guard_answers_without_listing_the_basis(capsys, no_basis_listing
     )
 
 
+def test_tables_without_rows_are_checked_without_listing_the_basis(tmp_path, capsys, no_basis_listing):
+    # At s > k a table has no row, so its cases are counted in closed form.
+    out = tmp_path / "t.json"
+    argv = ["construct", "--random", "-r", str(10**30), "-k", "2", "-s", "3", "--out", str(out)]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert main(["verify", "--in", str(out)]) == 0
+    assert capsys.readouterr().out == report
+    B = math.comb(10**30 + 2, 2)
+    assert report == (
+        f"leibniz: ok ({B**5} cases, 0 failed)\n"
+        f"skew: ok ({B**4 * 3 + (B**3 - math.perm(B, 3)) * B} cases, 0 failed)\n"
+        f"truncation: ok ({10**30 + 2} cases, 0 failed)\n"
+    )
+
+
+# B ** (s + 2) past COUNT_CAP: B = 2 with 2 ** 14285 > 10 ** 4300, B = 3 with
+# 3 ** 9013 > 10 ** 4300 though its bits alone do not show it, and a
+# 2843-digit B.
+@pytest.mark.parametrize("params", [(1, 1, 14283), (2, 1, 9011), (10**30, 100, 101)], ids=str)
+def test_check_counts_past_the_digit_cap_are_refused_before_forming_them(tmp_path, capsys, params):
+    r, k, s = params
+    refused = ("", f"error: the check counts have more than {MAX_COUNT_DIGITS} digits\n")
+    assert main(["construct", "--random", "-r", str(r), "-k", str(k), "-s", str(s)]) == 2
+    assert capsys.readouterr() == refused
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"r": r, "k": k, "s": s, "cells": []}))
+    assert main(["verify", "--in", str(path)]) == 2
+    assert capsys.readouterr() == refused
+
+
 # Under the cell cap, but each listed monomial is a k-long exponent list:
 # B·k entries for the basis, cells·k for the JSON a command writes.  Each
 # ran for tens of seconds, or out of memory, before the entry cap.
@@ -930,6 +961,92 @@ def test_fuzz_wrong_json_types_are_refused_with_exit_two(kind, data):
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+# -- any command line ----------------------------------------------------------
+
+SMALL_VALUES = ["-1", "0", "1", "2", "3", "x", "2.5", str(10**30)]
+COUNT_VALUES = ["-1", "0", "1", "20000", str(10**30)]
+
+
+def draw_argv(data, tmp: Path) -> list[str]:
+    """A command line for one subcommand: each option left out or given a
+    small, edge or mistyped value, an input file that is missing, a
+    directory, malformed, valid, or valid but for one replaced value, and
+    outputs in ``tmp`` or in a directory that does not exist."""
+    command = data.draw(st.sampled_from(["dim", "zset", "construct", "verify", "oracle"]))
+    argv = [command]
+
+    def option(flag, values):
+        value = data.draw(st.sampled_from([None, *values]), label=flag)
+        if value is not None:
+            argv.extend([flag, value])
+
+    def switch(flag):
+        if data.draw(st.booleans(), label=flag):
+            argv.append(flag)
+
+    if command in ("construct", "verify"):
+        doc = copy.deepcopy(UNIT_ASSIGNMENT) if command == "construct" else valid_table_doc()
+        kind = data.draw(st.sampled_from(["missing", "directory", "malformed", "valid", "replaced"]))
+        src = tmp if kind == "directory" else tmp / "in.json"
+        if kind == "malformed":
+            src.write_text('{"r": 1,')
+        elif kind == "valid":
+            src.write_text(json.dumps(doc))
+        elif kind == "replaced":
+            path, _ = data.draw(st.sampled_from(list(json_nodes(doc))))
+            src.write_text(json.dumps(replaced(doc, path, data.draw(JSON_VALUES))))
+        if command == "verify" or data.draw(st.booleans(), label="--in"):
+            argv += ["--in", str(src)]
+    if command != "verify":
+        for flag in ("-r", "-k", "-s"):
+            option(flag, SMALL_VALUES)
+    outputs = [str(tmp / "out"), str(tmp / "missing" / "out")]
+    if command == "dim":
+        switch("--check-z")
+        switch("--json")
+    elif command == "construct":
+        switch("--random")
+        option("--seed", SMALL_VALUES)
+    elif command == "verify":
+        switch("--all-slots")
+    elif command == "oracle":
+        switch("--compare")
+        option("--max-unknowns", COUNT_VALUES)
+        option("--dump", outputs)
+    if command in ("zset", "construct"):
+        option("--out", outputs)
+    if command in ("construct", "verify", "oracle"):
+        option("--witnesses", COUNT_VALUES)
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_no_command_line_ends_in_a_traceback(data):
+    """Every command line exits 0, 1 or 2 without a traceback, and exit 2
+    prints one ``error:`` line, also when stdout's reader has gone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = draw_argv(data, Path(tmp))
+        if data.draw(st.booleans(), label="stdout reader closed"):
+            # A real pipe: ``main`` puts the null device on stdout's file descriptor.
+            read, write = os.pipe()
+            os.close(read)
+            out = open(write, "w", encoding="utf-8")
+        else:
+            out = io.StringIO()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out.close()  # flushes what is left, as the interpreter does at exit
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+
+
 # -- oracle ------------------------------------------------------------------
 
 
@@ -1016,6 +1133,18 @@ def test_closed_stdout_reader_exits_two_with_one_error_line():
     assert proc.wait() == 2
     assert stderr.startswith("error: cannot write stdout: ")
     assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_pathlib():
+    # Each would add milliseconds to every fresh process.  ``-S`` skips the
+    # site module, so no ``.pth`` file of the host loads them first.
+    code = (
+        "import jetlift.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def script_line_target(text: str) -> str:

@@ -577,6 +577,7 @@ def test_element_evaluation_validation():
     one = AlgebraElement(alg, {0: 1})
     with pytest.raises(ValueError, match="argument"):
         evaluate(table, [one], one)
-    foreign = AlgebraElement(AlgebraParams(1, 2), {0: 1})
-    with pytest.raises(ValueError, match="parameters"):
-        evaluate(table, [one, foreign], one)
+    for other in (AlgebraParams(1, 2), AlgebraParams(2, 3)):
+        foreign = AlgebraElement(other, {0: 1})
+        with pytest.raises(ValueError, match="parameters"):
+            evaluate(table, [one, foreign], one)

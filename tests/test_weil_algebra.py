@@ -37,6 +37,20 @@ def test_params_refuse_non_integers(r, k, field):
         AlgebraParams(r, k)
 
 
+def test_value_types_compare_hash_and_print_by_every_field():
+    assert AlgebraParams(2, 3) == AlgebraParams(r=2, k=3)
+    assert hash(AlgebraParams(2, 3)) == hash(AlgebraParams(r=2, k=3))
+    assert AlgebraParams(2, 3) != AlgebraParams(2, 4)
+    assert AlgebraParams(2, 3) != AlgebraParams(1, 3)
+    assert AlgebraParams(2, 3) != (2, 3)
+    assert repr(AlgebraParams(2, 3)) == "AlgebraParams(r=2, k=3)"
+    assert AlgebraElement(P22, {1: 2}) == AlgebraElement(P22, {1: Fraction(2), 2: 0})
+    assert AlgebraElement(P22, {1: 2}) != AlgebraElement(P22, {1: 3})
+    assert repr(AlgebraElement(P22, {1: 2})) == (
+        "AlgebraElement(params=AlgebraParams(r=2, k=2), coeffs={1: Fraction(2, 1)})"
+    )
+
+
 def test_basis_frozen_example():
     p = AlgebraParams(1, 2)
     assert p.basis == ((0, 0), (1, 0), (0, 1))
