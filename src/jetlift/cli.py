@@ -37,7 +37,7 @@ from .oracle import (
     dump_matrix,
     nullspace,  # unused here; the benchmark's tracer patches it on this module
 )
-from .verifier import run_all_checks
+from .verifier import run_all_checks, skew_cases
 from .weil_algebra import AlgebraParams
 
 # ``zset``, ``dim --check-z``, ``construct`` and ``verify`` enumerate every
@@ -84,25 +84,32 @@ def _check_dimension(params: LiftParams) -> None:
         raise CliError(f"the dimension has more than {MAX_COUNT_DIGITS} digits")
 
 
-def _check_cases(params: LiftParams) -> None:
-    # For s >= 1 the checks count at least B ** (s + 2) cases in closed form.
-    # A count past COUNT_CAP cannot be written, so it is refused before it is
-    # formed: B ** (s + 2) is at least 2 ** ((s + 2) * (bits - 1)), and is
-    # formed only below 2 ** (2 * COUNT_CAP.bit_length()).
+def _check_cases(params: LiftParams, all_slots: bool = False) -> None:
+    # For s >= 1 the report prints B ** (s + 2) product-rule cases per slot
+    # it sweeps, skew_cases(B, s) and C(k, s - 1) C(r + k, k - 1)
+    # truncation cases.  A count past COUNT_CAP cannot be written, so it is
+    # refused before anything is written.  B ** (s + 2) is at least
+    # 2 ** ((s + 2) * (bits - 1)), so the counts are formed only below
+    # 2 ** (2 * COUNT_CAP.bit_length()).
     r, k, s = params.algebra.r, params.algebra.k, params.s
-    B, top = capped_binomial(r + k, r, COUNT_CAP), COUNT_CAP.bit_length()
-    if s and B > 1 and ((s + 2) * (B.bit_length() - 1) >= top or B ** (s + 2) > COUNT_CAP):
+    B, cap = capped_binomial(r + k, r, COUNT_CAP), COUNT_CAP
+    if s and (
+        B > 1 and (s + 2) * (B.bit_length() - 1) >= cap.bit_length()
+        or (s if all_slots else 1) * B ** (s + 2) > cap
+        or skew_cases(B, s) > cap
+        or capped_binomial(k, s - 1, cap) * capped_binomial(r + k, k - 1, cap) > cap
+    ):
         raise CliError(f"the check counts have more than {MAX_COUNT_DIGITS} digits")
 
 
-def _read_input(path: str, cls, what: str, field: str):
+def _read_input(path: str, cls, what: str, field: str, all_slots: bool = False):
     """``cls.from_json_dict`` of the file at ``path``, refused before any
     enumeration when the table is too large."""
     try:
         data = _load_json(path)
         params = read_params(data, what, field)
         _check_enumerable(params, f"reading the {what}", as_json=True)
-        _check_cases(params)
+        _check_cases(params, all_slots)
         return cls.from_json_dict(data)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -220,7 +227,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    table = _read_input(args.infile, LiftTable, "table", "cells")
+    table = _read_input(args.infile, LiftTable, "table", "cells", args.all_slots)
     rep = run_all_checks(table, all_slots=args.all_slots)
     _print_report(rep, args.witnesses, sys.stdout)
     return 0 if rep.passed else 1

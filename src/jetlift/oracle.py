@@ -238,6 +238,15 @@ single-entry rows included, keeps the distinct nonzero composed rows,
 divided by their content and signed, and eliminates them on the cells:
 its null basis is a basis of the restricted nullspace, keyed by cell.
 
+A block without a cell has nullity 0, so the pass neither lists nor
+eliminates it.  A cell takes ``s`` distinct axes of the support of
+``m``, so a block whose support has fewer than ``s`` axes has none, and
+``E`` writes each of its unknowns as ``{}``.  Every null vector is ``E``
+of its cells, by the restriction to cells, so it is 0.  The argument
+uses only the block's own peeling rows, not the construction or the
+formula; the test-suite eliminates every such block's rows on a grid of
+points.
+
 A table's vector is ``E`` of its cells.  At an unknown of block ``m``,
 ``|m| <= r + s``, the evaluator's peeling sum reads only cells of block
 ``m``, and is linear in the exponents of the last argument ``g``: its
@@ -412,17 +421,18 @@ class ConstraintSystem(_Value):
     @cached_property
     def _orbits(self) -> list[_Orbit]:
         """One entry per orbit of blocks of degree at most ``r + s`` that
-        hold an unknown, with the representative block listed, solved on
-        its cells and dropped, as the module docstring sets out: each row
-        of the listing, single-entry rows included, is composed with
+        hold a cell, with the representative block listed, solved on its
+        cells and dropped, as the module docstring sets out: each row of
+        the listing, single-entry rows included, is composed with
         ``_expansion`` as it is formed, and the distinct nonzero composed
         rows are eliminated.  The blocks past ``r + s`` have nullity 0 by
-        the peeling lemma, so they are never listed here."""
+        the peeling lemma, and those whose support has fewer than ``s``
+        axes by the restriction to cells, so they are never listed here."""
         out = []
         for rep in self._reps(min(self.params.algebra.r + self.params.s, self._top)):
-            cells, zeros, groups = self._list(rep)
-            if not cells:
+            if len(rep) - rep.count(0) < self.params.s:  # no cell, so nullity 0
                 continue
+            cells, zeros, groups = self._list(rep)
             expansion = self._expansion(cells)
             composed = {_normal(e) for col in zeros if (e := expansion[col])}
             for at, multis in groups:

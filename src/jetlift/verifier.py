@@ -158,11 +158,14 @@ def check_skew(table: LiftTable) -> VerificationReport:
     A table stores only increasing axis tuples, so no cell value can break
     either; ``tests/test_verifier.py`` sweeps every case on tables with
     random cells."""
-    s = table.params.s
-    B = table.params.algebra.dim
-    return VerificationReport(
-        cases={"skew": B ** (s + 1) * comb(s, 2) + (B**s - perm(B, s)) * B}
-    )
+    return VerificationReport(cases={"skew": skew_cases(table.params.algebra.dim, table.params.s)})
+
+
+def skew_cases(B: int, s: int) -> int:
+    """``check_skew``'s count for basis size ``B`` and arity ``s``: per
+    tuple of ``s + 1`` basis positions, one case per slot pair, and one
+    per tuple with a repeated argument."""
+    return B ** (s + 1) * comb(s, 2) + (B**s - perm(B, s)) * B
 
 
 def check_leibniz_basis(

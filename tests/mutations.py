@@ -107,6 +107,16 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        "also skip the representatives whose support has exactly s axes",
+        "jetlift/oracle.py",
+        "if len(rep) - rep.count(0) < self.params.s:",
+        "if len(rep) - rep.count(0) <= self.params.s:",
+        (
+            ORACLE + "test_every_representative_the_pass_skips_has_nullity_0",
+            "tests/test_acceptance.py::test_criterion_4_isomorphism",
+        ),
+    ),
+    Mutation(
         "raise the degree floor by one",
         "jetlift/oracle.py",
         "low = sum(alg.degrees[:s])",
@@ -349,11 +359,29 @@ MUTATIONS = [
         ),
     ),
     Mutation(
-        "refuse a check count past the cap only when its bits show it",
+        "refuse a product-rule count past the cap only when its bits show it",
         "jetlift/cli.py",
-        " or B ** (s + 2) > COUNT_CAP)",
-        ")",
-        (CLI + "test_check_counts_past_the_digit_cap_are_refused_before_forming_them[(2, 1, 9011)]",),
+        "        or (s if all_slots else 1) * B ** (s + 2) > cap\n",
+        "",
+        (
+            CLI
+            + "test_check_counts_past_the_digit_cap_are_refused_before_forming_them"
+            + "[(isqrt(2 * 10 ** 860), 2, 3)]",
+        ),
+    ),
+    Mutation(
+        "count the product-rule cases of one slot under --all-slots",
+        "jetlift/cli.py",
+        "(s if all_slots else 1) * B ** (s + 2)",
+        "B ** (s + 2)",
+        (CLI + "test_all_slot_counts_past_the_digit_cap_are_refused",),
+    ),
+    Mutation(
+        "leave the skew count out of the digit cap",
+        "jetlift/cli.py",
+        "        or skew_cases(B, s) > cap\n",
+        "",
+        (CLI + "test_a_skew_count_past_the_digit_cap_is_refused_before_the_table_is_written",),
     ),
     Mutation(
         "count the truncation cases of a table without rows one degree high",

@@ -21,9 +21,12 @@ every block from its own rows, where the oracle eliminates one block per
 orbit of variable permutations and transports its basis to the others;
 ``same_span`` compares the bases by the spaces they span.
 ``reference_orbit_blocks`` eliminates each orbit's representative block
-of degree at most ``r + s`` from all of its rows and restricts the basis
-to the block's cells, where the oracle composes the rows with its
-expansion of the unknowns in the cells and eliminates on the cells;
+of degree at most ``r + s`` that holds a cell from all of its rows and
+restricts the basis to the block's cells, where the oracle composes the
+rows with its expansion of the unknowns in the cells and eliminates on
+the cells; ``representative_blocks`` lists every representative block
+of degree at most ``r + s``, with its cells read off the basis
+exponents, so that the tests can eliminate the blocks the oracle skips;
 ``reference_peeling`` is the table evaluator's peeling sum transposed,
 the reference for that expansion.  ``peeling_row`` forms the row
 ``R(pre; x_j, c, d)`` that solves an unknown for one of its arguments,
@@ -619,17 +622,13 @@ def reference_compare(
     return rep
 
 
-def reference_orbit_blocks(system: ConstraintSystem) -> list:
+def representative_blocks(system: ConstraintSystem):
     """Each orbit representative of degree at most ``r + s`` whose block
-    holds an unknown, with the block's row count and the null basis of one
-    plain elimination of all of the block's rows, single-entry rows
-    included, restricted to the block's cells: each vector keyed by the
-    axis tuple ``I`` of the unknown ``F(x_I)(m - e_I)``, read off the
-    basis exponents, at which it has a nonzero value.  The blocks past
-    ``r + s`` are ``peeling_certificate``'s."""
+    holds an unknown, with the block and its cells: by column, the axis
+    tuple ``I`` of each unknown ``F(x_I)(m - e_I)``, read off the basis
+    exponents."""
     alg = system.params.algebra
     top = alg.r + system.params.s
-    out = []
     for rep in system.multidegrees:
         if list(rep) != sorted(rep, reverse=True) or degree(rep) > top:
             continue
@@ -639,12 +638,23 @@ def reference_orbit_blocks(system: ConstraintSystem) -> list:
             for col, (combo, _) in block.cells.items()
             if all(degree(alg.basis[g]) == 1 for g in combo)
         }
-        ech = _Echelon()
-        for row in block.rows:
-            ech.add(row)
+        yield rep, block, axes
+
+
+def reference_orbit_blocks(system: ConstraintSystem) -> list:
+    """Each orbit representative of degree at most ``r + s`` whose block
+    holds a cell, with the block's row count and the null basis of one
+    plain elimination of all of the block's rows, single-entry rows
+    included, restricted to the block's cells: each vector keyed by the
+    cell's axis tuple, at which it has a nonzero value.  The blocks past
+    ``r + s`` are ``peeling_certificate``'s."""
+    out = []
+    for rep, block, axes in representative_blocks(system):
+        if not axes:
+            continue
         basis = [
             {axes[c]: v for c, v in vec.items() if c in axes}
-            for vec in ech.nullspace_basis(block.cells).values()
+            for vec in _Echelon(block.rows).nullspace_basis(block.cells).values()
         ]
         out.append((rep, len(block.rows), basis))
     return out

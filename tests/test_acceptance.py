@@ -267,7 +267,7 @@ def test_blocks_below_r_plus_s_compose_no_row(iso_systems):
                 checked += 1
                 assert orbit.composed == [], orbit.rep
                 assert len(orbit.basis) == len(block_cells(system.params, orbit.rep)), orbit.rep
-    assert checked == 975
+    assert checked == 605
 
 
 def test_criterion_7_corruption_detection():

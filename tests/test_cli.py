@@ -27,7 +27,7 @@ from jetlift import (
     free_cells,
 )
 from jetlift.cli import MAX_LISTED_ENTRIES, MAX_TABLE_CELLS, CliError, _print_report, main
-from jetlift.multiindex import MAX_COUNT_DIGITS
+from jetlift.multiindex import COUNT_CAP, MAX_COUNT_DIGITS
 from jetlift.oracle import DEFAULT_MAX_UNKNOWNS
 from jetlift.rationals import MAX_DECIMAL_EXPONENT, MAX_RATIONAL_DIGITS
 from jetlift.verifier import Failure, VerificationReport
@@ -142,6 +142,17 @@ def test_oracle_answers_at_once_with_every_monomial_in_the_combination(capsys):
     # of partial combinations nor that of multidegrees may run past that.
     assert main(["oracle", "-r", "1", "-k", "40", "-s", "41"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "nullspace=0 formula=0 iso=ok"
+
+
+@pytest.mark.parametrize("k,s,nullity", [(40, 40, 1), (200, 201, 0)])
+def test_oracle_solves_only_the_blocks_with_a_cell_when_s_nears_k(capsys, k, s, nullity):
+    # Only blocks whose support has at least s axes hold a cell: at s = k
+    # those of full support, at s > k none.  Listing the other
+    # representatives took 4.3 s at (1,40,40) and over a minute at
+    # (1,200,201).
+    assert main(["oracle", "-r", "1", "-k", str(k), "-s", str(s)]) == 0
+    line = f"nullspace={nullity} formula={nullity} iso=ok"
+    assert capsys.readouterr().out.splitlines()[0] == line
 
 
 def test_dim_without_check_z_does_not_enumerate(capsys):
@@ -702,8 +713,19 @@ def test_tables_without_rows_are_checked_without_listing_the_basis(tmp_path, cap
 
 # B ** (s + 2) past COUNT_CAP: B = 2 with 2 ** 14285 > 10 ** 4300, B = 3 with
 # 3 ** 9013 > 10 ** 4300 though its bits alone do not show it, and a
-# 2843-digit B.
-@pytest.mark.parametrize("params", [(1, 1, 14283), (2, 1, 9011), (10**30, 100, 101)], ids=str)
+# 2843-digit B.  At s = 3 > k = 2, B = C(r + 2, 2) just above 10 ** 860
+# has B ** 5 past the cap, which its bits do not show, while the skew count,
+# about 6 B ** 4, is within it.
+@pytest.mark.parametrize(
+    "params",
+    [
+        (1, 1, 14283),
+        (2, 1, 9011),
+        (10**30, 100, 101),
+        pytest.param((math.isqrt(2 * 10**860), 2, 3), id="(isqrt(2 * 10 ** 860), 2, 3)"),
+    ],
+    ids=str,
+)
 def test_check_counts_past_the_digit_cap_are_refused_before_forming_them(tmp_path, capsys, params):
     r, k, s = params
     refused = ("", f"error: the check counts have more than {MAX_COUNT_DIGITS} digits\n")
@@ -713,6 +735,34 @@ def test_check_counts_past_the_digit_cap_are_refused_before_forming_them(tmp_pat
     path.write_text(json.dumps({"r": r, "k": k, "s": s, "cells": []}))
     assert main(["verify", "--in", str(path)]) == 2
     assert capsys.readouterr() == refused
+
+
+def test_a_skew_count_past_the_digit_cap_is_refused_before_the_table_is_written(tmp_path, capsys):
+    # 2 ** 14284 product-rule cases fit in 4300 digits; the 2 ** 14283 *
+    # C(14282, 2) skew cases do not.
+    refused = ("", f"error: the check counts have more than {MAX_COUNT_DIGITS} digits\n")
+    out = tmp_path / "t.json"
+    argv = ["construct", "--random", "-r", "1", "-k", "1", "-s", "14282", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == refused
+    assert not out.exists()
+    out.write_text(json.dumps({"r": 1, "k": 1, "s": 14282, "cells": []}))
+    assert main(["verify", "--in", str(out)]) == 2
+    assert capsys.readouterr() == refused
+
+
+def test_all_slot_counts_past_the_digit_cap_are_refused(tmp_path, capsys, no_basis_listing):
+    # B ** 4 <= COUNT_CAP < 2 * B ** 4: one slot's count is written, the
+    # count of both slots is refused.
+    B = math.isqrt(math.isqrt(COUNT_CAP))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"r": B - 1, "k": 1, "s": 2, "cells": []}))
+    assert main(["verify", "--in", str(path)]) == 0
+    assert f"leibniz: ok ({B**4} cases, 0 failed)\n" in capsys.readouterr().out
+    assert main(["verify", "--in", str(path), "--all-slots"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the check counts have more than {MAX_COUNT_DIGITS} digits\n"
+    )
 
 
 # Under the cell cap, but each listed monomial is a k-long exponent list:

@@ -66,6 +66,7 @@ from support import (
     reference_orbit_blocks,
     reference_peeling,
     reference_units,
+    representative_blocks,
     same_span,
     with_basis,
 )
@@ -382,6 +383,20 @@ def test_presolve_and_early_stop_keep_each_representatives_rows_and_basis(r, k, 
 
 
 @pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
+def test_every_representative_the_pass_skips_has_nullity_0(r, k, s):
+    # Of the representatives of degree at most r + s, the pass skips those
+    # whose support has fewer than s axes.  Each skipped block has no cell,
+    # and a plain elimination of all of its rows over all of its unknowns
+    # leaves no null vector.
+    system = default_system(r, k, s)
+    solved = {orbit.rep for orbit in system._orbits}
+    for rep, block, cells in representative_blocks(system):
+        if rep not in solved:
+            assert not cells, rep
+            assert _Echelon(block.rows).nullspace_basis(block.cells) == {}, rep
+
+
+@pytest.mark.parametrize("r,k,s", PRUNING_POINTS)
 def test_expansion_is_the_transposed_peeling_sum(r, k, s):
     # E, solved from the peeling rows, is the evaluator's sum over peelings
     # at every unknown of every representative the pass solves.
@@ -418,12 +433,14 @@ def test_peeling_rows_settle_every_block_past_r_plus_s(r, k, s):
 @pytest.mark.parametrize("point", [(2, 4, 3), (3, 3, 2), (2, 2, 3), (4, 1, 2)])
 def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
     # Neither check_iso nor --compare: a unit's block has degree at most
-    # r + s, and its cases are its orbit's row count.
+    # r + s and a cell, and its cases are its orbit's row count.  With
+    # s > k no block has a cell, so nothing is listed.
     r, k, s = point
     listed, listing = [], ConstraintSystem._list
 
     def checked(self, m):
         assert sum(m) <= r + s, m
+        assert len(m) - m.count(0) >= s, m
         listed.append(m)
         return listing(self, m)
 
@@ -431,7 +448,7 @@ def test_default_path_lists_no_block_past_r_plus_s(monkeypatch, point):
     params = lift_params(*point)
     system = build_constraints(params, max_unknowns=unknown_count(params))
     assert check_iso(system)
-    assert listed
+    assert bool(listed) == (s <= k)
     assert compare_with_construction(system).passed
 
 
